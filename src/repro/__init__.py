@@ -27,8 +27,7 @@ from .bytecode import (Heap, HeapStats, Interpreter, Program,
                        verify_program)
 from .frontend import build_graph
 from .ir import Graph, dump_graph, to_dot
-from .jit import (VM, Compiler, CompilerConfig, EscapeAnalysisKind,
-                  VMListener)
+from .jit import VM, Compiler, CompilerConfig, VMListener
 from .lang import compile_source
 from .opt import (CanonicalizerPhase, DeadCodeEliminationPhase,
                   GlobalValueNumberingPhase, InliningPhase, PhasePlan)
@@ -42,7 +41,7 @@ __all__ = [
     "Heap", "HeapStats", "Interpreter", "Program", "disassemble_method",
     "disassemble_program", "verify_program", "build_graph", "Graph",
     "dump_graph", "to_dot", "VM", "Compiler", "CompilerConfig",
-    "EscapeAnalysisKind", "compile_source", "CanonicalizerPhase",
+    "compile_source", "CanonicalizerPhase",
     "DeadCodeEliminationPhase", "GlobalValueNumberingPhase",
     "InliningPhase", "PhasePlan", "EquiEscapePhase", "PartialEscapePhase",
     "PEAResult", "CostModel", "ExecutionStats", "__version__",

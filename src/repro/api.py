@@ -33,17 +33,17 @@ from typing import Any, Optional, Union
 from .bytecode.classfile import Program
 from .bytecode.heap import HeapStats
 from .jit import (AutoTierPolicy, CompilationCache, CompilationResult,
-                  CompileService, CompilerConfig, EscapeAnalysisKind,
-                  ServiceClient, TierRequest, TierSpec, VM, VMListener,
+                  CompileService, CompilerConfig, ServiceClient,
+                  TierRequest, TierSpec, VM, VMListener,
                   default_cache_dir)
 from .lang import compile_source
 from .runtime.gcsim import GCSim, GCStats
 
 __all__ = ["AutoTierPolicy", "CompilationCache", "CompilationResult",
            "CompileService", "CompiledProgram", "CompilerConfig",
-           "EscapeAnalysisKind", "GCSim", "GCStats", "ServiceClient",
-           "TierRequest", "TierSpec", "VM", "VMListener", "compile",
-           "compile_source", "default_cache_dir", "run"]
+           "GCSim", "GCStats", "ServiceClient", "TierRequest",
+           "TierSpec", "VM", "VMListener", "compile", "compile_source",
+           "default_cache_dir", "run"]
 
 
 class CompiledProgram:

@@ -272,11 +272,11 @@ def run_workload(workload: Workload, config: CompilerConfig,
                 for qualified, bci, __ in record["signature"][2]:
                     m = program.method(qualified)
                     if (m, bci) not in vm.osr_compiled:
-                        vm._compile_osr(m, bci)
+                        vm._compile(m, bci)
                 for qualified, bci in record["signature"][3]:
                     m = program.method(qualified)
                     if (m, bci) not in vm._osr_uncompilable:
-                        vm._compile_osr(m, bci)
+                        vm._compile(m, bci)
             except Exception:
                 vm = None
             if vm is not None and \

@@ -298,6 +298,8 @@ def cmd_fuzz(args) -> int:
           f"{len(report.coverage)} coverage keys "
           f"({report.coverage_adds} coverage-adding programs), "
           f"{len(report.failures)} failure(s)")
+    print(f"backend fallbacks: {report.backend_fallbacks} installs "
+          f"could not bind their engine's backend lowering")
     if cache is not None:
         s = cache.stats
         print(f"cache: {s.hits} hits, {s.misses} misses, "

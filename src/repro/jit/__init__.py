@@ -4,13 +4,12 @@ from .cache import CacheStats, CompilationCache, default_cache_dir
 from .client import CompileReply, ServiceClient
 from .compiler import CompilationResult, Compiler
 from .listeners import VMListener
-from .options import (AutoTierPolicy, CompilerConfig,
-                      EscapeAnalysisKind, TierRequest, TierSpec)
+from .options import (AutoTierPolicy, CompilerConfig, TierRequest,
+                      TierSpec)
 from .server import CompileService
 from .vm import VM
 
 __all__ = ["AutoTierPolicy", "CacheStats", "CompilationCache",
            "CompilationResult", "CompileReply", "CompileService",
-           "Compiler", "CompilerConfig", "EscapeAnalysisKind",
-           "ServiceClient", "TierRequest", "TierSpec", "VM",
-           "VMListener", "default_cache_dir"]
+           "Compiler", "CompilerConfig", "ServiceClient", "TierRequest",
+           "TierSpec", "VM", "VMListener", "default_cache_dir"]

@@ -32,8 +32,8 @@ from ..pea.equi_escape import EquiEscapePhase
 from ..pea.partial_escape import PartialEscapePhase, PEAResult
 from ..runtime.codegen import CodegenError, CodegenPlan
 from ..runtime.plan import ExecutionPlan, PlanError
-from .cache import (CacheEntry, CompilationCache, RecordingProfile,
-                    load_graph_payload)
+from .cache import (CacheEntry, CachedCompilation, CompilationCache,
+                    RecordingProfile, load_graph_payload)
 from .deoptless import is_continuation_entry
 from .options import CompilerConfig, TierSpec
 
@@ -130,17 +130,7 @@ class Compiler:
                                        self.profile, entry_bci=osr_bci,
                                        tier=tier.token())
             if cached is not None:
-                codegen_plan = self._codegen_from_payload(
-                    cached.graph, cached.codegen, method, osr_bci)
-                plan = None if codegen_plan is not None else \
-                    self._plan_from_order(cached.graph,
-                                          cached.plan_order)
-                return CompilationResult(
-                    cached.graph, cached.ea_result, cached.node_count,
-                    plan, cache_entry=cached.entry, cache_hit=True,
-                    codegen=codegen_plan,
-                    facts=tuple(cached.entry.facts)
-                    if cached.entry is not None else ())
+                return self._relink(cached, method, osr_bci)
         # Record consumed facts even without a cache: the VM uses them
         # to re-validate installed code against the live profile.
         profile = RecordingProfile(self.profile) \
@@ -293,20 +283,31 @@ class Compiler:
         payload = load_graph_payload(blob, self.program)
         entry = CacheEntry(key, tuple(map(tuple, facts)), blob,
                            dict(meta or {}))
-        codegen_plan = self._codegen_from_payload(
-            payload["graph"], payload.get("codegen"), method, osr_bci)
-        plan = None if codegen_plan is not None else \
-            self._plan_from_order(payload["graph"],
-                                  payload["plan_order"])
+        result = self._relink(CachedCompilation(
+            payload["graph"], payload["ea_result"], payload["node_count"],
+            payload["plan_order"], payload.get("codegen"), entry),
+            method, osr_bci)
         if self.cache is not None:
             self.cache.adopt_entry(entry)
         self.compile_count += 1
         self.cache_hit_count += 1
+        return result
+
+    def _relink(self, cached: CachedCompilation, method: JMethod,
+                osr_bci) -> CompilationResult:
+        """Rebuild the result of a stored graph (a cache hit or a
+        compile-service reply): re-link its generated code, else its
+        threaded-code plan."""
+        codegen_plan = self._codegen_from_payload(
+            cached.graph, cached.codegen, method, osr_bci)
+        plan = None if codegen_plan is not None else \
+            self._plan_from_order(cached.graph, cached.plan_order)
         return CompilationResult(
-            payload["graph"], payload["ea_result"],
-            payload["node_count"], plan, cache_entry=entry,
-            cache_hit=True, codegen=codegen_plan,
-            facts=tuple(map(tuple, facts)))
+            cached.graph, cached.ea_result, cached.node_count, plan,
+            cache_entry=cached.entry, cache_hit=True,
+            codegen=codegen_plan,
+            facts=tuple(cached.entry.facts)
+            if cached.entry is not None else ())
 
     @staticmethod
     def _codegen_label(method: JMethod, osr_bci) -> str:

@@ -18,13 +18,14 @@ This module owns the parts that need no VM: the continuation cache-key
 descriptor (it rides the existing ``entry_bci`` dimension of the
 compilation cache and the compile-service wire protocol), dispatch
 context derivation (mirroring the interpreter's branch/receiver
-evaluation exactly), and the per-``(method, entry_bci)`` variant table.
+evaluation exactly), and the VM's variant table, which keys every
+installed piece of code — method entry, OSR entry or continuation —
+by ``(method, entry)``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bytecode.classfile import JMethod
@@ -91,14 +92,12 @@ def derive_context(method: JMethod, bci: int, locals_: List[Any],
 
 @dataclass
 class Variant:
-    """One installed continuation: a bound entry point plus the
-    bookkeeping dispatch needs to retire it."""
+    """One installed piece of compiled code: a method entry, an OSR
+    entry or a continuation."""
 
-    context: Optional[Context]
     result: Any  # CompilationResult
+    #: The entry point bound to the installing VM.
     entry: Callable[[List[Any]], Any]
-    #: Speculation facts baked into the variant (for staleness checks).
-    facts: tuple = ()
     #: The owning method's deopt epoch when the variant was last known
     #: valid against the live profile.
     epoch: int = 0
@@ -120,54 +119,51 @@ class DeoptlessStats:
         }
 
 
-class VariantTable:
-    """Per-``(method, entry_bci)`` continuation variants, LRU-bounded.
+class VariantTable(dict):
+    """Every installed code variant of one VM, ``method -> {entry:
+    Variant}``.  The entry is ``None`` for the method entry, a
+    loop-header bci for an OSR entry, or a :func:`continuation_entry`
+    descriptor.
 
-    ``lookup`` refreshes recency; ``install`` retires the least recently
-    dispatched variant once a site holds ``max_variants`` — retirement
-    hands the evicted variant back to the caller so the VM can drop its
-    cache entry."""
+    Continuations are LRU-bounded per deopt site: a method's dict keeps
+    them in dispatch-recency order (``lookup`` moves a hit to the end),
+    and ``install`` reports the least recently dispatched one once a
+    site holds more than ``max_variants``."""
+
+    __slots__ = ("max_variants",)
 
     def __init__(self, max_variants: int):
+        super().__init__()
         self.max_variants = max(1, int(max_variants))
-        self._sites: Dict[Tuple[JMethod, int],
-                          "OrderedDict[Optional[Context], Variant]"] = {}
 
-    def lookup(self, method: JMethod, bci: int,
-               context: Optional[Context]) -> Optional[Variant]:
-        site = self._sites.get((method, bci))
-        if site is None:
-            return None
-        variant = site.get(context)
+    def lookup(self, method: JMethod, entry) -> Optional[Variant]:
+        variants = self.get(method)
+        variant = variants.pop(entry, None) if variants else None
         if variant is not None:
-            site.move_to_end(context)
+            variants[entry] = variant
         return variant
 
-    def install(self, method: JMethod, bci: int,
-                variant: Variant) -> Optional[Variant]:
-        """Install (or replace) a variant; returns the retired one, if
-        the cap forced a retirement."""
-        site = self._sites.setdefault((method, bci), OrderedDict())
-        site[variant.context] = variant
-        site.move_to_end(variant.context)
-        if len(site) > self.max_variants:
-            _, retired = site.popitem(last=False)
-            return retired
+    def install(self, method: JMethod, entry, variant: Variant):
+        """Install (or replace) a variant; returns the continuation
+        entry the site cap pushed out (still installed — the caller
+        retires it), else None."""
+        variants = self.setdefault(method, {})
+        variants.pop(entry, None)
+        variants[entry] = variant
+        if is_continuation_entry(entry):
+            site = self._site(variants, entry[1])
+            if len(site) > self.max_variants:
+                return site[0]
         return None
 
-    def remove(self, method: JMethod, bci: int,
-               context: Optional[Context]) -> Optional[Variant]:
-        site = self._sites.get((method, bci))
-        if site is None:
-            return None
-        return site.pop(context, None)
-
-    def variants_at(self, method: JMethod, bci: int) -> List[Variant]:
-        site = self._sites.get((method, bci))
-        return list(site.values()) if site else []
+    def remove(self, method: JMethod, entry) -> Optional[Variant]:
+        variants = self.get(method)
+        return variants.pop(entry, None) if variants else None
 
     def site_count(self, method: JMethod, bci: int) -> int:
-        return len(self._sites.get((method, bci), ()))
+        return len(self._site(self.get(method, {}), bci))
 
-    def total(self) -> int:
-        return sum(len(site) for site in self._sites.values())
+    @staticmethod
+    def _site(variants: Dict[Any, Variant], bci: int) -> List[Any]:
+        return [entry for entry in variants
+                if is_continuation_entry(entry) and entry[1] == bci]

@@ -24,17 +24,11 @@ Since ISSUE 9 the escape-related knobs are unified behind one policy:
 — or a callable *policy* receiving a :class:`TierRequest` (method
 name, bytecode size, hotness from the profile, compile-service queue
 depth) and returning a token or :class:`TierSpec` per method.
-
-The pre-ISSUE-9 booleans (``escape_analysis``, ``escape_summaries``,
-``stack_allocation``) survive as deprecation shims that map onto the
-policy and warn once per knob.
 """
 
 from __future__ import annotations
 
-import enum
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -49,28 +43,8 @@ def _default_verify_ir() -> bool:
     return os.environ.get("REPRO_VERIFY_IR", "") == "1"
 
 
-class EscapeAnalysisKind(enum.Enum):
-    """Legacy escape-analysis selector.
-
-    Deprecated since ISSUE 9 in favor of ``CompilerConfig.escape_tier``;
-    kept so existing ``CompilerConfig(escape_analysis=...)`` call sites
-    keep working through the shim.
-    """
-
-    NONE = "none"
-    EQUI_ESCAPE = "equi-escape"  # flow-insensitive baseline (Section 6.2)
-    PARTIAL = "partial"  # the paper's contribution
-
-
 #: Escape-tier bases, cheapest first.
 TIER_BASES = ("none", "equi", "conngraph", "pea")
-
-_KIND_TO_BASE = {
-    EscapeAnalysisKind.NONE: "none",
-    EscapeAnalysisKind.EQUI_ESCAPE: "equi",
-    EscapeAnalysisKind.PARTIAL: "pea",
-}
-_BASE_TO_KIND = {base: kind for kind, base in _KIND_TO_BASE.items()}
 
 
 @dataclass(frozen=True)
@@ -193,19 +167,6 @@ class AutoTierPolicy:
 AUTO_TIER_POLICY = AutoTierPolicy()
 
 
-_DEPRECATION_WARNED = set()
-
-
-def _warn_deprecated(knob: str, replacement: str):
-    if knob in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(knob)
-    warnings.warn(
-        f"CompilerConfig.{knob} is deprecated; use "
-        f"CompilerConfig.escape_tier={replacement} instead",
-        DeprecationWarning, stacklevel=4)
-
-
 @dataclass
 class CompilerConfig:
     """One VM configuration."""
@@ -215,9 +176,6 @@ class CompilerConfig:
     #: :class:`TierSpec`, ``"auto"``, or a :data:`TierPolicy` callable
     #: evaluated per method.  See the module docstring.
     escape_tier: Union[str, TierSpec, TierPolicy] = "pea"
-    #: Deprecated (ISSUE 9): use ``escape_tier``.  Maps NONE/EQUI_ESCAPE/
-    #: PARTIAL onto the tier base.
-    escape_analysis: Optional[EscapeAnalysisKind] = None
     inline: bool = True
     inlining_policy: InliningPolicy = field(default_factory=InliningPolicy)
     canonicalize: bool = True
@@ -270,13 +228,9 @@ class CompilerConfig:
     read_elimination: bool = True
     #: Dominance-based folding of redundant conditions/guards.
     conditional_elimination: bool = True
-    #: Deprecated (ISSUE 9): use ``escape_tier="...+stack"``.
-    stack_allocation: Optional[bool] = None
     #: Ablation knobs for the analysis itself.
     pea_virtualize_arrays: bool = True
     pea_fold_checks: bool = True
-    #: Deprecated (ISSUE 9): use ``escape_tier="...+summaries"``.
-    escape_summaries: Optional[bool] = None
     #: Run the full :class:`repro.verify.GraphVerifier` invariant suite
     #: after every phase of every compilation (SSA dominance, CFG
     #: shape, frame-state completeness, PEA invariants).  Defaults to
@@ -316,46 +270,7 @@ class CompilerConfig:
     collect_node_histogram: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
 
-    def __post_init__(self):
-        self._merge_legacy_knobs()
-
     # -- escape-tier policy -------------------------------------------------
-
-    def _merge_legacy_knobs(self):
-        """Fold the deprecated escape booleans into ``escape_tier``."""
-        legacy_used = (self.escape_analysis is not None
-                       or self.escape_summaries is not None
-                       or self.stack_allocation is not None)
-        if not legacy_used:
-            return
-        if not isinstance(self.escape_tier, (str, TierSpec)) or \
-                self.escape_tier == "auto":
-            raise ValueError(
-                "legacy escape knobs (escape_analysis/escape_summaries/"
-                "stack_allocation) cannot be combined with a tier "
-                "policy; encode the choice in the policy instead")
-        spec = TierSpec.parse(self.escape_tier)
-        if self.escape_analysis is not None:
-            _warn_deprecated(
-                "escape_analysis",
-                f'"{_KIND_TO_BASE[self.escape_analysis]}"')
-            spec = TierSpec(_KIND_TO_BASE[self.escape_analysis],
-                            spec.summaries, spec.stack_analysis)
-        if self.escape_summaries is not None:
-            _warn_deprecated("escape_summaries",
-                             f'"{spec.base}+summaries"')
-            spec = TierSpec(spec.base, bool(self.escape_summaries),
-                            spec.stack_analysis)
-        if self.stack_allocation is not None:
-            _warn_deprecated("stack_allocation", f'"{spec.base}+stack"')
-            stack = "equi" if self.stack_allocation else None
-            spec = TierSpec(spec.base, spec.summaries, stack)
-        self.escape_tier = spec.token()
-        # Keep the legacy mirrors consistent for anything that still
-        # reads them (they are no longer consulted by the compiler).
-        self.escape_analysis = _BASE_TO_KIND.get(spec.base)
-        self.escape_summaries = spec.summaries
-        self.stack_allocation = spec.stack_analysis is not None
 
     def tier_policy(self) -> TierPolicy:
         """The per-method policy behind ``escape_tier``."""

@@ -11,6 +11,15 @@ header, seeded from the interpreter frame).  Guards that fail
 deoptimize back to the interpreter through
 :class:`~repro.runtime.deopt.Deoptimizer`.
 
+All compiled code shares one lifecycle.  Every installed variant is
+keyed by ``(method, entry)`` — ``entry`` is ``None`` for the method
+entry, a loop-header bci for an OSR entry, or a deoptless continuation
+descriptor — and goes through the same steps: :meth:`VM._compile` (or
+the compile service, ending in :meth:`VM._service_install`) produces a
+result, :meth:`VM._install` binds and publishes it,
+:meth:`VM._revalidated` re-checks OSR and continuation code after a
+deopt, and :meth:`VM._retire` drops it.
+
 Every engine shares one :class:`~repro.bytecode.heap.Heap`, so the
 allocation/monitor statistics of Table 1 are configuration-comparable.
 """
@@ -20,18 +29,20 @@ from __future__ import annotations
 import logging
 import sys
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..bytecode.classfile import JMethod, Program
 from ..bytecode.heap import Heap, HeapStats
 from ..bytecode.instructions import MethodRef
 from ..bytecode.interpreter import NO_OSR, Interpreter, Profile
-from ..runtime.codegen import BoundCode, CodegenError
+from ..frontend.graph_builder import GraphBuildError
+from ..runtime.codegen import CodegenError
 from ..runtime.costmodel import ExecutionStats
 from ..runtime.deopt import Deoptimizer
 from ..runtime.graph_interpreter import GraphInterpreter
-from ..runtime.plan import BoundPlan, PlanError
-from .cache import CompilationCache
+from ..runtime.plan import PlanError
+from .cache import CompilationCache, validate_facts
 from .compiler import CompilationResult, Compiler
 from .deoptless import (DeoptlessStats, Variant, VariantTable,
                         continuation_entry, derive_context,
@@ -51,6 +62,9 @@ _log = logging.getLogger("repro.jit.service")
 #: Ceiling on one blocking wait for a compile-service reply; past it
 #: the service is declared lost and the VM compiles in-process.
 _SERVICE_WAIT_TIMEOUT = 120.0
+
+#: ``(method, entry)``: the key of one piece of installed code.
+VariantKey = Tuple[JMethod, Any]
 
 
 class VM:
@@ -80,23 +94,25 @@ class VM:
             config.cost_model, self.exec_stats,
             config.collect_node_histogram)
         self.compiler = Compiler(program, config, self.profile, cache)
+        #: Every installed code variant with its bound entry point,
+        #: ``method -> {entry: Variant}``; continuations are LRU-capped
+        #: per deopt site.
+        self._variants = VariantTable(config.deoptless_max_variants)
+        #: The installed method entries' and OSR entries' results (a
+        #: view of the variant table kept for callers).
         self.compiled: Dict[JMethod, CompilationResult] = {}
-        #: Threaded-code plans bound to this VM's heap/stats (plan
-        #: backend); methods missing here execute via the
-        #: GraphInterpreter fallback.
-        self._bound_plans: Dict[JMethod, BoundPlan] = {}
-        #: Generated-Python functions bound to this VM (codegen
-        #: backend); preferred over ``_bound_plans`` when present.
-        self._bound_codegen: Dict[JMethod, BoundCode] = {}
-        #: Methods that failed to compile (stay interpreted).
-        self._uncompilable: Dict[JMethod, str] = {}
-        #: On-stack-replacement variants, one per hot loop header.
         self.osr_compiled: Dict[Tuple[JMethod, int],
                                 CompilationResult] = {}
-        self._osr_plans: Dict[Tuple[JMethod, int], BoundPlan] = {}
-        self._osr_codegen: Dict[Tuple[JMethod, int], BoundCode] = {}
-        #: Loop headers whose OSR compilation failed (keep interpreting).
+        #: Failed compiles: methods (stay interpreted), loop headers
+        #: (keep interpreting the loop) and deopt sites (plain deopt).
+        self._uncompilable: Dict[JMethod, str] = {}
         self._osr_uncompilable: Dict[Tuple[JMethod, int], str] = {}
+        self._continuation_uncompilable: Dict[Tuple[JMethod, int],
+                                              str] = {}
+        #: Installs that could not bind the configured backend's own
+        #: lowering (codegen fell back to the plan, or anything fell
+        #: back to the GraphInterpreter).
+        self.backend_fallbacks = 0
         #: Completed OSR transfers (observability; not a suite metric).
         self.osr_entries = 0
         self._interpreter_steps_counted = 0
@@ -113,14 +129,7 @@ class VM:
         #: the live profile before being re-entered (instead of
         #: deopt-cycling until the invalidate threshold).
         self._deopt_epoch: Dict[JMethod, int] = {}
-        #: Epoch each installed OSR variant was last validated at.
-        self._osr_epochs: Dict[Tuple[JMethod, int], int] = {}
-        #: Deoptless continuation variants, LRU-capped per deopt site.
-        self._variants = VariantTable(config.deoptless_max_variants)
         self.deoptless = DeoptlessStats()
-        #: Deopt sites whose continuation build failed (plain deopt).
-        self._continuation_uncompilable: Dict[Tuple[JMethod, int],
-                                              str] = {}
         self._dispatch_depth = 0
         self._listeners: List[VMListener] = []
         if config.osr:
@@ -133,14 +142,11 @@ class VM:
         #: compilation — including after a service failure, which is
         #: logged once and demotes the VM to in-process mode for good.
         self._service = service
-        #: Methods with a compile request in flight (value: request id).
-        self._service_pending: Dict[JMethod, int] = {}
-        self._service_pending_osr: Dict[Tuple[JMethod, int], int] = {}
-        #: In-flight continuation requests: (method, descriptor) -> id.
-        self._service_pending_cont: Dict[Tuple[JMethod, tuple], int] = {}
-        #: Fact-validation retries per target (one resubmission with a
-        #: fresh profile snapshot, then in-process fallback).
-        self._service_retries: Dict[Any, int] = {}
+        #: Compile requests in flight (value: request id).
+        self._service_pending: Dict[VariantKey, int] = {}
+        #: Targets resubmitted after a stale reply (one resubmission
+        #: with a fresh profile snapshot, then in-process fallback).
+        self._service_retried: Set[VariantKey] = set()
         #: Replies installed / in-process fallbacks (observability).
         self.service_installs = 0
         self.service_fallbacks = 0
@@ -192,15 +198,13 @@ class VM:
                 self.config.cost_model.invoke_overhead
                 + method.native_cycle_cost)
             return method.native_impl(self.interpreter, args)
-        compiled = self.compiled.get(method)
-        if compiled is None and self._should_compile(method):
-            if self._service is not None:
-                compiled = self._service_compile(method)
-            else:
-                compiled = self._compile(method)
+        variants = self._variants.get(method)
+        variant = variants.get(None) if variants else None
+        if variant is None and self._should_compile(method):
+            variant = self._tier_up(method, None)
         self.profile.record_invocation(method)
-        if compiled is not None:
-            return self._execute_compiled(method, compiled, args)
+        if variant is not None:
+            return variant.entry(args)
         return self._execute_interpreted(method, args)
 
     def warm_up(self, qualified: str, args_list) -> None:
@@ -213,11 +217,12 @@ class VM:
         method = self.program.method(qualified)
         result = self.compiled.get(method)
         if result is None:
-            result = self._compile(method)
-            if result is None:
+            variant = self._compile(method)
+            if variant is None:
                 raise RuntimeError(
                     f"{qualified} failed to compile: "
                     f"{self._uncompilable.get(method)}")
+            result = variant.result
         return result
 
     def heap_snapshot(self) -> HeapStats:
@@ -240,45 +245,6 @@ class VM:
         return (self.profile.invocation_count(method)
                 >= self.config.compile_threshold)
 
-    def _compile(self, method: JMethod) -> Optional[CompilationResult]:
-        try:
-            result = self.compiler.compile(method)
-        except Exception as exc:  # noqa: BLE001 - compile bailout
-            self._uncompilable[method] = f"{type(exc).__name__}: {exc}"
-            if self.config.compile_bailout:
-                return None  # stay interpreted, like a production VM
-            raise
-        self._install_compiled(method, result)
-        return result
-
-    def _install_compiled(self, method: JMethod,
-                          result: CompilationResult) -> None:
-        """Atomically adopt a method-entry compilation (from the local
-        compiler or a compile-service reply): the result and its bound
-        lowering are published together, so the next call runs it."""
-        self.compiled[method] = result
-        if result.codegen is not None:
-            try:
-                self._bound_codegen[method] = result.codegen.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram)
-            except CodegenError:
-                self._bound_codegen.pop(method, None)
-        if result.plan is not None:
-            try:
-                self._bound_plans[method] = result.plan.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram)
-            except PlanError:
-                self._bound_plans.pop(method, None)
-        if result.cache_hit:
-            self._emit("on_cache_hit", method, result.cache_entry)
-        self._emit("on_compile", method, result)
-
-    # -- on-stack replacement ---------------------------------------------
-
     def _handle_osr(self, method: JMethod, bci: int,
                     locals_: List[Any]) -> Any:
         """Interpreter backedge hook: count the backedge, and past the
@@ -286,116 +252,27 @@ class VM:
         Returns :data:`~repro.bytecode.interpreter.NO_OSR` to keep
         interpreting, else the method's result."""
         count = self.profile.record_backedge(method, bci)
-        key = (method, bci)
-        compiled = self.osr_compiled.get(key)
-        if compiled is not None:
-            compiled = self._validated_osr(key, compiled)
-        if compiled is None and self._service is not None and \
-                key in self._service_pending_osr:
+        variants = self._variants.get(method)
+        variant = variants.get(bci) if variants else None
+        if variant is not None:
+            variant = self._revalidated(method, bci, variant)
+        if variant is None and self._service is not None and \
+                (method, bci) in self._service_pending:
             # A reply may have arrived since the last backedge.
             self._service_drain()
-            compiled = self.osr_compiled.get(key)
-        if compiled is None:
+            variant = self._variants.lookup(method, bci)
+        if variant is None:
             if count < self.config.osr_threshold or \
-                    key in self._osr_uncompilable or \
+                    (method, bci) in self._osr_uncompilable or \
                     method.is_synchronized:
                 return NO_OSR
-            if self._service is not None:
-                compiled = self._service_compile_osr(method, bci)
-            else:
-                compiled = self._compile_osr(method, bci)
-            if compiled is None:
+            variant = self._tier_up(method, bci)
+            if variant is None:
                 return NO_OSR
         self.osr_entries += 1
         self.profile.record_osr_entry(method, bci)
-        args = [locals_[slot]
-                for slot in compiled.graph.osr_local_slots]
-        code = self._osr_codegen.get(key)
-        if code is not None:
-            return code.execute(args)
-        bound = self._osr_plans.get(key)
-        if bound is not None:
-            return bound.execute(args)
-        return self.graph_interpreter.execute(compiled.graph, args)
-
-    def _validated_osr(self, key: Tuple[JMethod, int],
-                       compiled: CompilationResult
-                       ) -> Optional[CompilationResult]:
-        """Re-validate an installed OSR variant after a deopt.
-
-        Without this, a deopt *inside* OSR'd loop code left the stale
-        variant installed: the interpreter's very next backedge
-        re-entered it, it deopted again, and the loop paid a
-        remat+deopt cycle per iteration until the invalidate threshold
-        tripped.  Comparing the method's deopt epoch costs two dict
-        reads per backedge; when it moved, the variant's recorded facts
-        are checked against the live profile — still valid refreshes
-        the epoch, falsified retires the variant immediately so the
-        compile path below rebuilds it against the updated profile.
-        The backedge counter is cumulative (never reset), so the
-        re-tiering starts hot: the rebuild happens on this very
-        backedge, not after a second warm-up."""
-        method = key[0]
-        epoch = self._deopt_epoch.get(method, 0)
-        if self._osr_epochs.get(key, epoch) == epoch:
-            return compiled
-        from .cache import validate_facts
-        if validate_facts(compiled.facts, self.program, self.profile):
-            self._osr_epochs[key] = epoch
-            return compiled
-        self.osr_compiled.pop(key, None)
-        self._osr_plans.pop(key, None)
-        self._osr_codegen.pop(key, None)
-        self._osr_epochs.pop(key, None)
-        self._evict_results([compiled])
-        return None
-
-    def _compile_osr(self, method: JMethod,
-                     bci: int) -> Optional[CompilationResult]:
-        from ..frontend.graph_builder import GraphBuildError
-        key = (method, bci)
-        try:
-            result = self.compiler.compile(method, osr_bci=bci)
-        except GraphBuildError as exc:
-            # An un-OSR-able loop shape (e.g. the header of an inner
-            # loop reached from an OSR entry) is normal: record it and
-            # keep interpreting this loop.
-            self._osr_uncompilable[key] = f"{type(exc).__name__}: {exc}"
-            return None
-        except Exception as exc:  # noqa: BLE001 - compile bailout
-            self._osr_uncompilable[key] = f"{type(exc).__name__}: {exc}"
-            if self.config.compile_bailout:
-                return None
-            raise
-        self._install_osr(key, result)
-        return result
-
-    def _install_osr(self, key: Tuple[JMethod, int],
-                     result: CompilationResult) -> None:
-        method, bci = key
-        self.osr_compiled[key] = result
-        self._osr_epochs[key] = self._deopt_epoch.get(method, 0)
-        if result.codegen is not None:
-            try:
-                self._osr_codegen[key] = result.codegen.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram)
-            except CodegenError:
-                self._osr_codegen.pop(key, None)
-        if result.plan is not None:
-            try:
-                self._osr_plans[key] = result.plan.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram)
-            except PlanError:
-                self._osr_plans.pop(key, None)
-        if result.cache_hit:
-            self._emit("on_cache_hit", method, result.cache_entry)
-        self._emit("on_osr_compile", method, bci, result)
-
-    # -- deoptless dispatch ------------------------------------------------
+        return variant.entry([locals_[slot] for slot in
+                              variant.result.graph.osr_local_slots])
 
     def _dispatch_deopt(self, frame_state, locals_: List[Any],
                         stack: List[Any]) -> Tuple[bool, Any]:
@@ -424,12 +301,13 @@ class VM:
             self.profile.record_branch(method, site, observed)
         elif kind == "receiver":
             self.profile.record_receiver(method, site, observed)
-        variant = self._variants.lookup(method, bci, context)
+        entry = continuation_entry(bci, len(stack), context)
+        variant = self._variants.lookup(method, entry)
         if variant is not None:
-            variant = self._validated_variant(method, bci, variant)
-        if variant is None:
-            variant = self._compile_continuation(method, bci,
-                                                 len(stack), context)
+            variant = self._revalidated(method, entry, variant)
+        if variant is None and \
+                (method, bci) not in self._continuation_uncompilable:
+            variant = self._tier_up(method, entry)
         if variant is None:
             self.deoptless.dispatch_misses += 1
             self._emit("on_dispatch", method, bci, context, False)
@@ -445,174 +323,191 @@ class VM:
         finally:
             self._dispatch_depth -= 1
 
-    def _validated_variant(self, method: JMethod, bci: int,
-                           variant: Variant) -> Optional[Variant]:
-        """Epoch-check a continuation variant's non-context facts
-        against the live profile (same discipline as
-        :meth:`_validated_osr`); stale variants are retired."""
-        epoch = self._deopt_epoch.get(method, 0)
-        if variant.epoch == epoch or not variant.facts:
-            return variant
-        from .cache import validate_facts
-        if validate_facts(variant.facts, self.program, self.profile):
-            variant.epoch = epoch
-            return variant
-        self._variants.remove(method, bci, variant.context)
-        self._retire_variant(variant)
-        return None
+    # -- the code-variant lifecycle ------------------------------------------
 
-    def _compile_continuation(self, method: JMethod, bci: int,
-                              stack_depth: int,
-                              context) -> Optional[Variant]:
-        key = (method, bci)
-        if key in self._continuation_uncompilable:
-            return None
-        descriptor = continuation_entry(bci, stack_depth, context)
+    def _tier_up(self, method: JMethod, entry) -> Optional[Variant]:
+        """Produce code for ``(method, entry)``: through the compile
+        service when one is attached, else in-process."""
         if self._service is not None:
-            return self._service_compile_continuation(method, descriptor)
-        return self._compile_continuation_local(method, descriptor)
+            return self._service_compile(method, entry)
+        return self._compile(method, entry)
 
-    def _compile_continuation_local(self, method: JMethod,
-                                    descriptor: tuple
-                                    ) -> Optional[Variant]:
-        from ..frontend.graph_builder import GraphBuildError
-        key = (method, descriptor[1])
+    def _compile(self, method: JMethod, entry=None) -> Optional[Variant]:
+        """Compile ``(method, entry)`` in-process and install it."""
         try:
-            result = self.compiler.compile(method, osr_bci=descriptor)
-        except GraphBuildError as exc:
-            # Structurally un-enterable deopt site (e.g. mid-loop entry
-            # whose backedge would target an unmaterialized header):
-            # normal — this site keeps plain deopt semantics.
-            self._continuation_uncompilable[key] = \
-                f"{type(exc).__name__}: {exc}"
-            return None
+            result = self.compiler.compile(method, osr_bci=entry)
         except Exception as exc:  # noqa: BLE001 - compile bailout
-            self._continuation_uncompilable[key] = \
-                f"{type(exc).__name__}: {exc}"
-            if self.config.compile_bailout:
-                return None
+            table, key = self._failures(method, entry)
+            table[key] = f"{type(exc).__name__}: {exc}"
+            # An un-enterable loop header or deopt site (e.g. the
+            # header of an inner loop reached from an OSR entry) is
+            # normal: that entry keeps interpreting.
+            if self.config.compile_bailout or (
+                    entry is not None
+                    and isinstance(exc, GraphBuildError)):
+                return None  # stay interpreted, like a production VM
             raise
-        return self._install_continuation(method, descriptor, result)
+        return self._install(method, entry, result)
 
-    def _install_continuation(self, method: JMethod, descriptor: tuple,
-                              result: CompilationResult) -> Variant:
-        __, bci, __, context = descriptor
-        entry = None
-        if result.codegen is not None:
-            try:
-                entry = result.codegen.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram).execute
-            except CodegenError:
-                entry = None
-        if entry is None and result.plan is not None:
-            try:
-                entry = result.plan.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram).execute
-            except PlanError:
-                entry = None
+    def _failures(self, method: JMethod,
+                  entry) -> Tuple[Dict[Any, str], Any]:
+        """Where a failed compile of ``(method, entry)`` is recorded: a
+        structural failure at a deopt site holds for every context."""
         if entry is None:
-            graph = result.graph
-            entry = (lambda args:
-                     self.graph_interpreter.execute(graph, args))
-        variant = Variant(context, result, entry,
-                          facts=tuple(result.facts),
-                          epoch=self._deopt_epoch.get(method, 0))
-        retired = self._variants.install(method, bci, variant)
-        if retired is not None:
-            self._retire_variant(retired)
-        self.deoptless.continuation_compiles += 1
+            return self._uncompilable, method
+        if is_continuation_entry(entry):
+            return self._continuation_uncompilable, (method, entry[1])
+        return self._osr_uncompilable, (method, entry)
+
+    def _install(self, method: JMethod, entry,
+                 result: CompilationResult) -> Variant:
+        """Atomically adopt a compilation of ``(method, entry)`` — from
+        the local compiler or a compile-service reply: the result and
+        its bound lowering are published together, so the next call,
+        backedge or dispatch runs it."""
+        variant = Variant(result, self._bind(result),
+                          self._deopt_epoch.get(method, 0))
+        pushed_out = self._variants.install(method, entry, variant)
+        if entry is None:
+            self.compiled[method] = result
+            event = ("on_compile", method, result)
+        elif is_continuation_entry(entry):
+            if pushed_out is not None:
+                self._retire(method, pushed_out)
+            self.deoptless.continuation_compiles += 1
+            event = ("on_continuation_compile", method, entry[1],
+                     entry[3], result)
+        else:
+            self.osr_compiled[(method, entry)] = result
+            event = ("on_osr_compile", method, entry, result)
         if result.cache_hit:
             self._emit("on_cache_hit", method, result.cache_entry)
-        self._emit("on_continuation_compile", method, bci, context,
-                   result)
+        self._emit(*event)
         return variant
 
-    def _retire_variant(self, variant: Variant) -> None:
-        """Drop a retired/stale continuation's cache entry so it cannot
-        be re-served (locally or fleet-wide)."""
-        self.deoptless.retirements += 1
-        self._evict_results([variant.result])
+    def _bind(self, result: CompilationResult
+              ) -> Callable[[List[Any]], Any]:
+        """Bind the lowering *result* carries to this VM: generated
+        code, else the threaded-code plan, else the GraphInterpreter."""
+        bound, backend = None, "legacy"
+        if result.codegen is not None:
+            try:
+                bound, backend = result.codegen.bind(
+                    self.heap, self.exec_stats, self._invoke_callback,
+                    self.deoptimizer,
+                    self.config.collect_node_histogram), "codegen"
+            except CodegenError:
+                pass
+        if bound is None and result.plan is not None:
+            try:
+                bound, backend = result.plan.bind(
+                    self.heap, self.exec_stats, self._invoke_callback,
+                    self.deoptimizer,
+                    self.config.collect_node_histogram), "plan"
+            except PlanError:
+                pass
+        if backend != self.config.execution_backend:
+            self.backend_fallbacks += 1
+        if bound is None:
+            return partial(self.graph_interpreter.execute, result.graph)
+        return bound.execute
+
+    def _revalidated(self, method: JMethod, entry,
+                     variant: Variant) -> Optional[Variant]:
+        """Re-validate installed OSR or continuation code after a deopt.
+
+        Without this, a deopt *inside* OSR'd loop code left the stale
+        variant installed: the interpreter's very next backedge
+        re-entered it, it deopted again, and the loop paid a
+        remat+deopt cycle per iteration until the invalidate threshold
+        tripped.  Comparing the method's deopt epoch costs one dict
+        read per entry; when it moved, the variant's recorded facts
+        are checked against the live profile — still valid refreshes
+        the epoch, falsified retires the variant immediately so the
+        caller rebuilds it against the updated profile.  The backedge
+        counter is cumulative (never reset), so the re-tiering starts
+        hot: the rebuild happens on this very backedge, not after a
+        second warm-up."""
+        epoch = self._deopt_epoch.get(method, 0)
+        if variant.epoch == epoch:
+            return variant
+        if validate_facts(variant.result.facts, self.program,
+                          self.profile):
+            variant.epoch = epoch
+            return variant
+        self._retire(method, entry)
+        return None
+
+    def _retire(self, method: JMethod, entry) -> None:
+        """Uninstall ``(method, entry)`` and evict its cache entry, so
+        the dropped code cannot be re-served (locally or fleet-wide)."""
+        variant = self._variants.remove(method, entry)
+        if entry is None:
+            self.compiled.pop(method, None)
+        elif is_continuation_entry(entry):
+            self.deoptless.retirements += 1
+        else:
+            self.osr_compiled.pop((method, entry), None)
+        entry_record = variant.result.cache_entry
+        if self.cache is not None:
+            # The post-deopt profile changes the speculation facts, so
+            # the cached entry could never validate again — and a
+            # *different* VM whose profile still matches would re-import
+            # the failed speculation.  Evict it.
+            self.cache.evict(entry_record)
+        if self._service is not None and entry_record is not None:
+            # Broadcast the same eviction to the shared service cache,
+            # so the fleet cannot be re-served the failed speculation.
+            try:
+                self._service.evict(entry_record.key, entry_record.facts)
+            except Exception as exc:  # noqa: BLE001
+                self._service_lost(exc)
+
+    def _invalidate(self, method: JMethod, reason: str) -> None:
+        """Throw away *method*'s compiled code — the method entry and
+        every OSR variant (they embed the same failed speculation) —
+        and evict the backing cache entries."""
+        # Deoptless continuation variants survive invalidation: their
+        # specialization is context-keyed (an assumption, not a profile
+        # fact), so the falsified speculation that killed the method
+        # entry is exactly what they exist to bridge.  Their *other*
+        # facts are epoch-revalidated at the next dispatch.
+        for entry in [entry for entry in self._variants.get(method, ())
+                      if not is_continuation_entry(entry)]:
+            self._retire(method, entry)
+        self.deopt_counts[method] = 0
+        self.invalidations += 1
+        self._emit("on_invalidate", method, reason)
 
     # -- compile service (background tier-up) ------------------------------
 
-    def _service_compile(self, method: JMethod
-                         ) -> Optional[CompilationResult]:
+    def _service_compile(self, method: JMethod,
+                         entry) -> Optional[Variant]:
         """Tier up through the compile service: install any replies
-        that already arrived, and if *method* is still interpreted,
-        make sure a request is in flight — then keep interpreting (or
-        block for the reply under ``compile_service_wait``)."""
+        that already arrived, and if ``(method, entry)`` still has no
+        code, make sure a request is in flight — then keep interpreting
+        (or block for the reply under ``compile_service_wait``).  A
+        continuation descriptor rides the ``entry_bci`` wire field
+        (pickle framing keeps it intact) and keys the shared cache, so
+        one fleet member's continuation serves the others."""
         self._service_drain()
-        if self._service is None:  # lost during drain
-            return self._compile(method) \
-                if self._should_compile(method) else None
-        compiled = self.compiled.get(method)
-        if compiled is not None:
-            return compiled
-        if method in self._uncompilable:
-            return None
-        if method not in self._service_pending:
-            rid = self._service_submit(method, None)
-            if rid is None:  # lost at submit
-                return self._compile(method)
-            self._service_pending[method] = rid
-        if self.config.compile_service_wait:
-            self._service_wait_for(method=method)
-            return self.compiled.get(method)
-        return None
-
-    def _service_compile_osr(self, method: JMethod, bci: int
-                             ) -> Optional[CompilationResult]:
-        self._service_drain()
-        if self._service is None:
-            return self._compile_osr(method, bci)
-        key = (method, bci)
-        compiled = self.osr_compiled.get(key)
-        if compiled is not None:
-            return compiled
-        if key in self._osr_uncompilable:
-            return None
-        if key not in self._service_pending_osr:
-            rid = self._service_submit(method, bci)
-            if rid is None:
-                return self._compile_osr(method, bci)
-            self._service_pending_osr[key] = rid
-        if self.config.compile_service_wait:
-            self._service_wait_for(osr_key=key)
-            return self.osr_compiled.get(key)
-        return None
-
-    def _service_compile_continuation(self, method: JMethod,
-                                      descriptor: tuple
-                                      ) -> Optional[Variant]:
-        """Continuation compile through the service: same background
-        shape as :meth:`_service_compile_osr` — the interpreter bridges
-        the deopt that missed, and the variant installs when the reply
-        drains.  The descriptor tuple rides the ``entry_bci`` wire
-        field (pickle framing keeps it intact) and keys the shared
-        cache, so one fleet member's continuation serves the others."""
-        self._service_drain()
-        if self._service is None:  # lost during drain
-            return self._compile_continuation_local(method, descriptor)
-        bci, context = descriptor[1], descriptor[3]
-        variant = self._variants.lookup(method, bci, context)
+        variant = self._variants.lookup(method, entry)
         if variant is not None:  # the drain just installed it
             return variant
-        if (method, bci) in self._continuation_uncompilable:
+        table, failure_key = self._failures(method, entry)
+        if failure_key in table:
             return None
-        key = (method, descriptor)
-        if key not in self._service_pending_cont:
-            rid = self._service_submit(method, descriptor)
+        if self._service is None:  # lost during drain
+            return self._compile(method, entry)
+        key = (method, entry)
+        if key not in self._service_pending:
+            rid = self._service_submit(method, entry)
             if rid is None:  # lost at submit
-                return self._compile_continuation_local(method,
-                                                        descriptor)
-            self._service_pending_cont[key] = rid
+                return self._compile(method, entry)
+            self._service_pending[key] = rid
         if self.config.compile_service_wait:
-            self._service_wait_for(cont_key=key)
-            return self._variants.lookup(method, bci, context)
+            self._service_wait_for([key])
+            return self._variants.lookup(method, entry)
         return None
 
     def _service_submit(self, method: JMethod,
@@ -637,24 +532,15 @@ class VM:
         for reply in replies:
             self._service_install(reply)
 
-    def _service_wait_for(self, method: Optional[JMethod] = None,
-                          osr_key: Optional[Tuple[JMethod, int]] = None,
-                          cont_key: Optional[Tuple[JMethod,
-                                                   tuple]] = None,
-                          timeout: float = _SERVICE_WAIT_TIMEOUT
-                          ) -> None:
-        """Block until the request for one target resolves (installed,
-        marked uncompilable, or the service is lost — in which case the
-        target is compiled in-process so the caller always makes
-        progress)."""
-        def pending() -> bool:
-            if method is not None:
-                return method in self._service_pending
-            if osr_key is not None:
-                return osr_key in self._service_pending_osr
-            return cont_key in self._service_pending_cont
+    def _service_wait_for(self, keys: List[VariantKey],
+                          timeout: float = _SERVICE_WAIT_TIMEOUT) -> None:
+        """Block until the requests for *keys* resolve (installed,
+        marked uncompilable, or the service is lost), then compile
+        whatever is still unresolved in-process, so the caller always
+        makes progress."""
         deadline = time.monotonic() + timeout
-        while self._service is not None and pending():
+        while self._service is not None and \
+                any(key in self._service_pending for key in keys):
             try:
                 replies = self._service.wait_any(
                     timeout=max(0.05, deadline - time.monotonic()))
@@ -667,24 +553,12 @@ class VM:
                 break
             for reply in replies:
                 self._service_install(reply)
-        if method is not None:
-            if method not in self.compiled and \
-                    method not in self._uncompilable:
+        for method, entry in keys:
+            table, failure_key = self._failures(method, entry)
+            if self._variants.lookup(method, entry) is None and \
+                    failure_key not in table:
                 self.service_fallbacks += 1
-                self._compile(method)
-        elif osr_key is not None:
-            if osr_key not in self.osr_compiled and \
-                    osr_key not in self._osr_uncompilable:
-                self.service_fallbacks += 1
-                self._compile_osr(*osr_key)
-        elif cont_key is not None:
-            cmethod, descriptor = cont_key
-            if self._variants.lookup(cmethod, descriptor[1],
-                                     descriptor[3]) is None and \
-                    (cmethod, descriptor[1]) not in \
-                    self._continuation_uncompilable:
-                self.service_fallbacks += 1
-                self._compile_continuation_local(cmethod, descriptor)
+                self._compile(method, entry)
 
     def finish_pending_compiles(
             self, timeout: float = _SERVICE_WAIT_TIMEOUT) -> None:
@@ -694,43 +568,7 @@ class VM:
         cannot move compile points into (or out of) the measurement.
         Targets still unresolved after a service loss are compiled
         in-process.  No-op without a service."""
-        targets = list(self._service_pending)
-        osr_targets = list(self._service_pending_osr)
-        cont_targets = list(self._service_pending_cont)
-        deadline = time.monotonic() + timeout
-        while self._service is not None and \
-                (self._service_pending or self._service_pending_osr
-                 or self._service_pending_cont):
-            try:
-                replies = self._service.wait_any(
-                    timeout=max(0.05, deadline - time.monotonic()))
-            except Exception as exc:  # noqa: BLE001
-                self._service_lost(exc)
-                break
-            if not replies and time.monotonic() >= deadline:
-                self._service_lost(TimeoutError(
-                    "compile service reply timed out"))
-                break
-            for reply in replies:
-                self._service_install(reply)
-        for method in targets:
-            if method not in self.compiled and \
-                    method not in self._uncompilable and \
-                    self._should_compile(method):
-                self.service_fallbacks += 1
-                self._compile(method)
-        for key in osr_targets:
-            if key not in self.osr_compiled and \
-                    key not in self._osr_uncompilable:
-                self.service_fallbacks += 1
-                self._compile_osr(*key)
-        for cmethod, descriptor in cont_targets:
-            if self._variants.lookup(cmethod, descriptor[1],
-                                     descriptor[3]) is None and \
-                    (cmethod, descriptor[1]) not in \
-                    self._continuation_uncompilable:
-                self.service_fallbacks += 1
-                self._compile_continuation_local(cmethod, descriptor)
+        self._service_wait_for(list(self._service_pending), timeout)
 
     def _service_install(self, reply) -> None:
         """Atomically install one compile-service reply.
@@ -741,143 +579,59 @@ class VM:
         snapshot was taken) fails validation here, the stale payload is
         discarded, and the request is resubmitted once with a fresh
         snapshot — after which the VM compiles in-process, so progress
-        is guaranteed."""
-        from ..jit.cache import validate_facts
+        is guaranteed.  A payload that is not transportable
+        ("compilation not cacheable") or does not decode is compiled
+        in-process too — same policy as a cache that declines to
+        store."""
         try:
             method = self.program.method(reply.qualified)
         except Exception:  # noqa: BLE001 - unknown method in reply
             return
-        if is_continuation_entry(reply.entry_bci):
-            self._service_install_continuation(method, reply)
-            return
-        osr = reply.entry_bci is not None
-        key = (method, reply.entry_bci) if osr else method
-        if osr:
-            self._service_pending_osr.pop(key, None)
-        else:
-            self._service_pending.pop(method, None)
-        if reply.error is not None:
-            self._service_retries.pop(key, None)
-            if reply.error == "compilation not cacheable":
-                # The method compiled fine but its graph is not
-                # transportable (unpicklable payload).  Compile it
-                # locally — same policy as a cache that declines to
-                # store.
-                self.service_fallbacks += 1
-                if osr:
-                    self._compile_osr(method, reply.entry_bci)
-                else:
-                    self._compile(method)
-                return
-            detail = f"service: {reply.error}"
-            if osr:
-                # GraphBuildError on an un-OSR-able loop shape is
-                # normal (mirrors _compile_osr); anything else honors
-                # compile_bailout.
-                self._osr_uncompilable[key] = detail
-                if not reply.error.startswith("GraphBuildError") and \
-                        not self.config.compile_bailout:
-                    raise RuntimeError(
-                        f"{method.qualified_name} failed to compile "
-                        f"via service: {reply.error}")
-            else:
-                self._uncompilable[method] = detail
-                if not self.config.compile_bailout:
-                    raise RuntimeError(
-                        f"{method.qualified_name} failed to compile "
-                        f"via service: {reply.error}")
-            return
-        facts = tuple(map(tuple, reply.facts))
-        if not validate_facts(facts, self.program, self.profile):
-            retries = self._service_retries.get(key, 0)
-            if retries < 1 and self._service is not None:
-                self._service_retries[key] = retries + 1
-                rid = self._service_submit(method, reply.entry_bci)
-                if rid is not None:
-                    if osr:
-                        self._service_pending_osr[key] = rid
-                    else:
-                        self._service_pending[method] = rid
-                    return
-            # Second stale reply (or no service): the profile is
-            # moving faster than the round trip; compile locally.
-            self._service_retries.pop(key, None)
-            self.service_fallbacks += 1
-            if osr:
-                self._compile_osr(method, reply.entry_bci)
-            else:
-                self._compile(method)
-            return
-        self._service_retries.pop(key, None)
-        try:
-            result = self.compiler.result_from_service(
-                method, reply.blob, facts, reply.key, reply.meta,
-                osr_bci=reply.entry_bci)
-        except Exception:  # noqa: BLE001 - undecodable payload
-            self.service_fallbacks += 1
-            if osr:
-                self._compile_osr(method, reply.entry_bci)
-            else:
-                self._compile(method)
-            return
-        self.service_installs += 1
-        if osr:
-            self._install_osr(key, result)
-        else:
-            self._install_compiled(method, result)
-
-    def _service_install_continuation(self, method: JMethod,
-                                      reply) -> None:
-        """Install one continuation reply (same validate/retry/fallback
-        ladder as :meth:`_service_install`, ending in
-        :meth:`_install_continuation`)."""
-        from ..jit.cache import validate_facts
-        descriptor = reply.entry_bci
-        key = (method, descriptor)
-        site = (method, descriptor[1])
-        self._service_pending_cont.pop(key, None)
-        if reply.error is not None:
-            self._service_retries.pop(key, None)
-            if reply.error == "compilation not cacheable":
-                self.service_fallbacks += 1
-                self._compile_continuation_local(method, descriptor)
-                return
-            # GraphBuildError on a structurally un-enterable deopt site
-            # is normal (mirrors _compile_continuation_local); anything
-            # else honors compile_bailout.
-            self._continuation_uncompilable[site] = \
-                f"service: {reply.error}"
-            if not reply.error.startswith("GraphBuildError") and \
-                    not self.config.compile_bailout:
+        entry = reply.entry_bci
+        key = (method, entry)
+        self._service_pending.pop(key, None)
+        if reply.error is not None and \
+                reply.error != "compilation not cacheable":
+            self._service_retried.discard(key)
+            table, failure_key = self._failures(method, entry)
+            table[failure_key] = f"service: {reply.error}"
+            # GraphBuildError at an un-enterable loop header or deopt
+            # site is normal (mirrors _compile); anything else honors
+            # compile_bailout.
+            if not self.config.compile_bailout and (
+                    entry is None
+                    or not reply.error.startswith("GraphBuildError")):
                 raise RuntimeError(
-                    f"{method.qualified_name} continuation at bci "
-                    f"{descriptor[1]} failed to compile via service: "
-                    f"{reply.error}")
+                    f"{method.qualified_name} failed to compile via "
+                    f"service: {reply.error}")
             return
-        facts = tuple(map(tuple, reply.facts))
-        if not validate_facts(facts, self.program, self.profile):
-            retries = self._service_retries.get(key, 0)
-            if retries < 1 and self._service is not None:
-                self._service_retries[key] = retries + 1
-                rid = self._service_submit(method, descriptor)
-                if rid is not None:
-                    self._service_pending_cont[key] = rid
-                    return
-            self._service_retries.pop(key, None)
+        result = None
+        if reply.error is None:
+            facts = tuple(map(tuple, reply.facts))
+            if not validate_facts(facts, self.program, self.profile):
+                if key not in self._service_retried and \
+                        self._service is not None:
+                    self._service_retried.add(key)
+                    rid = self._service_submit(method, entry)
+                    if rid is not None:
+                        self._service_pending[key] = rid
+                        return
+                # Second stale reply (or no service): the profile is
+                # moving faster than the round trip.
+            else:
+                try:
+                    result = self.compiler.result_from_service(
+                        method, reply.blob, facts, reply.key,
+                        reply.meta, osr_bci=entry)
+                except Exception:  # noqa: BLE001 - undecodable payload
+                    pass
+        self._service_retried.discard(key)
+        if result is None:
             self.service_fallbacks += 1
-            self._compile_continuation_local(method, descriptor)
-            return
-        self._service_retries.pop(key, None)
-        try:
-            result = self.compiler.result_from_service(
-                method, reply.blob, facts, reply.key, reply.meta,
-                osr_bci=descriptor)
-        except Exception:  # noqa: BLE001 - undecodable payload
-            self.service_fallbacks += 1
-            self._compile_continuation_local(method, descriptor)
+            self._compile(method, entry)
             return
         self.service_installs += 1
-        self._install_continuation(method, descriptor, result)
+        self._install(method, entry, result)
 
     def _service_lost(self, exc: BaseException) -> None:
         """Demote to in-process compilation, once, with one log line —
@@ -890,23 +644,12 @@ class VM:
             except Exception:  # noqa: BLE001
                 pass
         self._service_pending.clear()
-        self._service_pending_osr.clear()
-        self._service_pending_cont.clear()
-        self._service_retries.clear()
+        self._service_retried.clear()
         _log.warning(
             "compile service unavailable (%s: %s); falling back to "
             "in-process compilation", type(exc).__name__, exc)
 
-    def _execute_compiled(self, method: JMethod,
-                          compiled: CompilationResult,
-                          args: List[Any]) -> Any:
-        code = self._bound_codegen.get(method)
-        if code is not None:
-            return code.execute(args)
-        bound = self._bound_plans.get(method)
-        if bound is not None:
-            return bound.execute(args)
-        return self.graph_interpreter.execute(compiled.graph, args)
+    # -- execution and bookkeeping -----------------------------------------
 
     def _execute_interpreted(self, method: JMethod,
                              args: List[Any]) -> Any:
@@ -948,56 +691,10 @@ class VM:
             self._deopt_epoch.get(root_method, 0) + 1
         count = self.deopt_counts.get(root_method, 0) + 1
         self.deopt_counts[root_method] = count
-        has_code = (root_method in self.compiled
-                    or any(m is root_method for m, __ in
-                           self.osr_compiled))
-        if count >= self.config.deopt_invalidate_threshold and has_code:
+        if count >= self.config.deopt_invalidate_threshold and any(
+                not is_continuation_entry(entry)
+                for entry in self._variants.get(root_method, ())):
             self._invalidate(root_method, "deopt-threshold")
-
-    def _invalidate(self, method: JMethod, reason: str) -> None:
-        """Throw away *method*'s compiled code — the normal entry and
-        every OSR variant (they embed the same failed speculation) —
-        and evict the backing cache entries."""
-        invalidated = []
-        result = self.compiled.pop(method, None)
-        if result is not None:
-            invalidated.append(result)
-        self._bound_plans.pop(method, None)
-        self._bound_codegen.pop(method, None)
-        for key in [k for k in self.osr_compiled if k[0] is method]:
-            invalidated.append(self.osr_compiled.pop(key))
-            self._osr_plans.pop(key, None)
-            self._osr_codegen.pop(key, None)
-            self._osr_uncompilable.pop(key, None)
-            self._osr_epochs.pop(key, None)
-        self.deopt_counts[method] = 0
-        self.invalidations += 1
-        # Deoptless continuation variants survive invalidation: their
-        # specialization is context-keyed (an assumption, not a profile
-        # fact), so the falsified speculation that killed the method
-        # entry is exactly what they exist to bridge.  Their *other*
-        # facts are epoch-revalidated at the next dispatch.
-        self._evict_results(invalidated)
-        self._emit("on_invalidate", method, reason)
-
-    def _evict_results(self, invalidated: List[CompilationResult]) -> None:
-        if self.cache is not None:
-            # The post-deopt profile changes the speculation facts, so
-            # the cached entries could never validate again — and a
-            # *different* VM whose profile still matches would re-import
-            # the failed speculation.  Evict them.
-            for result in invalidated:
-                self.cache.evict(result.cache_entry)
-        if self._service is not None:
-            # Broadcast the same evictions to the shared service cache,
-            # so the fleet cannot be re-served the failed speculation.
-            try:
-                for result in invalidated:
-                    if result.cache_entry is not None:
-                        self._service.evict(result.cache_entry.key,
-                                            result.cache_entry.facts)
-            except Exception as exc:  # noqa: BLE001
-                self._service_lost(exc)
 
     def _invoke_callback(self, kind: str, ref: MethodRef,
                          args: List[Any]) -> Any:

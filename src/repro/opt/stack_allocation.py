@@ -19,8 +19,7 @@ it with the connection-graph analysis as its *primary* optimization,
 the ``pea`` tier runs it after PEA (summary-marginal mode when escape
 summaries are enabled), and the ``none``/``equi`` tiers do not run it
 — so Table 1's heap numbers stay comparable with the paper's
-configurations.  The legacy ``CompilerConfig.stack_allocation`` boolean
-survives only as a deprecation shim onto that policy.
+configurations.
 """
 
 from __future__ import annotations

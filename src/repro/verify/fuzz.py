@@ -9,17 +9,11 @@ One fuzz iteration:
    :class:`~repro.verify.verifier.GraphVerifier` running after every
    phase; collect *coverage keys* (IR node kinds in the final graph,
    PEA statistic buckets, plan-lowering fallback).
-3. Run the same warm-up + probe call sequence under seven engines —
-   the reference bytecode interpreter, the legacy
-   :class:`GraphInterpreter` backend, the threaded-code plan backend,
-   the generated-Python codegen backend, the plan backend with
-   interprocedural escape summaries (``escape_tier="pea+summaries"``),
-   the plan backend under the connection-graph fast tier
-   (``escape_tier="conngraph"`` — no PEA; flow-insensitive escape
-   analysis drives stack allocation and lock elision instead), and the
-   plan backend with deoptless continuation dispatch
-   (``deoptless=True``) — and compare per-call return values,
-   heap allocation counts, monitor balance, deopt counts and the final
+3. Run the same warm-up + probe call sequence under every engine of
+   :data:`ENGINES` — the reference bytecode interpreter and VM
+   configurations varying the execution backend, the escape tier and
+   deoptless dispatch — and compare per-call return values, heap
+   allocation counts, monitor balance, deopt counts and the final
    static object graph (the rematerialized escape state).  The
    summary and deoptless engines must match the plan engine on every
    observable and may only *lower* the allocation count.  The
@@ -68,6 +62,28 @@ PROBE_CALLS = (
 SUMMARY_DEPTH = 4
 
 ENTRY = "Main.entry"
+
+#: The differential engines in run order: name -> keyword arguments of
+#: :func:`run_engine_vm`, or ``None`` for the reference bytecode
+#: interpreter.  With a shared cache the order decides which engine
+#: compiles a graph and which ones hit its entry, so it is part of the
+#: campaign: reordering changes every fuzz run.
+ENGINES: Dict[str, Optional[dict]] = {
+    "interp": None,
+    # The legacy GraphInterpreter backend.
+    "legacy": {"backend": "legacy"},
+    # The threaded-code backend: the reference the others compare to.
+    "plan": {"backend": "plan"},
+    # Generated Python code.
+    "codegen": {"backend": "codegen"},
+    # Interprocedural escape summaries.
+    "summaries": {"backend": "plan", "escape_tier": "pea+summaries"},
+    # The connection-graph fast tier: no PEA; flow-insensitive escape
+    # analysis drives stack allocation and lock elision instead.
+    "conngraph": {"backend": "plan", "escape_tier": "conngraph"},
+    # Deoptless continuation dispatch.
+    "deoptless": {"backend": "plan", "deoptless": True},
+}
 
 
 # -- choice sequences --------------------------------------------------------
@@ -149,6 +165,8 @@ class EngineOutcome:
     gi: object
     osr_entries: int = 0
     dispatches: int = 0
+    #: Installs that could not bind the engine backend's own lowering.
+    backend_fallbacks: int = 0
 
 
 @dataclass
@@ -244,7 +262,20 @@ def run_engine_vm(make_program: Callable[[], object], backend: str,
         g0_summary=summarize_value(program.get_static("Main", "g0")),
         gi=program.get_static("Main", "gi"),
         osr_entries=vm.osr_entries,
-        dispatches=vm.deoptless.dispatches)
+        dispatches=vm.deoptless.dispatches,
+        backend_fallbacks=vm.backend_fallbacks)
+
+
+def run_engine(name: str, make_program: Callable[[], object],
+               probes=PROBE_CALLS,
+               cache: Optional[CompilationCache] = None,
+               service_address: Optional[str] = None) -> EngineOutcome:
+    """Run the probe sequence under engine *name* of :data:`ENGINES`."""
+    options = ENGINES[name]
+    if options is None:
+        return run_engine_interpreter(make_program, probes)
+    return run_engine_vm(make_program, probes=probes, cache=cache,
+                         service_address=service_address, **options)
 
 
 def compare_outcomes(outcomes: Dict[str, EngineOutcome]
@@ -359,6 +390,8 @@ def compare_outcomes(outcomes: Dict[str, EngineOutcome]
 class CheckResult:
     failure: Optional[Tuple[str, str]]
     coverage: Set[str] = field(default_factory=set)
+    #: Summed :attr:`EngineOutcome.backend_fallbacks` of the VM engines.
+    backend_fallbacks: int = 0
 
 
 def check_source(source: str,
@@ -409,28 +442,10 @@ def check_source(source: str,
 
     make_program = lambda: compile_source(source)  # noqa: E731
     outcomes: Dict[str, EngineOutcome] = {}
-    for name, runner in (
-            ("interp", run_engine_interpreter),
-            ("legacy", lambda p: run_engine_vm(
-                p, "legacy", cache=cache,
-                service_address=service_address)),
-            ("plan", lambda p: run_engine_vm(
-                p, "plan", cache=cache,
-                service_address=service_address)),
-            ("codegen", lambda p: run_engine_vm(
-                p, "codegen", cache=cache,
-                service_address=service_address)),
-            ("summaries", lambda p: run_engine_vm(
-                p, "plan", cache=cache, escape_tier="pea+summaries",
-                service_address=service_address)),
-            ("conngraph", lambda p: run_engine_vm(
-                p, "plan", cache=cache, escape_tier="conngraph",
-                service_address=service_address)),
-            ("deoptless", lambda p: run_engine_vm(
-                p, "plan", cache=cache, deoptless=True,
-                service_address=service_address))):
+    for name in ENGINES:
         try:
-            outcomes[name] = runner(make_program)
+            outcomes[name] = run_engine(name, make_program, cache=cache,
+                                        service_address=service_address)
         except GraphVerificationError as error:
             return CheckResult(("verifier", str(error)), coverage)
         except Exception as error:
@@ -445,7 +460,8 @@ def check_source(source: str,
         coverage.add("run:invalidation")
     if any(o.dispatches for o in outcomes.values()):
         coverage.add("run:dispatch")
-    return CheckResult(compare_outcomes(outcomes), coverage)
+    return CheckResult(compare_outcomes(outcomes), coverage,
+                       sum(o.backend_fallbacks for o in outcomes.values()))
 
 
 def check_program(program: GeneratedProgram,
@@ -499,9 +515,10 @@ def save_corpus_entry(corpus_dir: str, name: str,
 def replay_corpus_entry(jasm_path: str,
                         cache: Optional[CompilationCache] = None
                         ) -> Optional[Tuple[str, str]]:
-    """Re-run one persisted reproducer under all seven engines and
-    check it against its recorded expectations.  Returns ``None`` when
-    everything still agrees, else ``(category, detail)``."""
+    """Re-run one persisted reproducer under every engine of
+    :data:`ENGINES` and check it against its recorded expectations.
+    Returns ``None`` when everything still agrees, else
+    ``(category, detail)``."""
     from ..bytecode.asmtext import assemble
 
     with open(jasm_path) as handle:
@@ -512,21 +529,8 @@ def replay_corpus_entry(jasm_path: str,
     probes = tuple(tuple(args) for args in meta["probe_calls"])
     make_program = lambda: assemble(text)  # noqa: E731
 
-    outcomes = {
-        "interp": run_engine_interpreter(make_program, probes),
-        "legacy": run_engine_vm(make_program, "legacy", probes,
-                                cache=cache),
-        "plan": run_engine_vm(make_program, "plan", probes, cache=cache),
-        "codegen": run_engine_vm(make_program, "codegen", probes,
-                                 cache=cache),
-        "summaries": run_engine_vm(make_program, "plan", probes,
-                                   cache=cache,
-                                   escape_tier="pea+summaries"),
-        "conngraph": run_engine_vm(make_program, "plan", probes,
-                                   cache=cache, escape_tier="conngraph"),
-        "deoptless": run_engine_vm(make_program, "plan", probes,
-                                   cache=cache, deoptless=True),
-    }
+    outcomes = {name: run_engine(name, make_program, probes, cache=cache)
+                for name in ENGINES}
     expected = meta["expected"]
     reference = outcomes["interp"]
     if reference.results != expected["results"]:
@@ -555,6 +559,9 @@ class FuzzReport:
     coverage: Set[str] = field(default_factory=set)
     coverage_adds: int = 0
     failures: List[Failure] = field(default_factory=list)
+    #: Installs, over every program and VM engine, that could not bind
+    #: the engine backend's own lowering (see ``VM.backend_fallbacks``).
+    backend_fallbacks: int = 0
 
 
 class Fuzzer:
@@ -599,6 +606,7 @@ class Fuzzer:
             program, choices = self._generate()
             result = self.check(program)
             self.report.programs_run += 1
+            self.report.backend_fallbacks += result.backend_fallbacks
             fresh = result.coverage - self.report.coverage
             if fresh:
                 self.report.coverage |= fresh

@@ -225,7 +225,7 @@ def test_escape_summaries_changes_the_pipeline_key():
         program, method, CompilerConfig.partial_escape(), True)
     with_summaries = CompilationCache.compilation_key(
         program, method,
-        CompilerConfig.partial_escape(escape_summaries=True), True)
+        CompilerConfig.partial_escape(escape_tier="pea+summaries"), True)
     assert plain != with_summaries
 
 

@@ -278,7 +278,8 @@ def test_codegen_disk_round_trip_reexecs_source(tmp_path):
                     for m, result in vm_b.compiled.items()
                     if result.codegen is not None}
     assert digests_warm == digests_cold
-    assert vm_b._bound_codegen, "warm load did not re-exec the source"
+    assert vm_b.backend_fallbacks == 0, \
+        "warm load did not re-exec the source"
 
 
 def _compiled_codegen(backend="codegen"):

@@ -1,14 +1,11 @@
-"""The per-method escape-tier policy API (ISSUE 9): token parsing,
-legacy-knob shims, policy resolution, and cache-key isolation."""
-
-import dataclasses
+"""The per-method escape-tier policy API: token parsing, policy
+resolution, and cache-key isolation."""
 
 import pytest
 
 from repro.jit import (AutoTierPolicy, CompilationCache, CompilerConfig,
-                       EscapeAnalysisKind, TierRequest, TierSpec)
+                       TierRequest, TierSpec)
 from repro.jit.cache import pipeline_fingerprint
-from repro.jit.options import _DEPRECATION_WARNED
 from repro.lang import compile_source
 
 FIB = """
@@ -47,58 +44,6 @@ def test_unknown_tokens_rejected():
         TierSpec.parse("pea+hotstack")
     with pytest.raises(ValueError):
         TierSpec(base="pea", stack_analysis="bogus")
-
-
-# -- deprecation shims ------------------------------------------------------
-
-
-def test_legacy_knobs_map_onto_the_tier():
-    _DEPRECATION_WARNED.clear()
-    with pytest.warns(DeprecationWarning):
-        config = CompilerConfig(
-            escape_analysis=EscapeAnalysisKind.NONE,
-            stack_allocation=True)
-    assert config.escape_tier == "none+stack"
-    # Mirrors stay readable for legacy call sites.
-    assert config.escape_analysis is EscapeAnalysisKind.NONE
-    assert config.stack_allocation is True
-
-    _DEPRECATION_WARNED.clear()
-    with pytest.warns(DeprecationWarning):
-        config = CompilerConfig.partial_escape(escape_summaries=True)
-    assert config.escape_tier == "pea+summaries"
-    assert config.escape_summaries is True
-
-
-def test_legacy_warnings_fire_once_per_knob():
-    import warnings
-
-    _DEPRECATION_WARNED.clear()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        CompilerConfig(stack_allocation=True)
-        CompilerConfig(stack_allocation=False)
-        CompilerConfig(escape_summaries=True)
-    knobs = [w for w in caught
-             if issubclass(w.category, DeprecationWarning)
-             and "CompilerConfig" in str(w.message)]
-    assert len(knobs) == 2  # stack_allocation once, escape_summaries once
-
-
-def test_legacy_knobs_reject_policy_tiers():
-    with pytest.raises(ValueError):
-        CompilerConfig(escape_tier="auto", stack_allocation=True)
-    with pytest.raises(ValueError):
-        CompilerConfig(escape_tier=AutoTierPolicy(),
-                       escape_summaries=True)
-
-
-def test_shimmed_config_survives_dataclasses_replace():
-    _DEPRECATION_WARNED.clear()
-    with pytest.warns(DeprecationWarning):
-        config = CompilerConfig(stack_allocation=True)
-    clone = dataclasses.replace(config)
-    assert clone.escape_tier == config.escape_tier == "pea+stack"
 
 
 # -- policy resolution ------------------------------------------------------

@@ -319,7 +319,7 @@ def test_stale_reply_revalidates_and_resubmits(service, backend):
         vm.call("Main.pick", 5)         # branch always taken
     rid = client.submit(program, "Main.pick", config,
                         vm.profile.snapshot())
-    vm._service_pending[method] = rid
+    vm._service_pending[method, None] = rid
     replies = client.wait_any(timeout=60)
     assert len(replies) == 1 and replies[0].error is None
     stale = replies[0]
@@ -329,7 +329,7 @@ def test_stale_reply_revalidates_and_resubmits(service, backend):
     vm._service_install(stale)
     assert method not in vm.compiled, \
         "stale speculative payload must not install"
-    assert method in vm._service_pending, \
+    assert (method, None) in vm._service_pending, \
         "failed validation must resubmit with a fresh snapshot"
 
     vm.finish_pending_compiles()
@@ -361,7 +361,7 @@ def test_deopt_while_compile_in_flight(service, backend):
     # Put a second compile in flight and do NOT drain it.
     rid = client.submit(program, "Main.run", config,
                         vm.profile.snapshot())
-    vm._service_pending[run] = rid
+    vm._service_pending[run, None] = rid
 
     # Deopt fires while that request is pending: the speculative code
     # rematerializes the Box, the VM invalidates (threshold 1) and

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.jit import VM, CompilerConfig, EscapeAnalysisKind
+from repro.jit import VM, CompilerConfig
 from repro.lang import compile_source
 
 FIB = """
@@ -78,12 +78,7 @@ def test_config_labels():
     assert CompilerConfig.conngraph().label() == "conn-graph EA"
     assert CompilerConfig.partial_escape().label() == "with PEA"
     assert CompilerConfig.no_ea().escape_tier == "none"
-    # The legacy enum still resolves through the deprecation shim.
-    from repro.jit import options as jit_options
-    jit_options._DEPRECATION_WARNED.clear()  # warning is once-per-knob
-    with pytest.warns(DeprecationWarning):
-        shimmed = CompilerConfig(escape_analysis=EscapeAnalysisKind.NONE)
-    assert shimmed.escape_tier == "none"
+    assert CompilerConfig(escape_tier="none").label() == "without EA"
 
 
 def test_native_dispatch_through_vm():
@@ -163,7 +158,7 @@ def test_compile_bailout_falls_back_to_interpreter(monkeypatch):
     vm = VM(program, CompilerConfig.partial_escape(
         compile_threshold=3, compile_bailout=True))
 
-    def broken_compile(method):
+    def broken_compile(method, osr_bci=None):
         raise RuntimeError("injected compiler bug")
 
     monkeypatch.setattr(vm.compiler, "compile", broken_compile)
@@ -177,7 +172,7 @@ def test_compile_error_raises_by_default(monkeypatch):
     program = compile_source(FIB)
     vm = VM(program, CompilerConfig.partial_escape(compile_threshold=3))
 
-    def broken_compile(method):
+    def broken_compile(method, osr_bci=None):
         raise RuntimeError("injected compiler bug")
 
     monkeypatch.setattr(vm.compiler, "compile", broken_compile)

@@ -1,7 +1,5 @@
 """Stack allocation phase tests."""
 
-import pytest
-
 from repro.jit import VM, CompilerConfig
 from repro.lang import compile_source
 
@@ -103,10 +101,6 @@ def test_off_by_default():
     assert config.static_tier_spec().stack_analysis is None
 
 
-def test_legacy_boolean_still_works_via_shim():
-    from repro.jit import options as jit_options
-    jit_options._DEPRECATION_WARNED.clear()  # warning is once-per-knob
-    with pytest.warns(DeprecationWarning):
-        config = CompilerConfig.partial_escape(stack_allocation=True)
-    assert config.escape_tier == "pea+stack"
-    assert config.stack_allocation is True
+def test_stack_token_selects_equi_stack_analysis():
+    config = CompilerConfig.partial_escape(escape_tier="pea+stack")
+    assert config.static_tier_spec().stack_analysis == "equi"

@@ -142,7 +142,7 @@ def test_codegen_backend_is_used():
         execution_backend="codegen"))
     for _ in range(30):
         vm.call("Main.getValue", 10, None)
-    assert vm._bound_codegen, "no generated function was bound"
+    assert vm.backend_fallbacks == 0, "no generated function was bound"
     compiled = vm.compiled[program.method("Main.getValue")]
     assert compiled.codegen is not None
     assert compiled.codegen.code_size > 0
@@ -163,7 +163,8 @@ def test_osr_entry_differential():
         results[backend] = (result, vm.exec_stats.node_executions,
                             vm.osr_entries)
         if backend == "codegen":
-            assert vm._osr_codegen, "OSR variant not on codegen"
+            assert vm.backend_fallbacks == 0, \
+                "OSR variant not on codegen"
     assert results["codegen"] == results["plan"]
 
 
@@ -211,5 +212,8 @@ def test_generated_function_is_attributable():
         execution_backend="codegen"))
     for _ in range(30):
         vm.call("Main.getValue", 10, None)
-    (bound,) = vm._bound_codegen.values()
+    (compiled,) = vm.compiled.values()
+    bound = compiled.codegen.bind(vm.heap, vm.exec_stats,
+                                  vm._invoke_callback, vm.deoptimizer,
+                                  False)
     assert "Main.getValue" in bound.function.__qualname__

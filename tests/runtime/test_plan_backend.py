@@ -215,7 +215,8 @@ def test_plan_backend_is_used():
     vm = VM(program, CompilerConfig.partial_escape())
     for _ in range(30):
         vm.call("Main.getValue", 10, None)
-    assert vm._bound_plans, "no ExecutionPlan was bound"
+    assert vm.compiled and vm.backend_fallbacks == 0, \
+        "no ExecutionPlan was bound"
 
 
 DEOPT_SOURCE = """

@@ -145,6 +145,22 @@ def test_save_and_replay_roundtrip(tmp_path):
     assert replay_corpus_entry(path) is None
 
 
+def test_fuzz_report_sums_backend_fallbacks(monkeypatch):
+    """Every install a VM engine could not bind to its backend's own
+    lowering reaches the report: with generated code refusing to bind,
+    the codegen engine's installs are the only fallbacks."""
+    from repro.runtime.codegen import CodegenError, CodegenPlan
+    assert fuzz(programs=2, seed=7).backend_fallbacks == 0
+
+    def refuse(self, *args, **kwargs):
+        raise CodegenError("injected bind failure")
+
+    monkeypatch.setattr(CodegenPlan, "bind", refuse)
+    report = fuzz(programs=2, seed=7)
+    assert report.failures == []
+    assert report.backend_fallbacks > 0
+
+
 @pytest.mark.slow
 def test_fuzz_smoke_runs_clean():
     """The real oracle over a small fixed-seed batch: all engines agree
