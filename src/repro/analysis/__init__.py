@@ -9,13 +9,13 @@ Three layers (ISSUE 5):
   consulted by Partial Escape Analysis at Invoke sites.
 - :mod:`repro.analysis.diagnostics` — escape-site attribution and lint
   passes backing the ``repro analyze`` / ``repro lint`` CLI.
-- :mod:`repro.analysis.conngraph` — the cheap connection-graph escape
-  tier (ISSUE 9): Tarjan-condensed escape-root reachability feeding
-  stack allocation and lock elision without running PEA.
+- :mod:`repro.analysis.conngraph` — the flow-insensitive escape
+  analysis: escape-root reachability over a connection graph, directed
+  for the cheap tier's stack allocation and lock elision, symmetric for
+  the equi-escape-sets baseline.
 """
 
-from .conngraph import (ConnectionGraph, ConnGraphLockElisionPhase,
-                        tarjan_sccs)
+from .conngraph import ConnectionGraph, ConnGraphLockElisionPhase
 from .dataflow import (BackwardSolver, BytecodeCFG, DataflowResult,
                        ForwardSolver, IRCFG)
 from .summaries import (MethodSummary, ParamSummary, ParamEscape,
@@ -25,5 +25,4 @@ __all__ = [
     "ForwardSolver", "BackwardSolver", "DataflowResult", "BytecodeCFG",
     "IRCFG", "SummaryDatabase", "MethodSummary", "ParamSummary",
     "ParamEscape", "ConnectionGraph", "ConnGraphLockElisionPhase",
-    "tarjan_sccs",
 ]

@@ -1,40 +1,46 @@
-"""Connection-graph escape analysis — the cheap tier.
+"""Connection-graph escape analysis — the repo's one flow-insensitive
+escape analysis.
 
 This is the CoreCLR-``objectalloc`` style analysis: build a *connection
 graph* whose directed edges ``u -> v`` mean "if ``u`` escapes, ``v``
-escapes", condense it with Tarjan's strongly-connected-components
-algorithm, seed *escape roots* (stores to statics, returned values,
+escapes", seed *escape roots* (stores to statics, returned values,
 arguments to unmodeled calls, references from node categories we do not
-model) and propagate escape over the condensation.  Allocations whose
-component is not reachable from a root never escape and are eligible
-for stack allocation and lock elision.
+model) and walk the edges from the roots.  Allocations the walk never
+reaches never escape and are eligible for stack allocation and lock
+elision.
 
-Relative to the two analyses that already exist here:
+The graph has two modes:
 
-* It is strictly cheaper than :class:`repro.pea.PartialEscapePhase` —
-  flow-insensitive, no virtual-object state, no materialization, a
-  single linear pass plus one SCC condensation — which makes it the
-  right tier for cold code and for the compile service's latency
-  budget.
-* It is at least as precise as the union-find
-  :class:`repro.pea.equi_escape.EquiEscapeSets` baseline: a union-find
-  must merge a container with everything stored into it, so an escaping
-  *content* poisons its (otherwise local) container.  The connection
-  graph keeps the store edge one-way (``container -> content``): an
-  escaping content never taints the container.
+* **Directed** (the default) keeps the store edge one-way
+  (``container -> content``): an escaping *content* never taints its
+  otherwise local container.  This drives the ``conngraph`` tier's lock
+  elision and :class:`repro.opt.stack_allocation.StackAllocationPhase`.
+* **Symmetric** (``symmetric=True``) adds every edge both ways, so
+  escape marks whole connected components — exactly Kotzmann &
+  Mössenböck's *equi-escape sets*, the HotSpot-style comparator of the
+  paper's Section 6.2 (:class:`repro.pea.equi_escape.EquiEscapePhase`)
+  and the basis of the dead-store lint.  Every symmetric approval is
+  also a directed approval.
 
-Like the other analyses, references from frame states and deoptimize
-nodes do **not** escape (they are rematerialized on deopt — Kotzmann &
-Mössenböck's insight, which the paper's PEA builds on), and there are
-no thrown exceptions in the language yet, so "thrown" roots reduce to
-the deopt case.  Interprocedural precision comes from the PR 5 escape
-summaries: a summarized callee contributes ``flows_to``/``returned``
-edges at the call site instead of a worst-case escape root.
+Both are strictly cheaper than :class:`repro.pea.PartialEscapePhase` —
+flow-insensitive, no virtual-object state, no materialization, a
+single linear pass plus one walk from the roots — which makes the
+directed mode the right tier for cold code and for the compile
+service's latency budget.
+
+References from frame states and deoptimize nodes do **not** escape
+(they are rematerialized on deopt — Kotzmann & Mössenböck's insight,
+which the paper's PEA builds on), and there are no thrown exceptions in
+the language yet, so "thrown" roots reduce to the deopt case.
+Interprocedural precision comes from the escape summaries
+(:mod:`repro.analysis.summaries`): a summarized callee contributes
+``flows_to``/``returned`` edges at the call site instead of a
+worst-case escape root.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..bytecode.classfile import Program
 from ..ir.graph import Graph
@@ -50,79 +56,21 @@ from ..ir.nodes import (ArrayLengthNode, BeginNode, ConstantNode,
                         StoreStaticNode)
 from ..opt.phase import Phase
 
-
-def tarjan_sccs(vertices: Iterable[Hashable],
-                successors: Callable[[Hashable], Iterable[Hashable]]
-                ) -> List[List[Hashable]]:
-    """Iterative Tarjan strongly-connected components.
-
-    Returns the components in **reverse topological order** of the
-    condensation (every component is emitted before any of its
-    predecessors), which is the order Tarjan produces naturally.  The
-    implementation is an explicit work-stack state machine so deep
-    graphs cannot overflow Python's recursion limit.
-    """
-    index: Dict[Hashable, int] = {}
-    lowlink: Dict[Hashable, int] = {}
-    on_stack: Set[Hashable] = set()
-    stack: List[Hashable] = []
-    components: List[List[Hashable]] = []
-    counter = 0
-
-    for root in vertices:
-        if root in index:
-            continue
-        # Each work item is (vertex, iterator over remaining successors).
-        work = [(root, iter(list(successors(root))))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            vertex, successor_iter = work[-1]
-            advanced = False
-            for successor in successor_iter:
-                if successor not in index:
-                    index[successor] = lowlink[successor] = counter
-                    counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append(
-                        (successor, iter(list(successors(successor)))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    lowlink[vertex] = min(lowlink[vertex],
-                                          index[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[vertex])
-            if lowlink[vertex] == index[vertex]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member is vertex:
-                        break
-                components.append(component)
-    return components
+#: Nodes whose stored contents the graph follows: allocations, and phis
+#: (which may carry them; a phi of unknown provenance is itself a root).
+_CONTAINERS = (NewInstanceNode, NewArrayNode, PhiNode)
 
 
 class ConnectionGraph:
     """One method's connection graph.
 
-    ``build()`` walks the IR once collecting directed escape edges and
-    roots; ``analyze()`` condenses and propagates, returning the set of
+    ``build()`` walks the IR once collecting escape edges and roots;
+    ``analyze()`` walks the edges from the roots, returning the set of
     allocation nodes that never escape.
     """
 
-    #: Node types whose *reference* inputs do not make an object escape
-    #: (same safe-user set as the equi-escape baseline: pure reads,
-    #: identity tests, monitors, frame states, guards).  An
+    #: Node types whose *reference* inputs do not make an object escape:
+    #: pure reads, identity tests, monitors, frame states, guards.  An
     #: ``EscapeObjectStateNode`` is a frame-state appendage — the deopt
     #: snapshot of a still-virtual PEA object; a reference from one is
     #: no more an escape than a reference from the frame state itself,
@@ -138,28 +86,30 @@ class ConnectionGraph:
                       StoreStaticNode, ReturnNode, InvokeNode)
 
     def __init__(self, graph: Graph, program: Optional[Program] = None,
-                 summaries=None):
+                 summaries=None, symmetric: bool = False):
         self.graph = graph
         self.program = program
         self.summaries = summaries
+        #: Add every edge both ways: the equi-escape-sets mode.
+        self.symmetric = symmetric
         #: ``edges[u]`` = nodes that escape whenever ``u`` escapes.
         self.edges: Dict[Node, List[Node]] = {}
         self.roots: Set[Node] = set()
         self.allocations: List[Node] = []
-        #: Invoke results that alias a tracked argument (``returned``
-        #: summaries); they get the same unmodeled-user sweep as
-        #: allocations.
-        self.result_aliases: List[Node] = []
+        #: invoke -> the tracked arguments its result aliases
+        #: (``returned`` summaries).
+        self._returned: Dict[Node, List[Node]] = {}
         self._built = False
 
     # -- construction ---------------------------------------------------
 
-    def _add_edge(self, source: Optional[Node], target: Optional[Node]):
-        if source is None or target is None or source is target:
-            return
-        if isinstance(target, ConstantNode):
+    def _add_edge(self, source: Node, target: Node,
+                  both_ways: bool = False):
+        if source is target:
             return
         self.edges.setdefault(source, []).append(target)
+        if both_ways or self.symmetric:
+            self.edges.setdefault(target, []).append(source)
 
     def _add_root(self, node: Optional[Node]):
         if node is None or isinstance(node, ConstantNode):
@@ -179,65 +129,84 @@ class ConnectionGraph:
                 # merge-point materialization rule (if any member
                 # escapes, every allocation flowing into the phi does).
                 for value in node.values:
-                    if value is not node and self._is_tracked(value):
-                        self._add_edge(node, value)
-                        self._add_edge(value, node)
+                    if self._is_tracked(value):
+                        self._add_edge(node, value, both_ways=True)
             elif isinstance(node, StoreFieldNode):
-                self._store_edge(node.object, node.value,
-                                 self._is_reference_field(node))
+                if self._is_reference_field(node):
+                    self._store_edge(node.object, node.value)
             elif isinstance(node, StoreIndexedNode):
-                self._store_edge(node.array, node.value,
-                                 self._is_reference_array(node.array))
-            elif isinstance(node, StoreStaticNode):
-                self._add_root(node.value)
-            elif isinstance(node, ReturnNode):
+                if self._is_reference_array(node.array):
+                    self._store_edge(node.array, node.value)
+            elif isinstance(node, (StoreStaticNode, ReturnNode)):
                 self._add_root(node.value)
             elif isinstance(node, InvokeNode):
                 self._process_invoke(node)
         # References from node categories the builder does not model
-        # escape conservatively.
-        for tracked in self.allocations + self.result_aliases:
+        # escape conservatively, from allocations and from the call
+        # results that alias them alike.
+        aliases = [node for node, returned in self._returned.items()
+                   if returned]
+        for tracked in self.allocations + aliases:
             for user in tracked.usages:
                 if not isinstance(user,
                                   self._SAFE_USERS + self._MODELED_USERS):
                     self._add_root(tracked)
         # Phis rooted (partly) in references of unknown provenance
-        # (parameters, loads, unsummarized call results) taint the phi —
-        # and through the bidirectional phi edges, its members.
+        # (parameters, loads, call results) taint the phi — and through
+        # the bidirectional phi edges, its members.
         for node in self.graph.nodes():
             if not isinstance(node, PhiNode):
                 continue
             for value in node.values:
                 if value is None or value is node:
                     continue
-                if not isinstance(value, (NewInstanceNode, NewArrayNode,
-                                          PhiNode, ConstantNode)):
+                if not isinstance(value, _CONTAINERS + (ConstantNode,)):
                     if self._holds_reference(value):
                         self._add_root(node)
         return self
 
     def _store_edge(self, container: Optional[Node],
-                    value: Optional[Node], is_reference: bool):
+                    value: Optional[Node]):
         """A store is the one-way edge: content escapes if the
         container does — never the other way around."""
-        if not is_reference or not self._is_tracked(value):
+        if not self._is_tracked(value):
             return
-        if container is None:
-            return
-        if isinstance(container, (NewInstanceNode, NewArrayNode,
-                                  PhiNode)):
+        if isinstance(container, _CONTAINERS):
             self._add_edge(container, value)
         else:
             # Stored into a container outside our tracking (parameter,
             # load, call result): the value is reachable from unknown
-            # code.
+            # code.  A call result stays untracked as a container even
+            # when it aliases an argument: ``returned`` only says the
+            # argument *may* be the result, which may as well be an
+            # object the callee loaded from a static.
             self._add_root(value)
 
+    def _summary(self, node: InvokeNode):
+        """The callee's escape summary, or ``None`` when there is no
+        usable one (no summaries, unresolved, or top)."""
+        if self.summaries is None:
+            return None
+        summary = self.summaries.summary_for_call(node.target)
+        return None if summary is None or summary.is_top else summary
+
+    def _returned_arguments(self, node: InvokeNode) -> List[Node]:
+        """The tracked arguments the call result may alias."""
+        returned = self._returned.get(node)
+        if returned is None:
+            summary = self._summary(node)
+            returned = [] if summary is None else [
+                argument for position, argument
+                in enumerate(node.arguments)
+                if summary.param(position).returned
+                and not summary.param(position).captured
+                and self._is_tracked(argument)]
+            self._returned[node] = returned
+        return returned
+
     def _process_invoke(self, node: InvokeNode):
-        summary = None
-        if self.summaries is not None:
-            summary = self.summaries.summary_for_call(node.target)
-        if summary is None or summary.is_top:
+        summary = self._summary(node)
+        if summary is None:
             for argument in node.arguments:
                 self._add_root(argument)
             return
@@ -248,58 +217,28 @@ class ConnectionGraph:
             if param.captured:
                 self._add_root(argument)
                 continue
-            if not self._is_tracked(argument):
-                continue
             for target in param.flows_to:
-                if target < len(node.arguments) and \
-                        self._is_tracked(node.arguments[target]):
-                    # Stored into the target parameter: escape flows
-                    # from that container to this argument.
-                    self._add_edge(node.arguments[target], argument)
-                else:
-                    self._add_root(argument)
-            if param.returned:
-                # The call result aliases the argument.
-                self._add_edge(node, argument)
-                self.result_aliases.append(node)
+                # Stored into the target parameter: escape flows from
+                # that container to this argument.
+                self._store_edge(node.arguments[target]
+                                 if target < len(node.arguments)
+                                 else None, argument)
+        for argument in self._returned_arguments(node):
+            # The call result aliases the argument.
+            self._add_edge(node, argument)
 
-    # -- condensation + propagation -------------------------------------
-
-    def condensation(self) -> List[List[Node]]:
-        """SCCs of the connection graph in reverse topological order."""
-        self.build()
-        vertices: List[Node] = []
-        seen: Set[Node] = set()
-        for node in list(self.edges) + list(self.roots) + \
-                self.allocations + self.result_aliases:
-            if node not in seen:
-                seen.add(node)
-                vertices.append(node)
-        return tarjan_sccs(
-            vertices, lambda v: self.edges.get(v, ()))
+    # -- propagation ----------------------------------------------------
 
     def escaped_nodes(self) -> Set[Node]:
         """All nodes reachable from an escape root along the edges."""
-        components = self.condensation()
-        component_of: Dict[Node, int] = {}
-        for position, component in enumerate(components):
-            for member in component:
-                component_of[member] = position
-        escaped_components: Set[int] = {
-            position for position, component in enumerate(components)
-            if any(member in self.roots for member in component)}
-        # Tarjan emits reverse topological order, so iterating
-        # back-to-front visits every component after all of its
-        # predecessors: one pass propagates escape along ``u -> v``.
-        for position in range(len(components) - 1, -1, -1):
-            if position not in escaped_components:
-                continue
-            for member in components[position]:
-                for successor in self.edges.get(member, ()):
-                    escaped_components.add(component_of[successor])
-        escaped: Set[Node] = set()
-        for position in escaped_components:
-            escaped.update(components[position])
+        self.build()
+        escaped = set(self.roots)
+        worklist = list(self.roots)
+        while worklist:
+            for successor in self.edges.get(worklist.pop(), ()):
+                if successor not in escaped:
+                    escaped.add(successor)
+                    worklist.append(successor)
         return escaped
 
     def analyze(self) -> Set[Node]:
@@ -311,7 +250,12 @@ class ConnectionGraph:
     # -- helpers --------------------------------------------------------
 
     def _is_tracked(self, node: Optional[Node]) -> bool:
-        return isinstance(node, (NewInstanceNode, NewArrayNode, PhiNode))
+        """Allocations, phis and call results that alias a tracked
+        argument join the graph when stored or passed; primitives and
+        foreign references neither escape a container nor taint it."""
+        if isinstance(node, InvokeNode):
+            return bool(self._returned_arguments(node))
+        return isinstance(node, _CONTAINERS)
 
     def _is_reference_field(self, store: StoreFieldNode) -> bool:
         if self.program is None:

@@ -34,6 +34,7 @@ from ..ir.nodes import (FixedGuardNode, IsNullNode, LoadFieldNode,
                         NewArrayNode, NewInstanceNode, PhiNode,
                         StoreFieldNode, StoreIndexedNode)
 from ..scheduler.cfg import ControlFlowGraph
+from .conngraph import ConnectionGraph
 from .dataflow import BackwardSolver, BytecodeCFG, ForwardSolver, IRCFG
 
 #: Lock-depth lattice cap: deeper nesting collapses so the analysis
@@ -259,11 +260,10 @@ class _DeadStoreAnalysis:
 
 
 def check_dead_stores(program: Program) -> List[Finding]:
-    from ..pea.equi_escape import EquiEscapeSets
-
     findings: List[Finding] = []
     for method, graph in _build_graphs(program):
-        approved = EquiEscapeSets(graph, program).analyze()
+        approved = ConnectionGraph(graph, program,
+                                   symmetric=True).analyze()
         # Exclude aliased allocations: once stored or phi-joined, loads
         # through other names could observe the "dead" store.
         tracked: Set[object] = set()

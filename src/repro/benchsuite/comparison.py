@@ -24,7 +24,7 @@ from ..jit import CompilerConfig
 from .harness import Measurement, run_workload
 from .profiling import print_profile, profiled
 from .reporting import pct, render_table
-from .workloads import SUITES, Workload
+from .workloads import SUITES, Workload, quick_copy
 
 
 @dataclass
@@ -98,9 +98,7 @@ def generate(suites: Sequence[str], quick: bool = False, out=sys.stdout,
     for suite_name in suites:
         workloads = SUITES[suite_name]
         if quick:
-            for workload in workloads:
-                workload.warmup_iterations = min(
-                    workload.warmup_iterations, 25)
+            workloads = [quick_copy(w) for w in workloads]
         with profiled(profiler):
             if jobs > 1:
                 from concurrent.futures import ProcessPoolExecutor
@@ -130,8 +128,10 @@ def generate(suites: Sequence[str], quick: bool = False, out=sys.stdout,
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--suite", choices=sorted(SUITES) + ["all"],
-                        default="all")
+    parser.add_argument("--suite", choices=sorted(PAPER_62) + ["all"],
+                        default="all",
+                        help="one of the paper's three suites (default: "
+                             "all three)")
     parser.add_argument("--quick", action="store_true")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run workloads in N parallel processes")
@@ -142,7 +142,7 @@ def main(argv=None):
                         help="cProfile top-20 + per-node-kind execution "
                              "histogram (forces --jobs 1)")
     args = parser.parse_args(argv)
-    suites = list(SUITES) if args.suite == "all" else [args.suite]
+    suites = list(PAPER_62) if args.suite == "all" else [args.suite]
     generate(suites, quick=args.quick, jobs=args.jobs,
              backend=args.backend, profile=args.profile)
 

@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence
 from ..api import VM, CompilerConfig, compile_source
 from ..jit.server import CompileService, format_address
 from .harness import run_workload
-from .workloads import ALL_WORKLOADS, by_name
+from .workloads import ALL_WORKLOADS, by_name, quick_copy
 
 #: Tier-up thresholds for the load-generation phases: low enough that a
 #: handful of iterations compiles every hot method (the phases measure
@@ -177,10 +177,7 @@ def _identity_ab(address, names: Sequence[str], quick: bool) -> dict:
     for name in names:
         workload = by_name(name)
         if quick:
-            import copy
-            workload = copy.copy(workload)
-            workload.warmup_iterations = min(
-                workload.warmup_iterations, 25)
+            workload = quick_copy(workload)
         program = compile_source(workload.source,
                                  natives=workload.natives or None)
         serviced = run_workload(workload, service_config,

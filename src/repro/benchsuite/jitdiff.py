@@ -33,7 +33,7 @@ from .. import api
 from ..api import CompilerConfig, compile_source
 from ..jit.cache import CompilationCache
 from .reporting import num, render_table
-from .workloads import SUITES, Workload
+from .workloads import SUITES, Workload, quick_copy
 
 #: The deterministic Measurement scope both backends must agree on.
 IDENTITY_FIELDS = ("checksum", "kb_per_iteration",
@@ -222,8 +222,7 @@ def main(argv=None) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     workloads = [w for name in suites for w in SUITES[name]]
     if args.quick:
-        for w in workloads:
-            w.warmup_iterations = min(w.warmup_iterations, 25)
+        workloads = [quick_copy(w) for w in workloads]
     cache = CompilationCache(args.cache_dir) if args.cache_dir else None
     report = run_jitdiff(workloads, osr=args.osr, cache=cache)
     if args.json:

@@ -28,7 +28,7 @@ from .harness import Comparison, run_suite, run_workload
 from .profiling import print_profile, profiled
 from .reporting import num, pct, render_table
 from .workloads import (DACAPO, DACAPO_SHOWN, SCALADACAPO, SPECJBB_ALL,
-                        SUITES)
+                        SUITES, Workload, by_name, quick_copy)
 
 
 def _average(values: Sequence[float]) -> float:
@@ -97,9 +97,7 @@ def generate(suites: Sequence[str], quick: bool = False,
     for suite_name in suites:
         workloads = SUITES[suite_name]
         if quick:
-            workloads = [w for w in workloads]
-            for w in workloads:
-                w.warmup_iterations = min(w.warmup_iterations, 25)
+            workloads = [quick_copy(w) for w in workloads]
         started = time.perf_counter()
         with profiled(profiler):
             comparisons = run_suite(workloads, baseline, optimized,
@@ -348,13 +346,11 @@ def _deoptless_ab() -> dict:
     return section
 
 
-def _osr_warmup_ab(workload_name: str = "h2") -> dict:
+def _osr_warmup_ab(workload: Workload) -> dict:
     """Time one loop-heavy workload's full (uncached) run with and
     without on-stack replacement.  The simulated metrics are identical —
     OSR only moves warm-up iterations from the interpreter into compiled
     code — so the interesting number is real wall-clock."""
-    from .workloads import by_name
-    workload = by_name(workload_name)
     seconds = {}
     for enabled in (True, False):
         config = CompilerConfig.partial_escape(osr=enabled)
@@ -362,7 +358,7 @@ def _osr_warmup_ab(workload_name: str = "h2") -> dict:
         run_workload(workload, config)
         seconds[enabled] = time.perf_counter() - started
     return {
-        "workload": workload_name,
+        "workload": workload.name,
         "osr_seconds": round(seconds[True], 3),
         "no_osr_seconds": round(seconds[False], 3),
     }
@@ -490,7 +486,9 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
     if osr:
         # Demonstrate the tentpole's point on real wall-clock: one
         # loop-heavy workload warmed with and without OSR.
-        payload["timing"]["osr_warmup_ab"] = _osr_warmup_ab()
+        h2 = by_name("h2")
+        payload["timing"]["osr_warmup_ab"] = _osr_warmup_ab(
+            quick_copy(h2) if quick else h2)
     # Deoptless phase-shift A/B: post-flip tail latency and interpreter
     # bridging, deoptless off vs on (simulated, deterministic).
     payload["timing"]["deoptless_ab"] = _deoptless_ab()

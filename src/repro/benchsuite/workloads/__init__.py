@@ -43,6 +43,19 @@ SUITES = {
 }
 
 
+#: The warm-up cap of ``--quick`` runs.
+QUICK_WARMUP_ITERATIONS = 25
+
+
+def quick_copy(workload: Workload) -> Workload:
+    """A copy of *workload* with the ``--quick`` warm-up cap; the
+    registry's own object stays untouched."""
+    workload = copy.copy(workload)
+    workload.warmup_iterations = min(workload.warmup_iterations,
+                                     QUICK_WARMUP_ITERATIONS)
+    return workload
+
+
 def by_name(name: str) -> Workload:
     for workload in ALL_WORKLOADS:
         if workload.name == name:
@@ -52,4 +65,4 @@ def by_name(name: str) -> Workload:
 
 __all__ = ["PaperRow", "Workload", "DACAPO", "DACAPO_SHOWN",
            "PHASESHIFT", "SCALADACAPO", "SPECJBB", "SPECJBB_ALL",
-           "ALL_WORKLOADS", "SUITES", "by_name"]
+           "ALL_WORKLOADS", "SUITES", "by_name", "quick_copy"]

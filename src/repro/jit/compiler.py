@@ -204,24 +204,16 @@ class Compiler:
             from ..opt.read_elimination import ReadEliminationPhase
             plan.append(ReadEliminationPhase())
             plan.append(DeadCodeEliminationPhase())
-        if tier.stack_analysis == "conngraph":
+        if tier.stack or summary_view is not None:
+            # Without ``+cgstack``, summary-marginal stack allocation:
+            # what the summaries uniquely prove non-escaping (and PEA
+            # still materialized) moves off the heap, so the
+            # escape-summaries A/B in Table 1 attributes every
+            # allocation delta to the interprocedural analysis alone.
             from ..opt.stack_allocation import StackAllocationPhase
-            plan.append(StackAllocationPhase(self.program,
-                                             summaries=summary_view,
-                                             analysis="conngraph"))
-        elif tier.stack_analysis == "equi":
-            from ..opt.stack_allocation import StackAllocationPhase
-            plan.append(StackAllocationPhase(self.program))
-        elif summary_view is not None:
-            # Summary-marginal stack allocation: what the summaries
-            # uniquely prove non-escaping (and PEA still materialized)
-            # moves off the heap, so the escape-summaries A/B in
-            # Table 1 attributes every allocation delta to the
-            # interprocedural analysis alone.
-            from ..opt.stack_allocation import StackAllocationPhase
-            plan.append(StackAllocationPhase(self.program,
-                                             summaries=summary_view,
-                                             marginal_only=True))
+            plan.append(StackAllocationPhase(
+                self.program, summaries=summary_view,
+                marginal_only=not tier.stack))
 
         plan.run(graph)
         self.last_timings = plan.timings

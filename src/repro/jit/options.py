@@ -2,13 +2,15 @@
 these flags (no EA / equi-escape EA / connection-graph tier / Partial
 Escape Analysis).
 
-Since ISSUE 9 the escape-related knobs are unified behind one policy:
+The escape-related knobs sit behind one policy:
 ``CompilerConfig.escape_tier``.  A tier is either a *token* string —
 
 ``"none"``
     no escape analysis at all;
 ``"equi"``
-    the union-find equi-escape baseline (Section 6.2 comparator);
+    the equi-escape-sets baseline (Section 6.2 comparator): the
+    connection graph's symmetric mode feeding whole-method scalar
+    replacement;
 ``"conngraph"``
     the cheap connection-graph tier: directed escape-graph
     reachability (:mod:`repro.analysis.conngraph`) feeding stack
@@ -16,7 +18,8 @@ Since ISSUE 9 the escape-related knobs are unified behind one policy:
     summaries at call sites — no PEA;
 ``"pea"``
     the paper's Partial Escape Analysis (optionally
-    ``"pea+summaries"``, ``"pea+stack"``, ``"pea+cgstack"`` …);
+    ``"pea+summaries"``, ``"pea+cgstack"``,
+    ``"pea+summaries+cgstack"``);
 ``"auto"``
     per-method selection by :data:`AUTO_TIER_POLICY` (hot small
     methods get PEA, everything else the connection graph)
@@ -52,27 +55,22 @@ class TierSpec:
     """A fully resolved escape tier for one compilation.
 
     ``base`` selects the analysis machinery; ``summaries`` enables the
-    interprocedural escape summaries at call sites; ``stack_analysis``
-    (``None`` / ``"equi"`` / ``"conngraph"``) selects which analysis, if
-    any, drives :class:`repro.opt.stack_allocation.StackAllocationPhase`.
-    The ``conngraph`` base always implies summaries and
-    connection-graph-driven stack allocation — that *is* the tier.
+    interprocedural escape summaries at call sites; ``stack`` (spelled
+    ``+cgstack``) runs :class:`repro.opt.stack_allocation.StackAllocationPhase`
+    on the directed connection graph.  The ``conngraph`` base always
+    implies summaries and stack allocation — that *is* the tier.
     """
 
     base: str = "pea"
     summaries: bool = False
-    stack_analysis: Optional[str] = None
+    stack: bool = False
 
     def __post_init__(self):
         if self.base not in TIER_BASES:
             raise ValueError(f"unknown escape tier base {self.base!r}")
-        if self.stack_analysis not in (None, "equi", "conngraph"):
-            raise ValueError(
-                f"unknown stack analysis {self.stack_analysis!r}")
-        if self.base == "conngraph" and (
-                not self.summaries or self.stack_analysis != "conngraph"):
+        if self.base == "conngraph":
             object.__setattr__(self, "summaries", True)
-            object.__setattr__(self, "stack_analysis", "conngraph")
+            object.__setattr__(self, "stack", True)
 
     def token(self) -> str:
         """Canonical string form, parseable by :meth:`parse`."""
@@ -81,9 +79,7 @@ class TierSpec:
         parts = [self.base]
         if self.summaries:
             parts.append("summaries")
-        if self.stack_analysis == "equi":
-            parts.append("stack")
-        elif self.stack_analysis == "conngraph":
+        if self.stack:
             parts.append("cgstack")
         return "+".join(parts)
 
@@ -97,19 +93,13 @@ class TierSpec:
             raise ValueError(
                 f"unknown escape tier {token!r} "
                 f"(bases: {', '.join(TIER_BASES)})")
-        summaries = False
-        stack_analysis = None
+        flags = {"summaries": False, "cgstack": False}
         for flag in parts[1:]:
-            if flag == "summaries":
-                summaries = True
-            elif flag == "stack":
-                stack_analysis = "equi"
-            elif flag == "cgstack":
-                stack_analysis = "conngraph"
-            else:
+            if flag not in flags:
                 raise ValueError(
                     f"unknown escape tier flag {flag!r} in {token!r}")
-        return cls(base, summaries, stack_analysis)
+            flags[flag] = True
+        return cls(base, flags["summaries"], flags["cgstack"])
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,20 @@ simulated GC nursery (:mod:`repro.runtime.gcsim`), and are charged the
 much cheaper non-GC allocation cost.
 
 Who runs this phase is owned by the escape-tier policy
-(``CompilerConfig.escape_tier``, ISSUE 9): the ``conngraph`` tier runs
-it with the connection-graph analysis as its *primary* optimization,
-the ``pea`` tier runs it after PEA (summary-marginal mode when escape
-summaries are enabled), and the ``none``/``equi`` tiers do not run it
-— so Table 1's heap numbers stay comparable with the paper's
-configurations.
+(``CompilerConfig.escape_tier``): the ``conngraph`` tier runs it as its
+*primary* optimization, ``+cgstack`` runs it after PEA, a PEA tier with
+escape summaries runs it in summary-marginal mode, and the
+``none``/``equi`` tiers do not run it — so Table 1's heap numbers stay
+comparable with the paper's configurations.  Approvals always come from
+the directed connection graph (:mod:`repro.analysis.conngraph`).
 """
 
 from __future__ import annotations
 
+from ..analysis.conngraph import ConnectionGraph
 from ..bytecode.classfile import Program
 from ..ir.graph import Graph
 from ..ir.nodes import NewArrayNode, NewInstanceNode
-from ..pea.equi_escape import EquiEscapeSets
 from .phase import Phase
 
 
@@ -35,7 +35,7 @@ class StackAllocationPhase(Phase):
     name = "stack-allocation"
 
     def __init__(self, program: Program, summaries=None,
-                 marginal_only: bool = False, analysis: str = "equi"):
+                 marginal_only: bool = False):
         self.program = program
         #: Optional interprocedural escape summaries
         #: (:class:`repro.analysis.summaries.SummaryView`): invoke
@@ -48,29 +48,13 @@ class StackAllocationPhase(Phase):
         #: plain-approved allocations must stay on the heap in both
         #: arms.
         self.marginal_only = marginal_only
-        #: Which escape analysis approves allocations: ``"equi"``
-        #: (union-find equi-escape sets) or ``"conngraph"`` (the
-        #: directed connection graph — at least as precise, still
-        #: cheap; the analysis the ``conngraph`` tier feeds through
-        #: here).
-        if analysis not in ("equi", "conngraph"):
-            raise ValueError(f"unknown stack-allocation analysis "
-                             f"{analysis!r}")
-        self.analysis = analysis
         self.flagged = 0
 
-    def _approved(self, graph: Graph, summaries):
-        if self.analysis == "conngraph":
-            from ..analysis.conngraph import ConnectionGraph
-            return ConnectionGraph(graph, self.program,
-                                   summaries=summaries).analyze()
-        return EquiEscapeSets(graph, self.program,
-                              summaries=summaries).analyze()
-
     def run(self, graph: Graph) -> bool:
-        approved = self._approved(graph, self.summaries)
+        approved = ConnectionGraph(graph, self.program,
+                                   summaries=self.summaries).analyze()
         if self.marginal_only and self.summaries is not None:
-            approved = approved - self._approved(graph, None)
+            approved -= ConnectionGraph(graph, self.program).analyze()
         changed = False
         for node in graph.nodes_of(NewInstanceNode, NewArrayNode):
             if node in approved and not getattr(node, "stack_allocated",

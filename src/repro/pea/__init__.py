@@ -2,7 +2,7 @@
 flow-insensitive equi-escape-sets baseline."""
 
 from .effects import Effects
-from .equi_escape import EquiEscapePhase, EquiEscapeSets
+from .equi_escape import EquiEscapePhase
 from .materialize import ensure_materialized
 from .merge import MergeProcessor
 from .partial_escape import PartialEscapePhase, PEAResult
@@ -11,7 +11,7 @@ from .state import ObjectState, PEAState
 from .virtualization import MAX_VIRTUAL_ARRAY_LENGTH, PEAError, PEATool
 
 __all__ = [
-    "Effects", "EquiEscapePhase", "EquiEscapeSets", "ensure_materialized",
+    "Effects", "EquiEscapePhase", "ensure_materialized",
     "MergeProcessor", "PartialEscapePhase", "PEAResult", "PEAProcessor",
     "ObjectState", "PEAState", "MAX_VIRTUAL_ARRAY_LENGTH", "PEAError",
     "PEATool",

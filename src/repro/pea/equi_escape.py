@@ -5,11 +5,12 @@ equi-escape-sets analysis (as used by the HotSpot compilers) that makes a
 single, global escape decision per allocation.  If an object escapes on
 *any* path — however unlikely — none of the optimizations apply to it.
 
-The analysis itself is a union-find over reference-producing nodes: a
-store of ``a`` into ``b`` places ``a`` and ``b`` in the same set; stores
-to globals, returns and call arguments mark a set as escaping.  Frame
-state references do NOT escape (Kotzmann & Mössenböck's insight:
-deoptimization can rematerialize).
+The sets are the connected components of the connection graph
+(:class:`repro.analysis.conngraph.ConnectionGraph`) built with
+``symmetric=True``: a store of ``a`` into ``b`` joins ``a`` and ``b``,
+and stores to globals, returns and call arguments mark the whole
+component as escaping.  Frame state references do NOT escape (Kotzmann
+& Mössenböck's insight: deoptimization can rematerialize).
 
 Scalar replacement / lock elision / frame-state rewriting then reuse the
 Partial Escape Analysis machinery, restricted to the approved
@@ -21,217 +22,15 @@ materializations — which is exactly the classic transformation
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Optional
 
+from ..analysis.conngraph import ConnectionGraph
 from ..bytecode.classfile import Program
 from ..ir.graph import Graph
-from ..ir.node import Node
-from ..ir.nodes import (ArrayLengthNode, ConstantNode, DeoptimizeNode,
-                        EscapeObjectStateNode, FixedGuardNode,
-                        FrameStateNode, IfNode,
-                        InstanceOfNode, InvokeNode, IsNullNode,
-                        LoadFieldNode, LoadIndexedNode, MergeNode,
-                        MonitorEnterNode, MonitorExitNode, NewArrayNode,
-                        NewInstanceNode, PhiNode, RefEqualsNode,
-                        ReturnNode, StoreFieldNode, StoreIndexedNode,
-                        StoreStaticNode)
 from ..opt.phase import Phase
 from .effects import Effects
 from .partial_escape import PEAResult
 from .processor import PEAProcessor
-
-
-class EquiEscapeSets:
-    """Union-find escape analysis over one graph."""
-
-    def __init__(self, graph: Graph, program: Optional[Program] = None,
-                 summaries=None):
-        self.graph = graph
-        self.program = program
-        #: Optional :class:`repro.analysis.summaries.SummaryView`:
-        #: invoke arguments whose callee parameter is summarized
-        #: non-capturing stop escaping the set (they union with the
-        #: parameters they flow into, and with the call result when
-        #: returned, instead).
-        self.summaries = summaries
-        self._parent: Dict[Node, Node] = {}
-        self._escaped: Set[Node] = set()  # set representatives that escape
-        #: Invoke results unioned with an argument set (summary mode):
-        #: they alias tracked objects, so their users get the same
-        #: conservative category sweep as allocations.
-        self._result_aliases: List[Node] = []
-
-    # -- union-find ---------------------------------------------------------
-
-    def _find(self, node: Node) -> Node:
-        parent = self._parent.setdefault(node, node)
-        if parent is node:
-            return node
-        root = self._find(parent)
-        self._parent[node] = root
-        return root
-
-    def _union(self, a: Node, b: Node):
-        root_a, root_b = self._find(a), self._find(b)
-        if root_a is root_b:
-            return
-        escaped = root_a in self._escaped or root_b in self._escaped
-        self._parent[root_b] = root_a
-        self._escaped.discard(root_b)
-        if escaped:
-            self._escaped.add(root_a)
-
-    def _mark_escaped(self, node: Optional[Node]):
-        if node is None or isinstance(node, ConstantNode):
-            return
-        self._escaped.add(self._find(node))
-
-    def is_escaped(self, node: Node) -> bool:
-        return self._find(node) in self._escaped
-
-    # -- the analysis ---------------------------------------------------------
-
-    #: Node types whose *reference* inputs do not make an object escape.
-    #: ``EscapeObjectStateNode`` is a frame-state appendage (the deopt
-    #: snapshot of a still-virtual PEA object) — safe for the same
-    #: reason the frame state itself is.
-    _SAFE_USERS = (LoadFieldNode, ArrayLengthNode, RefEqualsNode,
-                   IsNullNode, InstanceOfNode, MonitorEnterNode,
-                   MonitorExitNode, FrameStateNode,
-                   EscapeObjectStateNode, FixedGuardNode,
-                   IfNode, DeoptimizeNode, LoadIndexedNode)
-
-    def analyze(self) -> Set[Node]:
-        """Returns the set of allocations that never escape."""
-        allocations: List[Node] = []
-        for node in self.graph.nodes():
-            if isinstance(node, (NewInstanceNode, NewArrayNode)):
-                allocations.append(node)
-            elif isinstance(node, PhiNode):
-                for value in node.values:
-                    if value is not node and self._is_tracked_value(
-                            value):
-                        self._union(node, value)
-            elif isinstance(node, StoreFieldNode):
-                if self._is_tracked_value(node.value) and \
-                        node.object is not None and \
-                        self._is_reference_field(node):
-                    self._union(node.object, node.value)
-            elif isinstance(node, StoreIndexedNode):
-                if self._is_tracked_value(node.value) and \
-                        node.array is not None and \
-                        self._is_reference_array(node.array):
-                    self._union(node.array, node.value)
-            elif isinstance(node, StoreStaticNode):
-                self._mark_escaped(node.value)
-            elif isinstance(node, ReturnNode):
-                self._mark_escaped(node.value)
-            elif isinstance(node, InvokeNode):
-                self._process_invoke(node)
-        # Any allocation referenced from a node category we don't model
-        # escapes conservatively.
-        for allocation in allocations + self._result_aliases:
-            for user in allocation.usages:
-                if not isinstance(user, self._SAFE_USERS + (
-                        PhiNode, StoreFieldNode, StoreIndexedNode,
-                        StoreStaticNode, ReturnNode, InvokeNode)):
-                    self._mark_escaped(allocation)
-        # Objects stored into non-allocation containers (parameters,
-        # loads, call results) escape: the container is outside our
-        # tracking.
-        tracked = set(allocations)
-        for node in self.graph.nodes():
-            container = None
-            if isinstance(node, StoreFieldNode):
-                container = node.object
-            elif isinstance(node, StoreIndexedNode):
-                container = node.array
-            if container is not None and container not in tracked and \
-                    not isinstance(container, PhiNode):
-                self._mark_escaped(node.value
-                                   if isinstance(node, StoreFieldNode)
-                                   else node.value)
-        # Phis rooted (partly) in untracked references taint their set.
-        for node in self.graph.nodes():
-            if isinstance(node, PhiNode):
-                for value in node.values:
-                    if value is None or value is node:
-                        continue
-                    if not isinstance(value, (NewInstanceNode,
-                                              NewArrayNode, PhiNode,
-                                              ConstantNode)):
-                        # Unknown provenance: treat the whole set as
-                        # escaped if it holds references.
-                        if self._holds_reference(value):
-                            self._mark_escaped(node)
-        return {a for a in allocations if not self.is_escaped(a)}
-
-    def _process_invoke(self, node: InvokeNode):
-        """Call arguments escape — unless an interprocedural summary
-        proves the callee never captures the parameter (Kotzmann's
-        *arg-escape* refinement, driven here by
-        :mod:`repro.analysis.summaries`)."""
-        summary = None
-        if self.summaries is not None:
-            summary = self.summaries.summary_for_call(node.target)
-        if summary is None or summary.is_top:
-            for argument in node.arguments:
-                self._mark_escaped(argument)
-            return
-        unioned_result = False
-        for position, argument in enumerate(node.arguments):
-            if argument is None or isinstance(argument, ConstantNode):
-                continue
-            param = summary.param(position)
-            if param.captured:
-                self._mark_escaped(argument)
-                continue
-            for target in param.flows_to:
-                if not self._is_tracked_value(argument):
-                    # Mirrors the StoreField rule: foreign references
-                    # neither escape nor poison the container's set.
-                    continue
-                if target < len(node.arguments) and \
-                        self._is_tracked_value(node.arguments[target]):
-                    self._union(argument, node.arguments[target])
-                else:
-                    # Flows into a container we don't track.
-                    self._mark_escaped(argument)
-            if param.returned and self._is_tracked_value(argument):
-                # The call result aliases the argument's set.
-                self._union(argument, node)
-                unioned_result = True
-        if unioned_result:
-            self._result_aliases.append(node)
-
-    @staticmethod
-    def _is_tracked_value(node: Optional[Node]) -> bool:
-        """Only allocations (and phis, which may carry them) join an
-        equi-escape set when stored; primitives and foreign references
-        neither escape the container nor get poisoned by it."""
-        return isinstance(node, (NewInstanceNode, NewArrayNode, PhiNode))
-
-    def _is_reference_field(self, store: StoreFieldNode) -> bool:
-        if self.program is None:
-            return True  # conservative without layout information
-        try:
-            jfield = self.program.resolve_field(store.field.class_name,
-                                                store.field.field_name)
-        except Exception:  # noqa: BLE001 - unresolved: stay conservative
-            return True
-        return jfield.type_name not in ("int", "boolean")
-
-    @staticmethod
-    def _is_reference_array(array: Node) -> bool:
-        if isinstance(array, NewArrayNode):
-            return array.elem_type not in ("int", "boolean")
-        return True  # unknown array: conservative
-
-    @staticmethod
-    def _holds_reference(node: Node) -> bool:
-        return isinstance(node, (LoadFieldNode, LoadIndexedNode,
-                                 InvokeNode)) or type(node).__name__ in (
-                                     "ParameterNode", "LoadStaticNode")
 
 
 class EquiEscapePhase(Phase):
@@ -248,7 +47,8 @@ class EquiEscapePhase(Phase):
         from ..opt.canonicalize import CanonicalizerPhase
         from ..opt.dce import DeadCodeEliminationPhase
 
-        approved = EquiEscapeSets(graph, self.program).analyze()
+        approved = ConnectionGraph(graph, self.program,
+                                   symmetric=True).analyze()
         if not approved:
             self.last_result = PEAResult()
             return False

@@ -1,6 +1,5 @@
-"""Connection-graph escape analysis: unit behavior, structural
-properties of the condensation, and the soundness differential against
-PEA.
+"""Connection-graph escape analysis: unit behavior, the escape walk,
+and the soundness differential against PEA.
 
 The soundness oracle is the same trick the equi-escape baseline uses in
 production: an allocation the connection graph approves is claimed to
@@ -14,13 +13,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.analysis import ConnectionGraph, tarjan_sccs
+from repro.analysis import ConnectionGraph
 from repro.analysis.summaries import SummaryView, summaries_for
 from repro.frontend import build_graph
+from repro.ir.graph import Graph
 from repro.lang import compile_source
 from repro.opt import (CanonicalizerPhase, DeadCodeEliminationPhase,
                        InliningPhase)
-from repro.pea import EquiEscapeSets
 from repro.pea.effects import Effects
 from repro.pea.processor import PEAProcessor
 
@@ -44,48 +43,15 @@ def prepare(source, qualified, natives=None, inline=True):
     return program, graph
 
 
-# -- tarjan_sccs ------------------------------------------------------------
+# -- the escape walk --------------------------------------------------------
 
 
-def test_tarjan_simple_cycle_is_one_component():
-    edges = {1: [2], 2: [3], 3: [1], 4: [1]}
-    components = tarjan_sccs([1, 2, 3, 4],
-                             lambda v: edges.get(v, ()))
-    assert sorted(sorted(c) for c in components) == [[1, 2, 3], [4]]
-    # Reverse topological: the cycle (a successor of 4) comes first.
-    assert set(components[0]) == {1, 2, 3}
-
-
-def test_tarjan_deep_chain_does_not_recurse():
+def test_escape_walk_deep_chain_does_not_recurse():
     n = 50_000  # far beyond the default Python recursion limit
-    components = tarjan_sccs(
-        range(n), lambda v: [v + 1] if v + 1 < n else [])
-    assert len(components) == n
-
-
-@hypothesis_seed
-@_SETTINGS
-@given(n=st.integers(min_value=1, max_value=30),
-       edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)),
-                      max_size=120))
-def test_tarjan_condensation_is_a_dag_partition(n, edges):
-    """The components partition the vertices, and every cross-component
-    edge points to an *earlier* component (reverse topological order) —
-    i.e. the condensation is acyclic."""
-    adjacency = {}
-    for u, v in edges:
-        if u < n and v < n:
-            adjacency.setdefault(u, []).append(v)
-    components = tarjan_sccs(range(n),
-                             lambda v: adjacency.get(v, ()))
-    flat = [v for component in components for v in component]
-    assert sorted(flat) == list(range(n))  # partition, no duplicates
-    position = {v: i for i, component in enumerate(components)
-                for v in component}
-    for u, targets in adjacency.items():
-        for v in targets:
-            if position[u] != position[v]:
-                assert position[v] < position[u]
+    conngraph = ConnectionGraph(Graph()).build()
+    conngraph.edges = {v: [v + 1] for v in range(n - 1)}
+    conngraph.roots = {0}
+    assert len(conngraph.escaped_nodes()) == n
 
 
 # -- unit behavior ----------------------------------------------------------
@@ -143,9 +109,10 @@ def test_unmodeled_call_argument_escapes():
 
 
 def test_escaping_content_does_not_taint_container():
-    """The precision win over the union-find baseline: the store edge
-    is one-way (container -> content), so a content that escapes for
-    its own reasons leaves its purely-local container alone."""
+    """The directed mode's precision win over the equi-escape sets:
+    the store edge is one-way (container -> content), so a content that
+    escapes for its own reasons leaves its purely-local container
+    alone."""
     source = """
         class Box { int v; }
         class Pair { Box a; }
@@ -166,8 +133,9 @@ def test_escaping_content_does_not_taint_container():
     # p approved, b not: exactly one of the two allocations survives.
     assert len(conngraph_approved) == 1
     assert next(iter(conngraph_approved)).class_name == "Pair"
-    # The union-find baseline merges p with b and loses both.
-    assert not EquiEscapeSets(graph, program).analyze()
+    # The symmetric mode (equi-escape sets) merges p with b and loses
+    # both.
+    assert not ConnectionGraph(graph, program, symmetric=True).analyze()
 
 
 def test_escaping_container_taints_content():
@@ -206,6 +174,101 @@ def test_summaries_unlock_call_arguments():
     view = SummaryView(summaries_for(program))
     assert len(ConnectionGraph(graph, program,
                                summaries=view).analyze()) == 1
+
+
+_ALIAS_HEADER = """
+    class Box { int v; }
+    class Holder { Box f; }
+    class C {
+        static Box id(Box b) { return b; }
+        static void put(Holder x, Box y) { x.f = y; }
+"""
+
+#: A non-inlined ``id(a)`` returns ``a`` itself: wherever the call result
+#: goes, ``a`` goes.
+_CALL_RESULT_ALIASES = {
+    "stored-into-parameter": _ALIAS_HEADER + """
+        static int m(Holder h, int x) {
+            Box a = new Box();
+            a.v = x;
+            h.f = id(a);
+            return a.v;
+        }
+    }
+    """,
+    "stored-into-returned-object": _ALIAS_HEADER + """
+        static Holder m(int x) {
+            Box a = new Box();
+            a.v = x;
+            Holder h = new Holder();
+            h.f = id(a);
+            return h;
+        }
+    }
+    """,
+    "passed-to-a-summarized-store": _ALIAS_HEADER + """
+        static int m(Holder h, int x) {
+            Box a = new Box();
+            a.v = x;
+            put(h, id(a));
+            return a.v;
+        }
+    }
+    """,
+    "merged-at-a-phi": _ALIAS_HEADER + """
+        static Box g;
+        static int m(int x) {
+            Box a = new Box();
+            a.v = x;
+            Box b = null;
+            if (x > 0) { b = id(a); }
+            g = b;
+            return a.v;
+        }
+    }
+    """,
+}
+
+
+@pytest.mark.parametrize("symmetric", [False, True],
+                         ids=["directed", "symmetric"])
+@pytest.mark.parametrize("name", sorted(_CALL_RESULT_ALIASES))
+def test_call_result_alias_escapes_through_stores(name, symmetric):
+    program, graph = prepare(_CALL_RESULT_ALIASES[name], "C.m",
+                             inline=False)
+    view = SummaryView(summaries_for(program))
+    approved = ConnectionGraph(graph, program, summaries=view,
+                               symmetric=symmetric).analyze()
+    assert not [a for a in approved if a.class_name == "Box"]
+
+
+def test_store_into_call_result_roots_the_value():
+    """``returned`` only says the argument *may* be the result: here
+    the callee may as well return a static, so what is stored into the
+    result escapes, while the argument itself stays local."""
+    source = """
+        class Box { int v; }
+        class Holder { Box f; }
+        class C {
+            static Holder g;
+            static Holder pick(Holder b, int x) {
+                if (x > 0) { return b; }
+                return g;
+            }
+            static int m(int x) {
+                Holder a = new Holder();
+                Box c = new Box();
+                c.v = x;
+                Holder r = pick(a, x);
+                r.f = c;
+                return c.v;
+            }
+        }
+    """
+    program, graph = prepare(source, "C.m", inline=False)
+    view = SummaryView(summaries_for(program))
+    approved = ConnectionGraph(graph, program, summaries=view).analyze()
+    assert sorted(a.class_name for a in approved) == ["Holder"]
 
 
 def test_phi_merged_local_objects_approved():
@@ -378,10 +441,11 @@ def test_conngraph_tier_behavioral_differential(data, a, b):
 @_SETTINGS
 @given(data=st.data())
 def test_conngraph_refines_equi_escape(data):
-    """The one-way store edge makes the connection graph at least as
-    precise as the union-find baseline on every graph."""
+    """The one-way store edge makes the directed connection graph at
+    least as precise as its symmetric (equi-escape sets) mode on every
+    graph."""
     source, program, graphs = _generated_graphs(data.draw)
     for graph in graphs:
-        equi = EquiEscapeSets(graph, program).analyze()
+        equi = ConnectionGraph(graph, program, symmetric=True).analyze()
         conngraph = ConnectionGraph(graph, program).analyze()
         assert equi <= conngraph, source

@@ -22,16 +22,15 @@ FIB = """
 
 
 def test_token_round_trip():
-    for token in ("none", "equi", "pea", "pea+summaries", "pea+stack",
-                  "pea+cgstack", "pea+summaries+cgstack", "equi+stack",
-                  "none+stack", "conngraph"):
+    for token in ("none", "equi", "pea", "pea+summaries",
+                  "pea+cgstack", "pea+summaries+cgstack", "conngraph"):
         assert TierSpec.parse(token).token() == token
 
 
 def test_conngraph_base_implies_summaries_and_cgstack():
     spec = TierSpec.parse("conngraph")
     assert spec.summaries is True
-    assert spec.stack_analysis == "conngraph"
+    assert spec.stack is True
     assert spec.token() == "conngraph"
     # Explicit construction normalizes identically.
     assert TierSpec("conngraph") == spec
@@ -43,7 +42,7 @@ def test_unknown_tokens_rejected():
     with pytest.raises(ValueError):
         TierSpec.parse("pea+hotstack")
     with pytest.raises(ValueError):
-        TierSpec(base="pea", stack_analysis="bogus")
+        TierSpec(base="bogus")
 
 
 # -- policy resolution ------------------------------------------------------

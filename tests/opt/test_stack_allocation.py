@@ -1,5 +1,7 @@
 """Stack allocation phase tests."""
 
+import pytest
+
 from repro.jit import VM, CompilerConfig
 from repro.lang import compile_source
 
@@ -36,7 +38,7 @@ def run_vm(escape_tier):
 
 def test_phi_merged_allocations_move_to_the_stack():
     result_off, stats_off, __ = run_vm("pea")
-    result_on, stats_on, __ = run_vm("pea+stack")
+    result_on, stats_on, __ = run_vm("pea+cgstack")
     assert result_on == result_off
     # PEA alone cannot remove the phi-merged Box...
     assert stats_off.allocations == 100
@@ -48,20 +50,9 @@ def test_phi_merged_allocations_move_to_the_stack():
         stats_off.allocated_bytes
 
 
-def test_conngraph_stack_allocation_matches_equi():
-    # The connection-graph analysis drives the same phase through
-    # ``+cgstack``; on this corpus it must approve at least the
-    # phi-merged Box the equi-escape analysis approves.
-    result_off, stats_off, __ = run_vm("pea")
-    result_cg, stats_cg, __ = run_vm("pea+cgstack")
-    assert result_cg == result_off
-    assert stats_cg.allocations == 0
-    assert stats_cg.stack_allocations == 100
-
-
 def test_stack_allocation_is_cheaper():
     __, __, vm_off = run_vm("pea")
-    __, __, vm_on = run_vm("pea+stack")
+    __, __, vm_on = run_vm("pea+cgstack")
     # Fresh cycle measurement on identical final calls:
     def cycles(vm):
         before = vm.cycles_snapshot()
@@ -85,7 +76,7 @@ def test_escaping_objects_stay_on_heap():
     """
     program = compile_source(source)
     vm = VM(program, CompilerConfig.partial_escape(
-        escape_tier="pea+stack"))
+        escape_tier="pea+cgstack"))
     for _ in range(30):
         vm.call("C.m", 5)
     before = vm.heap_snapshot()
@@ -98,9 +89,12 @@ def test_escaping_objects_stay_on_heap():
 
 def test_off_by_default():
     config = CompilerConfig.partial_escape()
-    assert config.static_tier_spec().stack_analysis is None
+    assert config.static_tier_spec().stack is False
 
 
-def test_stack_token_selects_equi_stack_analysis():
+def test_equi_stack_token_is_rejected():
+    # Stack allocation has one analysis, the directed connection graph,
+    # spelled ``+cgstack``; ``+stack`` is not a tier flag.
     config = CompilerConfig.partial_escape(escape_tier="pea+stack")
-    assert config.static_tier_spec().stack_analysis == "equi"
+    with pytest.raises(ValueError, match="'stack'"):
+        config.static_tier_spec()

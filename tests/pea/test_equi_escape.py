@@ -1,13 +1,15 @@
-"""The flow-insensitive equi-escape-sets baseline (Section 6.2)."""
+"""The flow-insensitive equi-escape-sets baseline (Section 6.2): the
+connection graph's symmetric mode."""
 
 import pytest
 
+from repro.analysis import ConnectionGraph
 from repro.frontend import build_graph
 from repro.ir import nodes as N
 from repro.lang import compile_source
 from repro.opt import (CanonicalizerPhase, DeadCodeEliminationPhase,
                        InliningPhase)
-from repro.pea import EquiEscapePhase, EquiEscapeSets, PartialEscapePhase
+from repro.pea import EquiEscapePhase, PartialEscapePhase
 
 
 def prepare(source, qualified, natives=None):
@@ -17,6 +19,10 @@ def prepare(source, qualified, natives=None):
     CanonicalizerPhase().run(graph)
     DeadCodeEliminationPhase().run(graph)
     return program, graph
+
+
+def equi_escape_sets(graph):
+    return ConnectionGraph(graph, symmetric=True).analyze()
 
 
 def count(graph, node_type):
@@ -33,7 +39,7 @@ def test_non_escaping_object_approved_and_replaced():
         } }
     """
     program, graph = prepare(source, "C.m")
-    approved = EquiEscapeSets(graph).analyze()
+    approved = equi_escape_sets(graph)
     assert len(approved) == 1
     EquiEscapePhase(program).run(graph)
     assert count(graph, N.NewInstanceNode) == 0
@@ -49,7 +55,7 @@ def test_returned_object_escapes():
         } }
     """
     program, graph = prepare(source, "C.m")
-    assert not EquiEscapeSets(graph).analyze()
+    assert not equi_escape_sets(graph)
 
 
 def test_global_store_escapes():
@@ -61,7 +67,7 @@ def test_global_store_escapes():
         }
     """
     program, graph = prepare(source, "C.m")
-    assert not EquiEscapeSets(graph).analyze()
+    assert not equi_escape_sets(graph)
 
 
 def test_call_argument_escapes():
@@ -74,7 +80,7 @@ def test_call_argument_escapes():
     """
     program, graph = prepare(source, "C.m",
                              natives={"C.sink": lambda i, a: None})
-    assert not EquiEscapeSets(graph).analyze()
+    assert not equi_escape_sets(graph)
 
 
 def test_equi_escape_transitivity_through_stores():
@@ -92,7 +98,7 @@ def test_equi_escape_transitivity_through_stores():
         }
     """
     program, graph = prepare(source, "C.m")
-    assert not EquiEscapeSets(graph).analyze()
+    assert not equi_escape_sets(graph)
 
 
 def test_store_into_non_escaping_object_is_fine():
@@ -109,7 +115,7 @@ def test_store_into_non_escaping_object_is_fine():
         }
     """
     program, graph = prepare(source, "C.m")
-    assert len(EquiEscapeSets(graph).analyze()) == 2
+    assert len(equi_escape_sets(graph)) == 2
 
 
 def test_all_or_nothing_the_key_difference_from_pea():
@@ -152,7 +158,7 @@ def test_synchronized_use_does_not_escape():
         } }
     """
     program, graph = prepare(source, "C.m")
-    assert len(EquiEscapeSets(graph).analyze()) == 1
+    assert len(equi_escape_sets(graph)) == 1
     EquiEscapePhase(program).run(graph)
     assert count(graph, N.MonitorEnterNode) == 0
 
@@ -172,7 +178,7 @@ def test_frame_state_reference_does_not_escape():
         }
     """
     program, graph = prepare(source, "C.m")
-    assert len(EquiEscapeSets(graph).analyze()) == 1
+    assert len(equi_escape_sets(graph)) == 1
 
 
 def test_baseline_result_semantics():
@@ -206,7 +212,7 @@ def test_phi_merged_allocations():
         } }
     """
     program, graph = prepare(source, "C.m")
-    approved = EquiEscapeSets(graph).analyze()
+    approved = equi_escape_sets(graph)
     # Both allocations are non-escaping by the set analysis...
     assert len(approved) == 2
     # ...and applying the phase keeps semantics (the phi forces
