@@ -76,10 +76,11 @@ class BytecodeBuilder:
         if info(op).operand is OperandKind.TARGET and isinstance(
                 operand, Label):
             self._pending.append(len(self._code))
-            # Temporarily store the label; patched in finish().
+            # Temporarily store the label (bypassing validation and the
+            # frozen dataclass); replaced in finish().
             insn = Instruction.__new__(Instruction)
-            insn.op = op
-            insn.operand = operand
+            object.__setattr__(insn, "op", op)
+            object.__setattr__(insn, "operand", operand)
             self._code.append(insn)
             return self
         self._code.append(Instruction(op, operand))

@@ -9,6 +9,7 @@ object header plus one word per instance field.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
@@ -87,6 +88,15 @@ class JMethod:
             raise ValueError(f"method {self.name} has no holder class")
         return MethodRef(self.holder.name, self.name, self.arg_count)
 
+    def clone(self, holder: "JClass") -> "JMethod":
+        """A copy declared in *holder* with its own ``code`` and
+        ``param_types`` lists; the (frozen) instructions are shared."""
+        twin = copy.copy(self)
+        twin.holder = holder
+        twin.param_types = list(self.param_types)
+        twin.code = list(self.code)
+        return twin
+
     def content_key(self) -> tuple:
         """A canonical, hashable description of this method's declared
         content — everything the compiler can observe about it.  Native
@@ -150,6 +160,17 @@ class JClass:
             self._program._invalidate_caches()
         return method
 
+    def clone(self, program: "Program") -> "JClass":
+        """A copy registered in *program*, with copies of its fields and
+        methods (see :meth:`Program.clone`)."""
+        twin = copy.copy(self)
+        twin._program = program
+        twin.fields = {name: copy.copy(jfield)
+                       for name, jfield in self.fields.items()}
+        twin.methods = {name: method.clone(twin)
+                        for name, method in self.methods.items()}
+        return twin
+
     def __repr__(self):
         return f"<JClass {self.name}>"
 
@@ -160,6 +181,12 @@ class Program:
     def __init__(self):
         self.classes: Dict[str, JClass] = {}
         self.statics: Dict[str, Any] = {}  # "Class.field" -> value
+        self._new_caches()
+        #: Content hash for the compilation cache (lazily computed).
+        self._content_fingerprint: Optional[str] = None
+        self.add_class(JClass(OBJECT_CLASS))
+
+    def _new_caches(self) -> None:
         # Resolution/layout caches.  Resolution walks the superclass
         # chain on every query, and both execution tiers query on every
         # call / allocation — caching here speeds interpreter and
@@ -171,9 +198,19 @@ class Program:
         self._fields_list_cache: Dict[str, List[JField]] = {}
         self._size_cache: Dict[str, int] = {}
         self._defaults_cache: Dict[str, Dict[str, Any]] = {}
-        #: Content hash for the compilation cache (lazily computed).
-        self._content_fingerprint: Optional[str] = None
-        self.add_class(JClass(OBJECT_CLASS))
+
+    def clone(self) -> "Program":
+        """A private copy: new classes, fields and methods, new ``code``
+        and ``param_types`` lists, a copy of ``statics`` and empty
+        resolution caches.  Only the :class:`Instruction` objects are
+        shared; they are frozen, so no write to either program reaches
+        the other."""
+        twin = copy.copy(self)
+        twin.statics = dict(self.statics)
+        twin._new_caches()
+        twin.classes = {name: jclass.clone(twin)
+                        for name, jclass in self.classes.items()}
+        return twin
 
     # -- construction ---------------------------------------------------
 

@@ -36,9 +36,12 @@ class MethodRef:
         return f"{self.class_name}.{self.method_name}/{self.arg_count}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Instruction:
     """One bytecode instruction.
+
+    Immutable, so cloned programs share their instructions (see
+    :meth:`~repro.bytecode.classfile.Program.clone`).
 
     ``operand`` is interpreted according to the opcode's
     :class:`~repro.bytecode.opcodes.OperandKind`:

@@ -46,18 +46,26 @@ class Graph:
     # -- registration ---------------------------------------------------
 
     def add(self, node: Node) -> Node:
-        """Register *node* (and, transitively, any detached inputs)."""
+        """Register *node* (and, transitively, any detached inputs).
+
+        Ids are assigned in pre-order: a node, then each of its detached
+        inputs' subtrees from left to right.  The walk keeps an explicit
+        stack, so arbitrarily deep detached chains register."""
         if node.graph is self:
             return node
         if node.graph is not None:
             raise IRError(f"{node} already belongs to another graph")
-        node.graph = self
-        node.id = self._next_id
-        self._next_id += 1
-        self._nodes[node.id] = node
-        for inp in node.inputs():
-            if inp.graph is None:
-                self.add(inp)
+        stack = [node]
+        while stack:
+            current = stack.pop()
+            if current.graph is self:
+                continue  # shared input reached again through a sibling
+            current.graph = self
+            current.id = self._next_id
+            self._next_id += 1
+            self._nodes[current.id] = current
+            detached = [inp for inp in current.inputs() if inp.graph is None]
+            stack.extend(reversed(detached))
         return node
 
     def _unregister(self, node: Node):
@@ -126,7 +134,7 @@ class Graph:
 
     @staticmethod
     def _replace_successor(predecessor: Node, old: Node, new: Node):
-        for name in predecessor._all_successor_slots():
+        for name in predecessor._edges.successor_slots:
             if predecessor._succs.get(name) is old:
                 setattr(predecessor, name, new)
                 return
@@ -154,19 +162,31 @@ class Graph:
     # -- verification -------------------------------------------------------------
 
     def verify(self):
-        """Check structural invariants; raises IRError on violation."""
+        """Check structural invariants; raises IRError on violation.
+
+        Runs between every compiler phase, so the edge checks read each
+        node's slots through its class's edge layout directly."""
+        registered = self._nodes
         for node in self.nodes():
-            if node.id not in self._nodes or self._nodes[node.id] is not \
-                    node:
+            if registered.get(node.id) is not node:
                 raise IRError(f"{node} broken registration")
-            for inp in node.inputs():
-                if inp.graph is not self:
-                    raise IRError(
-                        f"{node} has unregistered input {inp}")
-                if node not in inp._usages:
-                    raise IRError(
-                        f"{node} missing from usages of its input {inp}")
-            for succ in node.successors():
+            edges = node._edges
+            ins = node._ins
+            for name in edges.input_slots:
+                inp = ins.get(name)
+                if inp is not None and (inp.graph is not self
+                                        or node not in inp._usages):
+                    self._input_error(node, inp)
+            for name in edges.input_lists:
+                for inp in node._in_lists[name]._items:
+                    if inp is not None and (inp.graph is not self
+                                            or node not in inp._usages):
+                        self._input_error(node, inp)
+            succs = node._succs
+            for name in edges.successor_slots:
+                succ = succs.get(name)
+                if succ is None:
+                    continue
                 if succ.graph is not self:
                     raise IRError(
                         f"{node} has unregistered successor {succ}")
@@ -193,6 +213,11 @@ class Graph:
         if self.start is not None:
             self._verify_reachability()
 
+    def _input_error(self, node: Node, inp: Node):
+        if inp.graph is not self:
+            raise IRError(f"{node} has unregistered input {inp}")
+        raise IRError(f"{node} missing from usages of its input {inp}")
+
     def _verify_reachability(self):
         """Every fixed node reachable from start must be registered and
         form a well-formed control-flow graph."""
@@ -205,8 +230,11 @@ class Graph:
             seen.add(node)
             if node.graph is not self:
                 raise IRError(f"reachable node {node} not registered")
-            for succ in node.successors():
-                worklist.append(succ)
+            succs = node._succs
+            for name in node._edges.successor_slots:
+                succ = succs.get(name)
+                if succ is not None:
+                    worklist.append(succ)
             if isinstance(node, EndNode):
                 merge = node.merge()
                 if merge is None:

@@ -13,8 +13,10 @@ paper's Figures 2-8 use:
 Every node tracks its *usages* (the nodes that have it as an input), so
 optimizations can replace a node everywhere in O(usages).  Input slots are
 declared per class via ``_input_slots`` / ``_input_lists`` and
-``_successor_slots``; ``__init_subclass__`` generates properties that keep
-the usage/predecessor bookkeeping consistent on every assignment.
+``_successor_slots``; ``__init_subclass__`` flattens the declarations of
+the whole MRO once into the class's :class:`EdgeLayout`, which every edge
+walk reads, and generates properties that keep the usage/predecessor
+bookkeeping consistent on every assignment.
 
 One deliberate deviation from Graal, anticipated by the paper's Section 7:
 all *virtualizable* nodes (allocation, field access, monitors, reference
@@ -26,8 +28,7 @@ without a schedule" — this IR adopts that invariant.
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 
 class IRError(Exception):
@@ -144,15 +145,41 @@ def _make_successor_property(name: str):
     return property(getter, setter)
 
 
+class EdgeLayout(NamedTuple):
+    """A node class's edges: the slots its MRO declares, base class first
+    (this IR's analogue of the edge offsets in Graal's ``NodeClass``)."""
+
+    #: Names of fixed-arity data inputs.
+    input_slots: Tuple[str, ...]
+    #: Names of variable-arity data input lists.
+    input_lists: Tuple[str, ...]
+    #: Names of control-flow successor slots.
+    successor_slots: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, node_class: type) -> "EdgeLayout":
+        """Flatten the declarations of every class in *node_class*'s MRO,
+        plain mixins such as ``StateSplitMixin`` included."""
+        def flat(attribute: str) -> Tuple[str, ...]:
+            return tuple(name for klass in reversed(node_class.__mro__)
+                         for name in klass.__dict__.get(attribute, ()))
+
+        return cls(flat("_input_slots"), flat("_input_lists"),
+                   flat("_successor_slots"))
+
+
 class Node:
     """Base class of all IR nodes."""
 
-    #: Names of fixed-arity data inputs.
+    #: Names of fixed-arity data inputs this class adds.
     _input_slots: Tuple[str, ...] = ()
-    #: Names of variable-arity data input lists.
+    #: Names of variable-arity data input lists this class adds.
     _input_lists: Tuple[str, ...] = ()
-    #: Names of control-flow successor slots.
+    #: Names of control-flow successor slots this class adds.
     _successor_slots: Tuple[str, ...] = ()
+    #: Every edge of the class, inherited ones included; computed once per
+    #: class by ``__init_subclass__``.
+    _edges: EdgeLayout = EdgeLayout((), (), ())
     #: True for nodes with a control-flow position.
     is_fixed: bool = False
     #: True for nodes PEA can virtualize (see module docstring).
@@ -160,58 +187,35 @@ class Node:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # Generate accessor properties for every slot declared anywhere
-        # in the MRO (including plain mixins like StateSplitMixin) that
-        # does not have one yet.
-        for name in cls._all_input_slots():
+        cls._edges = edges = EdgeLayout.of(cls)
+        # Generate accessor properties for every slot that does not have
+        # one yet.
+        for name in edges.input_slots:
             if not isinstance(getattr(cls, name, None), property):
                 setattr(cls, name, _make_input_property(name))
-        for name in cls._all_successor_slots():
+        for name in edges.successor_slots:
             if not isinstance(getattr(cls, name, None), property):
                 setattr(cls, name, _make_successor_property(name))
 
     def __init__(self, **inputs):
+        edges = self._edges
         self.graph: Optional[Any] = None
         self.id: int = -1
         self._ins: Dict[str, Optional[Node]] = {}
-        self._in_lists: Dict[str, NodeInputList] = {}
+        self._in_lists: Dict[str, NodeInputList] = {
+            name: NodeInputList(self) for name in edges.input_lists}
         self._succs: Dict[str, Optional[Node]] = {}
         #: usage -> reference count (a user may reference us twice).
         self._usages: Dict[Node, int] = {}
         self.predecessor: Optional[Node] = None
-        for name in self._all_input_lists():
-            self._in_lists[name] = NodeInputList(self)
         for name, value in inputs.items():
-            if name in self._all_input_slots():
+            if name in edges.input_slots:
                 setattr(self, name, value)
-            elif name in self._all_input_lists():
+            elif name in edges.input_lists:
                 self._in_lists[name].extend(value)
             else:
                 raise TypeError(f"{type(self).__name__} has no input "
                                 f"{name!r}")
-
-    # -- class introspection ------------------------------------------------
-
-    @classmethod
-    def _all_input_slots(cls) -> Tuple[str, ...]:
-        result: Tuple[str, ...] = ()
-        for klass in reversed(cls.__mro__):
-            result += klass.__dict__.get("_input_slots", ())
-        return result
-
-    @classmethod
-    def _all_input_lists(cls) -> Tuple[str, ...]:
-        result: Tuple[str, ...] = ()
-        for klass in reversed(cls.__mro__):
-            result += klass.__dict__.get("_input_lists", ())
-        return result
-
-    @classmethod
-    def _all_successor_slots(cls) -> Tuple[str, ...]:
-        result: Tuple[str, ...] = ()
-        for klass in reversed(cls.__mro__):
-            result += klass.__dict__.get("_successor_slots", ())
-        return result
 
     # -- usages -----------------------------------------------------------------
 
@@ -243,52 +247,56 @@ class Node:
 
     def inputs(self) -> Iterator["Node"]:
         """All non-None data inputs, slots first then lists."""
-        for name in self._all_input_slots():
+        edges = self._edges
+        for name in edges.input_slots:
             value = self._ins.get(name)
             if value is not None:
                 yield value
-        for name in self._all_input_lists():
-            for value in self._in_lists[name]:
+        for name in edges.input_lists:
+            for value in self._in_lists[name]._items:
                 if value is not None:
                     yield value
 
     def named_inputs(self) -> Iterator[Tuple[str, "Node"]]:
-        for name in self._all_input_slots():
+        edges = self._edges
+        for name in edges.input_slots:
             value = self._ins.get(name)
             if value is not None:
                 yield name, value
-        for name in self._all_input_lists():
-            for index, value in enumerate(self._in_lists[name]):
+        for name in edges.input_lists:
+            for index, value in enumerate(self._in_lists[name]._items):
                 if value is not None:
                     yield f"{name}[{index}]", value
 
     def replace_input(self, old: "Node", new: Optional["Node"]):
         """Replace every occurrence of *old* in this node's inputs."""
-        for name in self._all_input_slots():
+        edges = self._edges
+        for name in edges.input_slots:
             if self._ins.get(name) is old:
                 setattr(self, name, new)
-        for name in self._all_input_lists():
+        for name in edges.input_lists:
             node_list = self._in_lists[name]
             for index, value in enumerate(node_list):
                 if value is old:
                     node_list[index] = new
 
     def clear_inputs(self):
-        for name in self._all_input_slots():
+        edges = self._edges
+        for name in edges.input_slots:
             setattr(self, name, None)
-        for name in self._all_input_lists():
+        for name in edges.input_lists:
             self._in_lists[name].clear()
 
     # -- successors --------------------------------------------------------------
 
     def successors(self) -> Iterator["Node"]:
-        for name in self._all_successor_slots():
+        for name in self._edges.successor_slots:
             value = self._succs.get(name)
             if value is not None:
                 yield value
 
     def clear_successors(self):
-        for name in self._all_successor_slots():
+        for name in self._edges.successor_slots:
             setattr(self, name, None)
 
     # -- graph-wide edits -----------------------------------------------------------

@@ -301,16 +301,19 @@ class _DetachingPickler(pickle.Pickler):
         self._program = program
 
     def persistent_id(self, obj):
-        if isinstance(obj, JMethod):
+        # Called for every object pickled, so dispatch on the exact type
+        # (the program model classes have no subclasses).
+        kind = type(obj)
+        if kind is JMethod:
             if obj.holder is None:
                 raise pickle.PicklingError(
                     f"method {obj.name} has no holder class")
             return ("jmethod", obj.holder.name, obj.name)
-        if isinstance(obj, JClass):
+        if kind is JClass:
             return ("jclass", obj.name)
-        if isinstance(obj, Program):
+        if kind is Program:
             return ("program",)
-        if isinstance(obj, JField):
+        if kind is JField:
             for jclass in self._program.classes.values():
                 if jclass.fields.get(obj.name) is obj:
                     return ("jfield", jclass.name, obj.name)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import os
 from collections import OrderedDict
 from typing import Callable, Dict, Optional
@@ -15,9 +14,11 @@ from .typechecker import typecheck
 #: Source-text -> pristine verified Program memo.  The language frontend
 #: (parse, typecheck, codegen, bytecode verify) is deterministic in the
 #: source text, so its output can be cloned instead of rebuilt — the
-#: fuzzer compiles each program three times (one per engine) and the
-#: benchmark harness once per configuration.  Bounded LRU; disable with
-#: ``REPRO_NO_SOURCE_MEMO=1``.
+#: fuzzer compiles each program eight times (``check_source``'s verifier
+#: compile, then once per engine) and the benchmark harness once per
+#: configuration.  A clone (:meth:`Program.clone`) has its own classes,
+#: fields, methods, code lists and statics and shares only the frozen
+#: instructions.  Bounded LRU; disable with ``REPRO_NO_SOURCE_MEMO=1``.
 _MEMO_CAPACITY = 64
 _memo: "OrderedDict[str, Program]" = OrderedDict()
 
@@ -33,7 +34,7 @@ def compile_source(source: str,
     when the native models an expensive precompiled kernel on the
     simulated machine.
 
-    Every call returns a **private** Program (a deep copy of the memoized
+    Every call returns a **private** Program (a clone of the memoized
     build), so callers may mutate theirs freely — statics, profiles and
     native bindings never leak between the fuzzer's engines or the
     harness's configurations.
@@ -65,10 +66,9 @@ def _frontend(source: str, verify: bool) -> Program:
             _memo.popitem(last=False)
     else:
         _memo.move_to_end(source)
-    # deepcopy treats functions/bound methods as atomic, so any native
-    # impls already applied would be shared — the memo therefore stores
-    # only pristine (natives-free) programs and clones per call.
-    return copy.deepcopy(cached)
+    # The memo stores only pristine (natives-free) programs; natives are
+    # bound on the caller's clone.
+    return cached.clone()
 
 
 def _build(source: str, verify: bool) -> Program:

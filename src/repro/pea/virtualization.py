@@ -495,7 +495,7 @@ class PEATool:
 
     def _process_attached_states(self, node: Node, state: PEAState):
         for slot in ("state_after", "state_before", "state"):
-            if slot in node._all_input_slots():
+            if slot in node._edges.input_slots:
                 frame_state = getattr(node, slot)
                 if frame_state is not None:
                     self.process_frame_state(node, slot, frame_state,

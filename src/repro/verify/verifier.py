@@ -172,7 +172,7 @@ class GraphVerifier:
                                  f"{node.loop_begin!r}, not a LoopBegin")
             if isinstance(node, ControlSplitNode):
                 succs = list(node.successors())
-                expected = len(node._all_successor_slots())
+                expected = len(node._edges.successor_slots)
                 if len(succs) != expected:
                     self._report(f"{node} has {len(succs)} successors, "
                                  f"expected {expected}")

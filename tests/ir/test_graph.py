@@ -127,3 +127,121 @@ def test_loop_structures_verify():
     graph.verify()
     assert loop.phi_input_count() == 2
     assert loop.end_index(loop_end) == 1
+
+
+# -- Graph.add: pre-order registration without recursion ---------------------
+
+
+def test_add_registers_a_deep_detached_chain():
+    graph = Graph()
+    node = N.ConstantNode(0)
+    for __ in range(5_000):
+        node = N.BinaryArithmeticNode("add", x=node, y=None)
+    graph.add(node)
+    assert graph.node_count() == 5_001
+    assert node.id == 0
+    graph.verify()
+
+
+def test_add_assigns_pre_order_ids_to_a_shared_detached_input():
+    graph = Graph()
+    graph.add(N.ConstantNode(7))
+    a, b = N.ConstantNode(1), N.ConstantNode(2)
+    shared = N.BinaryArithmeticNode("add", x=a, y=b)
+    left = N.NegNode(value=shared)
+    right = N.BinaryArithmeticNode("mul", x=shared, y=a)
+    top = N.BinaryArithmeticNode("sub", x=left, y=right)
+    graph.add(top)
+    # Node first, then its detached inputs left to right, depth first;
+    # the shared input takes the id of its first (leftmost) user's visit.
+    ids = {name: node.id for name, node in (
+        ("top", top), ("left", left), ("shared", shared), ("a", a),
+        ("b", b), ("right", right))}
+    assert ids == {"top": 1, "left": 2, "shared": 3, "a": 4, "b": 5,
+                   "right": 6}
+
+
+# -- Graph.verify: one negative test per structural error --------------------
+
+
+def straight_line_graph(*fixed):
+    """start -> fixed[0] -> ... -> fixed[-1]; every node registered."""
+    graph = Graph()
+    previous = graph.start = graph.add(N.StartNode())
+    for node in fixed:
+        graph.add(node)
+        previous.next = node
+        previous = node
+    return graph
+
+
+def test_broken_registration_detected():
+    graph, merge, phi = diamond_graph()
+    phi.id = 10_000
+    with pytest.raises(IRError, match="broken registration"):
+        graph.verify()
+
+
+def test_unregistered_input_detected():
+    graph, merge, phi = diamond_graph()
+    merge.next.value = N.ConstantNode(5)
+    with pytest.raises(IRError, match="has unregistered input"):
+        graph.verify()
+
+
+def test_user_missing_from_input_usages_detected():
+    graph, merge, phi = diamond_graph()
+    phi._usages.clear()  # bypass the bookkeeping on purpose
+    with pytest.raises(IRError, match="missing from usages of its input"):
+        graph.verify()
+
+
+def test_successor_with_wrong_predecessor_detected():
+    graph, merge, phi = diamond_graph()
+    graph.start.next.predecessor = None  # bypass property on purpose
+    with pytest.raises(IRError, match=r"predecessor is None, expected"):
+        graph.verify()
+
+
+def test_merge_end_that_is_not_an_end_detected():
+    graph, merge, phi = diamond_graph()
+    if_node = graph.start.next
+    merge.ends[0] = if_node.true_successor
+    with pytest.raises(IRError, match="is not an End"):
+        graph.verify()
+
+
+def test_phi_without_merge_detected():
+    graph, merge, phi = diamond_graph()
+    phi.merge = None
+    with pytest.raises(IRError, match="has no merge"):
+        graph.verify()
+
+
+def test_fixed_node_without_next_detected():
+    graph, merge, phi = diamond_graph()
+    graph.add(N.BeginNode())
+    with pytest.raises(IRError, match="has no next"):
+        graph.verify()
+
+
+def test_reachable_unregistered_node_detected():
+    end = N.EndNode()
+    graph = straight_line_graph(end)
+    merge = N.MergeNode()  # left detached
+    merge.add_end(end)
+    merge.next = graph.add(N.ReturnNode())
+    with pytest.raises(IRError, match="not registered"):
+        graph.verify()
+
+
+def test_end_feeding_no_merge_detected():
+    graph = straight_line_graph(N.EndNode())
+    with pytest.raises(IRError, match="feeds no merge"):
+        graph.verify()
+
+
+def test_loop_end_without_loop_begin_detected():
+    graph = straight_line_graph(N.LoopEndNode())
+    with pytest.raises(IRError, match="has no loop begin"):
+        graph.verify()
