@@ -80,6 +80,10 @@ class Measurement:
     #: it wholesale) without touching the measured-window metrics.
     osr_compilations: int = field(default=0, compare=False)
     osr_entries: int = field(default=0, compare=False)
+    #: Installs that could not bind the configured backend's lowering
+    #: and ran on the GraphInterpreter (``VM.backend_fallbacks``).
+    #: Excluded from equality: a fallback changes speed, not metrics.
+    backend_fallbacks: int = field(default=0, compare=False)
     #: Partial Escape Analysis observability, summed over the compiled
     #: set (cached compilations carry their PEAResult, so warm runs
     #: report the same counts).  Excluded from equality alongside the
@@ -381,6 +385,7 @@ def run_workload(workload: Workload, config: CompilerConfig,
         warmup_iterations_elided=elided,
         osr_compilations=len(vm.osr_compiled),
         osr_entries=vm.osr_entries,
+        backend_fallbacks=vm.backend_fallbacks,
         virtualized_allocations=sum(r.virtualized_allocations
                                     for r in ea_results),
         materializations=sum(r.materializations for r in ea_results),

@@ -10,8 +10,9 @@ Runs the whole workload corpus twice — once under the threaded-code
 - a per-method table of generated-code sizes: threaded-code size is
   ``len(plan.nodes)`` (handler slots), codegen size is
   ``CodegenPlan.code_size`` (bytes of emitted Python source).  Methods
-  the structurizer could not express show as ``plan-fallback`` — every
-  such row is a codegen coverage gap worth a look.
+  the structurizer could not express run on the GraphInterpreter and
+  show as ``interpreter`` — every such row is a codegen coverage gap
+  worth a look.
 
 Any deterministic-metric mismatch between the backends is a correctness
 bug, not a perf delta: the run prints the offending workloads and exits

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import io
 import json
 import sys
 import time
@@ -25,6 +26,7 @@ from typing import List, Optional, Sequence
 
 from ..jit import CompilationCache, CompilerConfig
 from .harness import Comparison, run_suite, run_workload
+from .jitdiff import run_jitdiff
 from .profiling import print_profile, profiled
 from .reporting import num, pct, render_table
 from .workloads import (DACAPO, DACAPO_SHOWN, SCALADACAPO, SPECJBB_ALL,
@@ -127,14 +129,19 @@ def generate(suites: Sequence[str], quick: bool = False,
     if profile:
         print_profile(profiler, histogram, out=out)
         _print_compile_seconds(results, out)
+    measurements = [m for cs in results.values() for c in cs
+                    for m in (c.without, c.with_pea)]
+    print(file=out)
     if cache is not None:
         stats = cache.stats
-        elided = sum(m.warmup_iterations_elided
-                     for cs in results.values() for c in cs
-                     for m in (c.without, c.with_pea))
-        print(f"\ncache: {stats.hits} hits, {stats.misses} misses, "
+        elided = sum(m.warmup_iterations_elided for m in measurements)
+        print(f"cache: {stats.hits} hits, {stats.misses} misses, "
               f"{stats.disk_hits} from disk, {stats.evictions} evicted, "
               f"{elided} warm-up iterations elided", file=out)
+    fallbacks = sum(m.backend_fallbacks for m in measurements)
+    print(f"backend fallbacks: {fallbacks} installs ran on the "
+          f"GraphInterpreter instead of the configured backend",
+          file=out)
     if json_path:
         analysis_ab = _analysis_ab(results, backend=backend,
                                    cache=cache, osr=osr)
@@ -237,51 +244,20 @@ def _gc_ab(results: dict, backend: str,
 
 def _codegen_ab(results: dict, osr: bool) -> dict:
     """Wall-clock A/B of the codegen backend against the threaded-code
-    plan backend over every workload the run covered (uncached, so
-    neither side hides behind warm-up elision).  The simulated metrics
-    must be bit-identical — the backends differ only in how fast real
-    time passes — so the section records per-workload wall-clock
-    speedups plus the identity verdict."""
+    plan backend over every workload the run covered: ``repro jitdiff``
+    run uncached (so neither side hides behind warm-up elision), keeping
+    its per-workload timings and its verdict that the deterministic
+    metrics are bit-identical."""
     workloads = [c.workload for comparisons in results.values()
                  for c in comparisons]
-    per_workload = {}
-    totals = {"plan": 0.0, "codegen": 0.0}
-    identical = True
-    for workload in workloads:
-        seconds = {}
-        measured = {}
-        for backend in ("plan", "codegen"):
-            config = CompilerConfig.partial_escape(
-                execution_backend=backend, osr=osr)
-            started = time.perf_counter()
-            measured[backend] = run_workload(workload, config)
-            seconds[backend] = time.perf_counter() - started
-            totals[backend] += seconds[backend]
-        # Bit-identity scope: everything deterministic.  Simulated
-        # cycles are excluded — codegen pre-folds each block's cost
-        # into one constant, so the float summation *order* differs
-        # from the plan backend's per-node accumulation.
-        plan_m, codegen_m = measured["plan"], measured["codegen"]
-        same = all(
-            getattr(plan_m, name) == getattr(codegen_m, name)
-            for name in ("checksum", "kb_per_iteration",
-                         "allocations_per_iteration",
-                         "monitor_ops_per_iteration", "deopts"))
-        identical = identical and same
-        per_workload[workload.name] = {
-            "plan_seconds": round(seconds["plan"], 3),
-            "codegen_seconds": round(seconds["codegen"], 3),
-            "speedup": round(seconds["plan"]
-                             / max(seconds["codegen"], 1e-9), 3),
-            "metrics_identical": same,
-        }
+    report = run_jitdiff(workloads, osr=osr, out=io.StringIO())
+    keys = ("plan_seconds", "codegen_seconds", "speedup")
     return {
-        "plan_seconds": round(totals["plan"], 3),
-        "codegen_seconds": round(totals["codegen"], 3),
-        "speedup": round(totals["plan"]
-                         / max(totals["codegen"], 1e-9), 3),
-        "metrics_identical": identical,
-        "workloads": per_workload,
+        **{key: report["totals"][key] for key in keys},
+        "metrics_identical": report["metrics_identical"],
+        "workloads": {
+            name: {key: row[key] for key in keys + ("metrics_identical",)}
+            for name, row in report["workloads"].items()},
     }
 
 
@@ -446,6 +422,7 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
         cache_hits = 0
         osr_compilations = 0
         osr_entries = 0
+        backend_fallbacks = 0
         for c in comparisons:
             for m in (c.without, c.with_pea):
                 compile_seconds += m.compile_seconds
@@ -453,6 +430,7 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
                 cache_hits += m.cache_hits
                 osr_compilations += m.osr_compilations
                 osr_entries += m.osr_entries
+                backend_fallbacks += m.backend_fallbacks
                 for phase, seconds in m.compile_phase_seconds.items():
                     phase_seconds[phase] = \
                         phase_seconds.get(phase, 0.0) + seconds
@@ -468,6 +446,7 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
             "cache_hits": cache_hits,
             "osr_compilations": osr_compilations,
             "osr_entries": osr_entries,
+            "backend_fallbacks": backend_fallbacks,
         }
     if codegen_ab is not None:
         payload["timing"]["codegen_ab"] = codegen_ab

@@ -39,9 +39,10 @@ re-resolved against the **requesting** program at load time
 therefore yields a private, correctly-bound graph copy — two VMs never
 share mutable IR, and a fuzzer engine's hit binds frame states to *its*
 method objects so deoptimization re-enters *its* interpreter.  The
-threaded-code lowering is persisted as its pre-lowering table (the
-linearized instruction order) and re-linked per VM
-(:meth:`repro.runtime.plan.ExecutionPlan.from_payload`).
+storing compiler's backend lowering rides along as one value — the
+threaded-code plan's linearized instruction order or the generated
+Python source — and is re-linked per VM by the compiler's one lowering
+function (``Compiler._lower``).
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..bytecode.classfile import JClass, JField, JMethod, Program
 from ..bytecode.interpreter import Profile
 from ..ir.graph import Graph
+from ..opt.inlining import InliningPolicy
 from .options import CompilerConfig
 
 #: Bump when the payload format changes (disk entries self-invalidate).
@@ -84,7 +86,13 @@ from .options import CompilerConfig
 #: dimensions) and compilation keys gained the per-method *resolved*
 #: tier token, so a policy that tiers methods differently over time
 #: never serves an artifact across tiers.
-CACHE_FORMAT = 7
+#: 8: one ``lowering`` value — ``(backend, payload)``,
+#: ``(backend, "unsupported")`` or ``None`` (legacy backend) — replaces
+#: the ``plan_order`` and ``codegen`` fields; the ``canonicalize``,
+#: ``gvn`` and ``conditional_elimination`` knobs left the pipeline
+#: fingerprint (those phases always run) and the inlining policy
+#: hashed is always ``InliningPolicy()``.
+CACHE_FORMAT = 8
 
 
 def default_cache_dir() -> str:
@@ -110,9 +118,8 @@ def _digest(description: Any) -> str:
 #: by the speculation facts), ``verify_ir`` and ``compile_bailout``
 #: (observability only).
 _PIPELINE_FIELDS = (
-    "inline", "canonicalize", "gvn", "speculate_branches",
-    "speculation_min_samples", "speculate_types", "pea_iterations",
-    "read_elimination", "conditional_elimination",
+    "inline", "speculate_branches", "speculation_min_samples",
+    "speculate_types", "pea_iterations", "read_elimination",
     "pea_virtualize_arrays", "pea_fold_checks",
 )
 
@@ -130,7 +137,9 @@ def pipeline_fingerprint(config: CompilerConfig) -> str:
     description = [("escape_tier", config.tier_descriptor())]
     description.extend((name, getattr(config, name))
                        for name in _PIPELINE_FIELDS)
-    policy = config.inlining_policy
+    # The inliner's budgets are constants, hashed so that editing them
+    # still invalidates disk entries.
+    policy = InliningPolicy()
     description.append(("inlining_policy",
                         tuple((f.name, getattr(policy, f.name))
                               for f in fields(policy))))
@@ -388,15 +397,12 @@ class CachedCompilation:
     graph: Graph
     ea_result: Any
     node_count: int
-    #: Linearized node-id order of the threaded-code plan,
-    #: ``"unsupported"`` when plan lowering failed at store time, or
-    #: ``None`` when the storing compiler never built a plan.
-    plan_order: Any
-    #: Generated-Python payload of the codegen backend
-    #: (:meth:`repro.runtime.codegen.CodegenPlan.payload`),
-    #: ``"unsupported"`` when structurizing failed at store time, or
-    #: ``None`` when the storing compiler never tried.
-    codegen: Any
+    #: The storing compiler's backend lowering: ``(backend, payload)``
+    #: (the plan's linearized node-id order, or the generated-Python
+    #: payload of :meth:`repro.runtime.codegen.CodegenPlan.payload`),
+    #: ``(backend, "unsupported")`` when lowering failed at store time,
+    #: or ``None`` when that compiler ran the legacy backend.
+    lowering: Any
     #: Handle for eviction (used by the VM on deopt invalidation).
     entry: "CacheEntry"
 
@@ -502,8 +508,7 @@ class CompilationCache:
                 self.stats.hits += 1
                 return CachedCompilation(
                     payload["graph"], payload["ea_result"],
-                    payload["node_count"], payload["plan_order"],
-                    payload.get("codegen"), entry)
+                    payload["node_count"], payload["lowering"], entry)
             if saw_candidate:
                 self.stats.validation_failures += 1
             self.stats.misses += 1
@@ -512,9 +517,8 @@ class CompilationCache:
     def store(self, program: Program, method: JMethod,
               config: CompilerConfig, profile: Optional[Profile],
               facts: Tuple[tuple, ...], graph: Graph, ea_result: Any,
-              node_count: int, plan_order: Any,
+              node_count: int, lowering: Any,
               entry_bci: Optional[int] = None,
-              codegen: Any = None,
               tier: Optional[str] = None) -> Optional[CacheEntry]:
         started = time.perf_counter()
         try:
@@ -524,8 +528,7 @@ class CompilationCache:
             try:
                 blob = dump_graph_payload(
                     {"graph": graph, "ea_result": ea_result,
-                     "node_count": node_count, "plan_order": plan_order,
-                     "codegen": codegen},
+                     "node_count": node_count, "lowering": lowering},
                     program)
             except Exception:
                 return None  # unpicklable graph: simply don't cache

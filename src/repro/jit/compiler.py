@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Any, Dict, Optional, Tuple, Union
 
 from ..bytecode.classfile import JMethod, Program
 from ..bytecode.interpreter import Profile
 from ..frontend.graph_builder import build_graph
 from ..ir.graph import Graph
 from ..opt.canonicalize import CanonicalizerPhase
+from ..opt.conditional_elimination import ConditionalEliminationPhase
 from ..opt.dce import DeadCodeEliminationPhase
 from ..opt.gvn import GlobalValueNumberingPhase
-from ..opt.inlining import InliningPhase
+from ..opt.inlining import InliningPhase, InliningPolicy
 from ..opt.phase import PhasePlan
 from ..pea.equi_escape import EquiEscapePhase
 from ..pea.partial_escape import PartialEscapePhase, PEAResult
@@ -38,31 +39,47 @@ from .deoptless import is_continuation_entry
 from .options import CompilerConfig, TierSpec
 
 
+#: The configured backend's lowering of a graph.
+Lowering = Union[ExecutionPlan, CodegenPlan]
+
+#: backend -> (lowering class, the error it raises when it cannot lower).
+_LOWERINGS = {"plan": (ExecutionPlan, PlanError),
+              "codegen": (CodegenPlan, CodegenError)}
+
+
 @dataclass
 class CompilationResult:
     graph: Graph
     #: Stats from the escape analysis (empty result when disabled).
     ea_result: PEAResult
     node_count: int
-    #: Threaded-code lowering of the graph; ``None`` when the legacy
-    #: backend is selected or the graph uses a node kind the plan
-    #: builder does not support (the VM then falls back to the
-    #: GraphInterpreter for this method).
-    plan: Optional[ExecutionPlan] = None
+    #: The configured backend's lowering of the graph; ``None`` under
+    #: the legacy backend or when the graph cannot be lowered (the VM
+    #: then runs this method on the GraphInterpreter).
+    lowering: Optional[Lowering] = None
     #: Cache entry this result came from / was stored under, so deopt
     #: invalidation can evict it.  ``None`` when caching is off.
     cache_entry: Optional[CacheEntry] = None
     #: True when this result was served from the cache.
     cache_hit: bool = False
-    #: Generated-Python lowering; only built under the ``codegen``
-    #: backend, ``None`` when the graph cannot be structurized (the VM
-    #: then uses ``plan``, which is built as the fallback).
-    codegen: Optional[CodegenPlan] = None
     #: The profile facts this compilation consumed (speculations the
     #: optimized code depends on).  Recorded whether or not a cache is
     #: attached, so the VM can re-validate installed code against the
     #: live profile (stale-OSR retirement, continuation dispatch).
     facts: tuple = ()
+
+    @property
+    def plan(self) -> Optional[ExecutionPlan]:
+        """The threaded-code lowering, if that is what the result has."""
+        return self.lowering if isinstance(self.lowering,
+                                           ExecutionPlan) else None
+
+    @property
+    def codegen(self) -> Optional[CodegenPlan]:
+        """The generated-Python lowering, if that is what the result
+        has."""
+        return self.lowering if isinstance(self.lowering,
+                                           CodegenPlan) else None
 
 
 class Compiler:
@@ -157,20 +174,14 @@ class Compiler:
         # nothing, so an inlining OSR graph would starve the callees of
         # the loop it took over out of their own compilations.)
         if config.inline and osr_bci is None:
-            plan.append(InliningPhase(self.program,
-                                      config.inlining_policy,
+            plan.append(InliningPhase(self.program, InliningPolicy(),
                                       profile,
                                       config.speculate_branches,
                                       config.speculation_min_samples,
                                       config.speculate_types))
-        if config.canonicalize:
-            plan.append(CanonicalizerPhase())
-        if config.gvn:
-            plan.append(GlobalValueNumberingPhase())
-        if config.conditional_elimination:
-            from ..opt.conditional_elimination import \
-                ConditionalEliminationPhase
-            plan.append(ConditionalEliminationPhase())
+        plan.append(CanonicalizerPhase())
+        plan.append(GlobalValueNumberingPhase())
+        plan.append(ConditionalEliminationPhase())
         plan.append(DeadCodeEliminationPhase())
 
         summary_view = None
@@ -195,10 +206,8 @@ class Compiler:
                 self.program, summaries=summary_view)
         if ea_phase is not None:
             plan.append(ea_phase)
-            if config.canonicalize:
-                plan.append(CanonicalizerPhase())
-            if config.gvn:
-                plan.append(GlobalValueNumberingPhase())
+            plan.append(CanonicalizerPhase())
+            plan.append(GlobalValueNumberingPhase())
             plan.append(DeadCodeEliminationPhase())
         if config.read_elimination:
             from ..opt.read_elimination import ReadEliminationPhase
@@ -222,29 +231,7 @@ class Compiler:
                 self.phase_seconds.get(timing.phase, 0.0) + timing.seconds
         ea_result = (ea_phase.last_result if ea_phase is not None
                      and ea_phase.last_result is not None else PEAResult())
-        execution_plan = None
-        plan_order = None
-        codegen_plan = None
-        codegen_payload = None
-        if config.execution_backend == "codegen":
-            try:
-                codegen_plan = CodegenPlan(
-                    graph, self.program, config.cost_model,
-                    self._codegen_label(method, osr_bci))
-                codegen_payload = codegen_plan.payload()
-            except CodegenError:
-                codegen_plan = None  # fall back to the plan backend
-                codegen_payload = "unsupported"
-        if config.execution_backend == "plan" or (
-                config.execution_backend == "codegen"
-                and codegen_plan is None):
-            try:
-                execution_plan = ExecutionPlan(graph, self.program,
-                                               config.cost_model)
-                plan_order = execution_plan.payload()
-            except PlanError:
-                execution_plan = None  # VM falls back to GraphInterpreter
-                plan_order = "unsupported"
+        lowering, stored = self._lower(graph, method, osr_bci)
 
         facts = tuple(profile.facts) if profile is not None else ()
         if summary_view is not None:
@@ -256,12 +243,11 @@ class Compiler:
         if self.cache is not None:
             entry = self.cache.store(
                 self.program, method, config, self.profile, facts,
-                graph, ea_result, graph.node_count(), plan_order,
-                entry_bci=osr_bci, codegen=codegen_payload,
-                tier=tier.token())
+                graph, ea_result, graph.node_count(), stored,
+                entry_bci=osr_bci, tier=tier.token())
         return CompilationResult(graph, ea_result, graph.node_count(),
-                                 execution_plan, cache_entry=entry,
-                                 codegen=codegen_plan, facts=facts)
+                                 lowering, cache_entry=entry,
+                                 facts=facts)
 
     def result_from_service(self, method: JMethod, blob: bytes,
                             facts, key: str, meta: Optional[dict],
@@ -277,8 +263,7 @@ class Compiler:
                            dict(meta or {}))
         result = self._relink(CachedCompilation(
             payload["graph"], payload["ea_result"], payload["node_count"],
-            payload["plan_order"], payload.get("codegen"), entry),
-            method, osr_bci)
+            payload["lowering"], entry), method, osr_bci)
         if self.cache is not None:
             self.cache.adopt_entry(entry)
         self.compile_count += 1
@@ -288,18 +273,52 @@ class Compiler:
     def _relink(self, cached: CachedCompilation, method: JMethod,
                 osr_bci) -> CompilationResult:
         """Rebuild the result of a stored graph (a cache hit or a
-        compile-service reply): re-link its generated code, else its
-        threaded-code plan."""
-        codegen_plan = self._codegen_from_payload(
-            cached.graph, cached.codegen, method, osr_bci)
-        plan = None if codegen_plan is not None else \
-            self._plan_from_order(cached.graph, cached.plan_order)
+        compile-service reply), re-linking the stored lowering."""
+        lowering, __ = self._lower(cached.graph, method, osr_bci,
+                                   cached.lowering)
         return CompilationResult(
-            cached.graph, cached.ea_result, cached.node_count, plan,
+            cached.graph, cached.ea_result, cached.node_count, lowering,
             cache_entry=cached.entry, cache_hit=True,
-            codegen=codegen_plan,
             facts=tuple(cached.entry.facts)
             if cached.entry is not None else ())
+
+    def _lower(self, graph: Graph, method: JMethod, osr_bci,
+               stored=None) -> Tuple[Optional[Lowering], Any]:
+        """The configured backend's lowering of *graph*, and the value a
+        cache entry stores for it: ``(backend, payload)``,
+        ``(backend, "unsupported")`` when the graph cannot be lowered,
+        or ``None`` under the legacy backend.
+
+        One path for a compile and for a cache hit or compile-service
+        reply, which pass the entry's *stored* value: this backend's
+        payload is re-linked, and its ``"unsupported"`` marker is
+        trusted (same graph, same failure).  Anything else — a legacy
+        or other-backend store, a corrupted or stale payload — lowers
+        from the graph.
+        """
+        backend = self.config.execution_backend
+        if backend == "legacy":
+            return None, None
+        kind, error = _LOWERINGS[backend]
+        cost_model = self.config.cost_model
+        if stored is not None and stored[0] == backend:
+            if stored[1] == "unsupported":
+                return None, stored
+            try:
+                return kind.from_payload(graph, self.program, cost_model,
+                                         stored[1]), stored
+            except error:
+                pass  # a clean miss: regenerate from the graph
+        try:
+            if backend == "codegen":
+                lowering = CodegenPlan(graph, self.program, cost_model,
+                                       self._codegen_label(method,
+                                                           osr_bci))
+            else:
+                lowering = ExecutionPlan(graph, self.program, cost_model)
+        except error:
+            return None, (backend, "unsupported")
+        return lowering, (backend, lowering.payload())
 
     @staticmethod
     def _codegen_label(method: JMethod, osr_bci) -> str:
@@ -308,55 +327,3 @@ class Compiler:
         if is_continuation_entry(osr_bci):
             return f"{method.qualified_name}@cont{osr_bci[1]}"
         return f"{method.qualified_name}@osr{osr_bci}"
-
-    def _codegen_from_payload(self, graph: Graph, payload, method: JMethod,
-                              osr_bci: Optional[int]
-                              ) -> Optional[CodegenPlan]:
-        """Re-link generated code from a cached payload.
-
-        A missing payload (stored by another backend) regenerates from
-        the graph; a corrupted or stale payload (digest mismatch, node
-        ids that no longer resolve) is treated as a clean miss and also
-        regenerates; an ``"unsupported"`` marker means structurizing
-        failed at store time, so (same graph) it would fail now.
-        """
-        if self.config.execution_backend != "codegen":
-            return None
-        if payload == "unsupported":
-            return None
-        if payload is not None:
-            try:
-                return CodegenPlan.from_payload(
-                    graph, self.program, self.config.cost_model, payload)
-            except CodegenError:
-                pass  # fall through: regenerate from the cached graph
-        try:
-            return CodegenPlan(graph, self.program,
-                               self.config.cost_model,
-                               self._codegen_label(method, osr_bci))
-        except CodegenError:
-            return None
-
-    def _plan_from_order(self, graph: Graph,
-                         plan_order) -> Optional[ExecutionPlan]:
-        """Re-link a threaded-code plan from a cached linearization.
-
-        The entry records whether the storing compiler found the graph
-        plan-lowerable; an ``"unsupported"`` marker means lowering
-        failed then, so (same graph) it would fail now — skip retrying.
-        """
-        if self.config.execution_backend not in ("plan", "codegen"):
-            return None
-        if plan_order == "unsupported":
-            return None
-        try:
-            if plan_order is None:
-                # Stored by a legacy-backend compiler that never tried
-                # to lower; build the plan from scratch.
-                return ExecutionPlan(graph, self.program,
-                                     self.config.cost_model)
-            return ExecutionPlan.from_payload(graph, self.program,
-                                              self.config.cost_model,
-                                              plan_order)
-        except PlanError:
-            return None

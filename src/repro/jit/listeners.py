@@ -1,12 +1,11 @@
 """Typed VM event listeners.
 
-The VM used to expose exactly one event through a mutable
-``Deoptimizer.on_deopt`` attribute; with on-stack replacement the event
-surface grew (OSR compilations, invalidations, cache hits), so events
-are now a typed protocol.  Subclass :class:`VMListener`, override the
-events you care about, and register with
-:meth:`repro.jit.vm.VM.add_listener` — unknown events stay no-ops, so
-listeners keep working as the VM grows new ones.
+VM events (compilations, deopts, invalidations, cache hits, ...) are a
+typed protocol.  Subclass :class:`VMListener`, override the events you
+care about, and register with :meth:`repro.jit.vm.VM.add_listener` —
+unknown events stay no-ops, so listeners keep working as the VM grows
+new ones.  A listener is the only way to observe deoptimization; the
+``Deoptimizer`` has no public hook.
 """
 
 from __future__ import annotations

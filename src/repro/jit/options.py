@@ -35,7 +35,6 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
-from ..opt.inlining import InliningPolicy
 from ..runtime.costmodel import CostModel
 
 
@@ -167,9 +166,6 @@ class CompilerConfig:
     #: evaluated per method.  See the module docstring.
     escape_tier: Union[str, TierSpec, TierPolicy] = "pea"
     inline: bool = True
-    inlining_policy: InliningPolicy = field(default_factory=InliningPolicy)
-    canonicalize: bool = True
-    gvn: bool = True
     #: Invocations before a method is compiled.
     compile_threshold: int = 20
     #: On-stack replacement: tier up at loop backedges, so a hot loop
@@ -216,8 +212,6 @@ class CompilerConfig:
     pea_iterations: int = 2
     #: Block-local load/store forwarding after escape analysis.
     read_elimination: bool = True
-    #: Dominance-based folding of redundant conditions/guards.
-    conditional_elimination: bool = True
     #: Ablation knobs for the analysis itself.
     pea_virtualize_arrays: bool = True
     pea_fold_checks: bool = True
@@ -235,9 +229,9 @@ class CompilerConfig:
     #: original :class:`~repro.runtime.graph_interpreter.GraphInterpreter`.
     #: All three produce bit-identical checksums, allocations, monitors,
     #: deopts and OSR entries; the knob trades speed for simplicity and
-    #: exists for differential testing.  Graphs the codegen structurizer
-    #: cannot express fall back per-method to ``"plan"``, then to the
-    #: GraphInterpreter.
+    #: exists for differential testing.  A graph the configured backend
+    #: cannot lower (or bind) runs on the GraphInterpreter for that
+    #: method, counted in ``VM.backend_fallbacks``.
     execution_backend: str = "plan"
     #: Address of a shared compile service (``"host:port"`` or a Unix
     #: socket path, see :mod:`repro.jit.server`).  When set, the VM

@@ -110,8 +110,7 @@ class VM:
         self._continuation_uncompilable: Dict[Tuple[JMethod, int],
                                               str] = {}
         #: Installs that could not bind the configured backend's own
-        #: lowering (codegen fell back to the plan, or anything fell
-        #: back to the GraphInterpreter).
+        #: lowering and run on the GraphInterpreter instead.
         self.backend_fallbacks = 0
         #: Completed OSR transfers (observability; not a suite metric).
         self.osr_entries = 0
@@ -387,30 +386,20 @@ class VM:
 
     def _bind(self, result: CompilationResult
               ) -> Callable[[List[Any]], Any]:
-        """Bind the lowering *result* carries to this VM: generated
-        code, else the threaded-code plan, else the GraphInterpreter."""
-        bound, backend = None, "legacy"
-        if result.codegen is not None:
+        """Bind the lowering *result* carries to this VM, else run it
+        on the GraphInterpreter (a backend fallback unless the legacy
+        backend is configured)."""
+        if result.lowering is not None:
             try:
-                bound, backend = result.codegen.bind(
+                return result.lowering.bind(
                     self.heap, self.exec_stats, self._invoke_callback,
                     self.deoptimizer,
-                    self.config.collect_node_histogram), "codegen"
-            except CodegenError:
+                    self.config.collect_node_histogram).execute
+            except (CodegenError, PlanError):
                 pass
-        if bound is None and result.plan is not None:
-            try:
-                bound, backend = result.plan.bind(
-                    self.heap, self.exec_stats, self._invoke_callback,
-                    self.deoptimizer,
-                    self.config.collect_node_histogram), "plan"
-            except PlanError:
-                pass
-        if backend != self.config.execution_backend:
+        if self.config.execution_backend != "legacy":
             self.backend_fallbacks += 1
-        if bound is None:
-            return partial(self.graph_interpreter.execute, result.graph)
-        return bound.execute
+        return partial(self.graph_interpreter.execute, result.graph)
 
     def _revalidated(self, method: JMethod, entry,
                      variant: Variant) -> Optional[Variant]:

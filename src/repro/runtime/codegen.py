@@ -28,15 +28,16 @@ Lowering rules (see docs/internals.md §13):
   increments (``stats.node_executions += n`` / ``stats.cycles += x``),
   flushed before every control transfer;
 - deopt sites compile to ``return _d<k>(locals())``: the frame state and
-  the node→local-name rematerialization map are baked into a bound
-  closure that hands the existing
-  :class:`~repro.runtime.deopt.Deoptimizer` an evaluator over the
-  captured frame locals, so Section 5.5 rematerialization is unchanged.
+  the node→local-name map are baked into a bound closure that hands the
+  :class:`~repro.runtime.deopt.Deoptimizer` a lookup over the captured
+  frame locals; the Deoptimizer re-evaluates and rematerializes
+  (Section 5.5) exactly as for every other backend.
 
 Graph shapes the structurizer cannot express (irreducible-looking joins
-after aggressive branch folding) raise :class:`CodegenError` and the
-compiler falls back to the plan backend for that method — observable
-metrics are identical by construction, only the speed differs.
+after aggressive branch folding) raise :class:`CodegenError` and that
+method runs on the GraphInterpreter, counted as a backend fallback —
+observable metrics are identical by construction, only the speed
+differs.
 
 A :class:`CodegenPlan` is static (graph + program + cost model); its
 :meth:`payload` — the source text, a digest, and the node-id maps — is
@@ -53,8 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bytecode.classfile import Program
 from ..bytecode.heap import Heap
-from ..bytecode.interpreter import (java_div, java_rem, java_shl, java_shr,
-                                    wrap_int)
+from ..bytecode.interpreter import java_div, java_rem, java_shl, java_shr
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
@@ -69,24 +69,15 @@ from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
                         RefEqualsNode, ReturnNode, StartNode,
                         StoreFieldNode, StoreIndexedNode, StoreStaticNode)
 from .costmodel import CostModel, ExecutionStats
-from .deopt import Deoptimizer
+from .deopt import MISSING, Deoptimizer
 from .graph_interpreter import MAX_CONTROL_STEPS, GraphExecutionError
 
 
 class CodegenError(Exception):
     """The graph cannot be lowered to structured Python source (an
-    unsupported node kind or an unstructured join).  The compiler falls
-    back to the threaded-code plan backend for this method."""
+    unsupported node kind or an unstructured join).  The method runs on
+    the GraphInterpreter instead."""
 
-
-class _Missing:
-    __slots__ = ()
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return "<missing>"
-
-
-_MISSING = _Missing()
 
 #: Floating node kinds evaluated on demand (mirrors plan._INTERIOR).
 _INTERIOR = (BinaryArithmeticNode, IntCompareNode, NegNode,
@@ -107,13 +98,13 @@ _SPAN = 1 << 64
 #: Subtree render depth above which always-evaluated nodes are hoisted
 #: into temporaries (keeps generated lines inside CPython's nesting
 #: limits); trees that stay deeper (conditional arms cannot be hoisted
-#: without changing trap laziness) bail out to the plan backend.
+#: without changing trap laziness) bail out to the GraphInterpreter.
 _HOIST_DEPTH = 12
 _MAX_DEPTH = 60
 
 #: Emitted-line ceiling: tail duplication (non-tree merge DAGs) can in
 #: principle blow up exponentially; past this the method bails out to
-#: the plan backend instead.
+#: the GraphInterpreter instead.
 _MAX_LINES = 200_000
 
 _HELPERS = (
@@ -1223,51 +1214,23 @@ class CodegenPlan:
     def _make_deopt(self, state: FrameStateNode,
                     names: Dict[Node, str], stats: ExecutionStats,
                     deoptimizer: Optional[Deoptimizer]):
-        """A deopt-site closure: charges the deopt, then hands the
-        Deoptimizer an evaluator over the generated frame's locals (the
-        baked-in node→local-name rematerialization map)."""
-        node_cost = self.cost_model.node_cost
-        deopt_cost = self.cost_model.deopt
+        """A deopt-site closure handing the Deoptimizer a lookup over
+        the generated frame's locals through the baked-in node→name
+        map."""
+        cost_model = self.cost_model
 
         def run_deopt(frame_locals: Dict[str, Any]) -> Any:
             if deoptimizer is None:
                 raise GraphExecutionError(
                     "deoptimization with no deoptimizer attached")
-            stats.deopts += 1
-            stats.cycles += deopt_cost
-            memo: Dict[Node, Any] = {}
 
-            def evaluate(node):
+            def lookup(node):
                 name = names.get(node)
-                if name is not None:
-                    value = frame_locals.get(name, _MISSING)
-                    if value is not _MISSING:
-                        return value
-                if isinstance(node, ConstantNode):
-                    return node.value
-                if node in memo:
-                    return memo[node]
-                if isinstance(node, BinaryArithmeticNode):
-                    value = node.evaluate(evaluate(node.x),
-                                          evaluate(node.y))
-                elif isinstance(node, IntCompareNode):
-                    value = node.evaluate(evaluate(node.x),
-                                          evaluate(node.y))
-                elif isinstance(node, NegNode):
-                    value = wrap_int(-evaluate(node.value))
-                elif isinstance(node, ConditionalNode):
-                    condition = evaluate(node.condition)
-                    value = evaluate(node.true_value if condition
-                                     else node.false_value)
-                else:
-                    raise GraphExecutionError(
-                        f"cannot evaluate {node!r} "
-                        f"(not in environment)")
-                memo[node] = value
-                stats.cycles += node_cost(node)
-                return value
+                return MISSING if name is None \
+                    else frame_locals.get(name, MISSING)
 
-            return deoptimizer.deoptimize(state, evaluate)
+            return deoptimizer.deoptimize(state, lookup, stats,
+                                          cost_model)
 
         return run_deopt
 

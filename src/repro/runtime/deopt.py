@@ -1,25 +1,41 @@
 """Deoptimization: transfer from optimized code to the interpreter.
 
-Implements Section 5.5 of the paper end to end: when compiled code hits a
-failed guard (or an explicit Deoptimize), the frame-state chain is decoded
-into interpreter frames.  Virtual (scalar-replaced) objects referenced by
-the states are *rematerialized* on the heap from their
+Implements Section 5.5 of the paper end to end, once for every execution
+backend: when compiled code hits a failed guard (or an explicit
+Deoptimize), the backend hands :meth:`Deoptimizer.deoptimize` the failing
+frame state and a *lookup* over its own frame (an env dict, a slot array
+or a generated function's locals).  The deoptimizer charges the deopt,
+re-evaluates the floating values the compiled frame never computed,
+*rematerializes* virtual (scalar-replaced) objects on the heap from their
 EscapeObjectStateNode snapshots — including cyclic object graphs and
-elided locks — and execution continues in the bytecode interpreter.
+elided locks — and continues in the bytecode interpreter.
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Optional
 
 from ..bytecode.classfile import Program
 from ..bytecode.heap import Heap, VMError
-from ..bytecode.interpreter import Interpreter
+from ..bytecode.interpreter import Interpreter, wrap_int
 from ..bytecode.opcodes import INVOKES
-from ..ir.nodes import (EscapeObjectStateNode, FrameStateNode,
-                        VirtualArrayNode, VirtualInstanceNode,
+from ..ir.nodes import (BinaryArithmeticNode, ConditionalNode,
+                        ConstantNode, FrameStateNode, IntCompareNode,
+                        NegNode, VirtualArrayNode, VirtualInstanceNode,
                         VirtualObjectNode)
+from .costmodel import CostModel, ExecutionStats
+
+
+class _Missing:
+    __slots__ = ()
+
+    def __repr__(self):  # pragma: no cover - debugging aid
+        return "<missing>"
+
+
+#: What a backend's frame lookup returns for a node the compiled frame
+#: holds no value for (``None`` is a legal null value).
+MISSING = _Missing()
 
 
 class DeoptError(VMError):
@@ -52,28 +68,21 @@ class Deoptimizer:
         #: point.
         self.dispatch: Optional[Callable] = None
 
-    @property
-    def on_deopt(self):
-        """Deprecated: register a ``VMListener`` via ``VM.add_listener``
-        instead of poking the deoptimizer's hook."""
-        return self._notify
-
-    @on_deopt.setter
-    def on_deopt(self, hook):
-        warnings.warn(
-            "Deoptimizer.on_deopt is deprecated; register a "
-            "repro.jit.listeners.VMListener via VM.add_listener()",
-            DeprecationWarning, stacklevel=2)
-        self._notify = hook
-
     def deoptimize(self, state: FrameStateNode,
-                   evaluate: Callable[[Any], Any]) -> Any:
+                   lookup: Callable[[Any], Any], stats: ExecutionStats,
+                   cost_model: CostModel) -> Any:
         """Continue at *state* in the interpreter; returns the value the
         compiled method would have returned.
 
-        *evaluate* maps IR value nodes to their current runtime values
-        (provided by the graph interpreter at the deopt site).
+        *lookup* maps an IR value node to its value in the compiled
+        frame, or to :data:`MISSING` for a floating node that frame
+        never computed.  Those are re-evaluated here through one memo
+        per deopt, each charged its node cost to the executing
+        backend's *stats* after the deopt itself.
         """
+        stats.deopts += 1
+        stats.cycles += cost_model.deopt
+        evaluate = _evaluator(lookup, stats, cost_model)
         materialized: Dict[VirtualObjectNode, Any] = {}
 
         def resolve(node):
@@ -181,3 +190,37 @@ class Deoptimizer:
         if isinstance(entry, VirtualObjectNode):
             return self._materialize(entry, state, evaluate, materialized)
         return evaluate(entry)
+
+
+def _evaluator(lookup: Callable[[Any], Any], stats: ExecutionStats,
+               cost_model: CostModel) -> Callable[[Any], Any]:
+    """The value of an IR node at one deopt: what *lookup* finds in the
+    compiled frame, else a constant, else a floating arithmetic,
+    compare, negate or conditional node recomputed from its inputs —
+    once per deopt, charged its node cost when computed."""
+    node_cost = cost_model.node_cost
+    memo: Dict[Any, Any] = {}
+
+    def evaluate(node):
+        value = lookup(node)
+        if value is not MISSING:
+            return value
+        if isinstance(node, ConstantNode):
+            return node.value
+        if node in memo:
+            return memo[node]
+        if isinstance(node, (BinaryArithmeticNode, IntCompareNode)):
+            value = node.evaluate(evaluate(node.x), evaluate(node.y))
+        elif isinstance(node, NegNode):
+            value = wrap_int(-evaluate(node.value))
+        elif isinstance(node, ConditionalNode):
+            value = evaluate(node.true_value if evaluate(node.condition)
+                             else node.false_value)
+        else:
+            raise DeoptError(
+                f"cannot evaluate {node!r} (not in environment)")
+        memo[node] = value
+        stats.cycles += node_cost(node)
+        return value
+
+    return evaluate

@@ -32,7 +32,7 @@ from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
                         RefEqualsNode, ReturnNode, StartNode,
                         StoreFieldNode, StoreIndexedNode, StoreStaticNode)
 from .costmodel import DEFAULT_COST_MODEL, CostModel, ExecutionStats
-from .deopt import Deoptimizer
+from .deopt import MISSING, Deoptimizer
 
 #: Safety valve against miscompiled infinite loops.
 MAX_CONTROL_STEPS = 500_000_000
@@ -87,14 +87,12 @@ class GraphInterpreter:
         return self._evaluate(node, env, scratch)
 
     def _evaluate(self, node: Node, env: Dict[Node, Any],
-                  memo: Optional[Dict[Node, Any]] = None) -> Any:
+                  memo: Dict[Node, Any]) -> Any:
         if node in env:
             return env[node]
         if isinstance(node, ConstantNode):
             return node.value
-        if memo is None:
-            memo = {}
-        elif node in memo:
+        if node in memo:
             return memo[node]
         if isinstance(node, BinaryArithmeticNode):
             value = node.evaluate(self._evaluate(node.x, env, memo),
@@ -288,11 +286,6 @@ class GraphInterpreter:
         if self.deoptimizer is None:
             raise GraphExecutionError(
                 f"deoptimization ({reason}) with no deoptimizer attached")
-        self.stats.deopts += 1
-        self.stats.cycles += self.cost_model.deopt
-        memo: Dict[Node, Any] = {}
-
-        def evaluate(node):
-            return self._evaluate(node, env, memo)
-
-        return self.deoptimizer.deoptimize(state, evaluate)
+        return self.deoptimizer.deoptimize(
+            state, lambda node: env.get(node, MISSING), self.stats,
+            self.cost_model)

@@ -28,9 +28,9 @@ The lowering is *observationally identical* to the graph interpreter:
 checksums, heap statistics, monitor operations, deoptimization counts
 and — because charges are applied to the shared cycle accumulator in the
 same order with the same values — bit-identical simulated cycles.  Guard
-failures hand the :class:`~repro.runtime.deopt.Deoptimizer` a
-slot-indexed evaluator, so FrameState rematerialization (Section 5.5 of
-the paper) is unchanged.
+failures hand the :class:`~repro.runtime.deopt.Deoptimizer` a lookup
+over the slot array; it re-evaluates and rematerializes (Section 5.5 of
+the paper) exactly as for every other backend.
 
 A plan is built from static information only (graph + program + cost
 model) and later *bound* to one VM's runtime objects (heap, stats,
@@ -60,7 +60,7 @@ from ..ir.nodes import (ARITHMETIC_EVAL, COMPARE_EVAL, ArrayLengthNode,
                         StartNode, StoreFieldNode, StoreIndexedNode,
                         StoreStaticNode)
 from .costmodel import CostModel, ExecutionStats
-from .deopt import Deoptimizer
+from .deopt import MISSING, Deoptimizer
 from .graph_interpreter import MAX_CONTROL_STEPS, GraphExecutionError
 
 
@@ -69,16 +69,9 @@ class PlanError(Exception):
     structural problem).  The VM falls back to the graph interpreter."""
 
 
-class _Unset:
-    """Sentinel for an unwritten slot (``None`` is a legal null value)."""
-
-    __slots__ = ()
-
-    def __repr__(self):  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-_UNSET = _Unset()
+#: An unwritten slot (``None`` is a legal null value) — the sentinel a
+#: frame lookup hands the Deoptimizer for a node with no value.
+_UNSET = MISSING
 
 #: Slot 0 of every activation holds the method result.
 _RESULT_SLOT = 0
@@ -271,7 +264,6 @@ class _PlanBinder:
         self.slot_of: Dict[Node, int] = {}
         self._slot_count = 1
         self._phi_tuples: Dict[MergeNode, Tuple[PhiNode, ...]] = {}
-        self._eval_node = self._make_eval_node()
         self._run_deopt = self._make_run_deopt()
 
     # -- slots -------------------------------------------------------------
@@ -542,64 +534,24 @@ class _PlanBinder:
 
     # -- deoptimization ----------------------------------------------------
 
-    def _make_eval_node(self):
-        """The slot-indexed equivalent of ``GraphInterpreter._evaluate``
-        used during deoptimization (one shared memo per deopt)."""
-        slot_of = self.slot_of
-        stats = self.stats
-        node_cost = self.plan.cost_model.node_cost
-
-        def eval_node(node, slots, memo):
-            slot = slot_of.get(node)
-            if slot is not None:
-                value = slots[slot]
-                if value is not _UNSET:
-                    return value
-            if isinstance(node, ConstantNode):
-                return node.value
-            if node in memo:
-                return memo[node]
-            if isinstance(node, BinaryArithmeticNode):
-                value = node.evaluate(eval_node(node.x, slots, memo),
-                                      eval_node(node.y, slots, memo))
-            elif isinstance(node, IntCompareNode):
-                value = node.evaluate(eval_node(node.x, slots, memo),
-                                      eval_node(node.y, slots, memo))
-            elif isinstance(node, NegNode):
-                value = wrap_int(-eval_node(node.value, slots, memo))
-            elif isinstance(node, ConditionalNode):
-                condition = eval_node(node.condition, slots, memo)
-                value = eval_node(
-                    node.true_value if condition else node.false_value,
-                    slots, memo)
-            else:
-                raise GraphExecutionError(
-                    f"cannot evaluate {node!r} (not in environment)")
-            memo[node] = value
-            stats.cycles += node_cost(node)
-            return value
-
-        return eval_node
-
     def _make_run_deopt(self):
         stats = self.stats
-        deopt_cost = self.plan.cost_model.deopt
+        cost_model = self.plan.cost_model
         deoptimizer = self.deoptimizer
-        eval_node = self._eval_node
+        slot_of = self.slot_of
 
         def run_deopt(state, reason, slots):
             if deoptimizer is None:
                 raise GraphExecutionError(
                     f"deoptimization ({reason}) with no deoptimizer "
                     f"attached")
-            stats.deopts += 1
-            stats.cycles += deopt_cost
-            memo: Dict[Node, Any] = {}
 
-            def evaluate(node):
-                return eval_node(node, slots, memo)
+            def lookup(node):
+                slot = slot_of.get(node)
+                return _UNSET if slot is None else slots[slot]
 
-            return deoptimizer.deoptimize(state, evaluate)
+            return deoptimizer.deoptimize(state, lookup, stats,
+                                          cost_model)
 
         return run_deopt
 

@@ -1,6 +1,8 @@
 """Benchmark-suite sanity: every workload compiles, runs, and behaves
 identically under every configuration."""
 
+import dataclasses
+
 import pytest
 
 from repro.benchsuite import ALL_WORKLOADS, SUITES, by_name
@@ -101,6 +103,28 @@ def test_harness_measurement_fields():
     assert measurement.cycles_per_iteration > 0
     assert measurement.iterations_per_minute > 0
     assert measurement.config == "with PEA"
+
+
+def test_measurement_counts_backend_fallbacks(monkeypatch):
+    """Methods the backend cannot lower run on the GraphInterpreter:
+    the Table-1 metrics are the legacy backend's, and the Measurement
+    counts one fallback per install (table1 prints and records it)."""
+    from repro.runtime.codegen import CodegenError, CodegenPlan
+
+    workload = dataclasses.replace(by_name("fop"), warmup_iterations=12,
+                                   measure_iterations=2)
+    legacy = run_workload(workload, CompilerConfig.partial_escape(
+        execution_backend="legacy"))
+    assert legacy.backend_fallbacks == 0
+
+    def reject(self, *args, **kwargs):
+        raise CodegenError("injected structurizer rejection")
+
+    monkeypatch.setattr(CodegenPlan, "__init__", reject)
+    codegen = run_workload(workload, CompilerConfig.partial_escape(
+        execution_backend="codegen"))
+    assert codegen == legacy
+    assert codegen.backend_fallbacks == codegen.compile_count > 0
 
 
 def test_paper_rows_present_for_shown_benchmarks():

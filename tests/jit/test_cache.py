@@ -245,16 +245,21 @@ def test_corrupt_disk_entry_is_ignored(tmp_path):
 
 
 def test_codegen_shares_cache_with_plan():
-    """The pipeline fingerprint excludes the execution backend: a VM on
-    the codegen backend hits entries a plan-backend VM stored, relinking
-    the generated source from the cached payload."""
-    cache = CompilationCache()
-    _, r1, __ = run_vm(LOOP_SOURCE, cache=cache, backend="codegen")
-    misses_before = cache.stats.misses
-    vm2, r2, __ = run_vm(LOOP_SOURCE, cache=cache, backend="plan")
-    assert r1 == r2
-    assert cache.stats.misses == misses_before
-    assert vm2.compiler.cache_hit_count == vm2.compiler.compile_count > 0
+    """The pipeline fingerprint excludes the execution backend: in
+    either store order, the second VM hits every entry the first one
+    stored and lowers the other backend's entry for its own."""
+    for first, second in (("codegen", "plan"), ("plan", "codegen")):
+        cache = CompilationCache()
+        _, r1, __ = run_vm(LOOP_SOURCE, cache=cache, backend=first)
+        misses_before = cache.stats.misses
+        vm2, r2, __ = run_vm(LOOP_SOURCE, cache=cache, backend=second)
+        assert r1 == r2
+        assert cache.stats.misses == misses_before
+        assert vm2.compiler.cache_hit_count == \
+            vm2.compiler.compile_count > 0
+        assert vm2.backend_fallbacks == 0
+        for result in vm2.compiled.values():
+            assert getattr(result, second) is not None
 
 
 def test_codegen_disk_round_trip_reexecs_source(tmp_path):
@@ -324,8 +329,9 @@ def test_corrupt_codegen_payload_regenerates():
     tampered = dict(result.codegen.payload())
     tampered["digest"] = "0" * 64
     vm = VM(program, config)
-    regenerated = vm.compiler._codegen_from_payload(
-        result.graph, tampered, program.method("Main.iterate"), None)
+    regenerated, __ = vm.compiler._lower(
+        result.graph, program.method("Main.iterate"), None,
+        ("codegen", tampered))
     assert regenerated is not None
     assert regenerated.digest == result.codegen.digest
 

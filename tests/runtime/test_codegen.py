@@ -217,3 +217,50 @@ def test_generated_function_is_attributable():
                                   vm._invoke_callback, vm.deoptimizer,
                                   False)
     assert "Main.getValue" in bound.function.__qualname__
+
+
+def test_structurizer_rejection_runs_on_the_graph_interpreter(
+        monkeypatch):
+    """A graph the structurizer rejects runs on the GraphInterpreter —
+    exactly as under the legacy backend, never on the plan backend —
+    and counts one backend fallback per install.  The cache entry
+    records the rejection, so a second VM sharing the cache hits it
+    without running the emitter again."""
+    from repro.jit import CompilationCache
+    from repro.runtime.codegen import CodegenError, CodegenPlan
+
+    def measure(backend, cache=None):
+        program = compile_source(DIAMOND)
+        vm = VM(program, CompilerConfig.partial_escape(
+            execution_backend=backend), cache=cache)
+        for _ in range(30):
+            vm.call("Main.getValue", 25, None)
+        heap_before = vm.heap_snapshot()
+        cycles_before = vm.cycles_snapshot()
+        result = vm.call("Main.getValue", 25, None)
+        return vm, (result, vm.heap_snapshot().delta(heap_before),
+                    vm.cycles_snapshot() - cycles_before,
+                    vm.exec_stats.deopts)
+
+    __, interpreted = measure("legacy")
+    emits = []
+
+    def reject(self, *args, **kwargs):
+        emits.append(args)
+        raise CodegenError("injected structurizer rejection")
+
+    monkeypatch.setattr(CodegenPlan, "__init__", reject)
+    cache = CompilationCache()
+    for vm_index in range(2):
+        emits.clear()
+        vm, observed = measure("codegen", cache)
+        assert observed == interpreted
+        installs = vm.compiler.compile_count
+        assert installs > 0 and vm.backend_fallbacks == installs
+        for result in vm.compiled.values():
+            assert result.plan is None and result.codegen is None
+        if vm_index == 0:
+            assert len(emits) == installs
+        else:
+            assert vm.compiler.cache_hit_count == installs
+            assert emits == [], "the unsupported entry was re-emitted"

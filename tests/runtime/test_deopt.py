@@ -205,3 +205,34 @@ def test_invalidation_and_recompilation():
     deopts_before = vm.exec_stats.deopts
     vm.call("C.run", 10, 2000000)
     assert vm.exec_stats.deopts == deopts_before
+
+
+def test_deoptimizer_evaluates_a_shared_floating_node_once():
+    """Two locals share one floating node the compiled frame never
+    computed: the Deoptimizer recomputes it once for both, charging the
+    deopt and then that node's cost to the backend's stats."""
+    from repro.bytecode import Heap, Interpreter
+    from repro.ir import Graph, nodes as N
+    from repro.runtime import CostModel, Deoptimizer, ExecutionStats
+    from repro.runtime.deopt import MISSING
+
+    program = compile_source(
+        "class C { static int m(int a, int b) { return a + b; } }")
+    heap = Heap(program)
+    deoptimizer = Deoptimizer(program, heap, Interpreter(program, heap))
+    graph = Graph()
+    param = graph.add(N.ParameterNode(0))
+    shared = graph.add(N.BinaryArithmeticNode(
+        "mul", x=param, y=graph.constant(3)))
+    state = graph.add(N.FrameStateNode(
+        program.method("C.m"), 0, locals_values=[shared, shared]))
+    cost_model = CostModel()
+    stats = ExecutionStats()
+
+    def lookup(node):
+        return 7 if node is param else MISSING
+
+    assert deoptimizer.deoptimize(state, lookup, stats, cost_model) == 42
+    assert stats.deopts == 1
+    assert cost_model.node_cost(shared) > 0
+    assert stats.cycles == cost_model.deopt + cost_model.node_cost(shared)

@@ -245,13 +245,14 @@ DEOPT_SOURCE = """
 """
 
 
-@pytest.mark.parametrize("backend", ["plan", "legacy"])
+@pytest.mark.parametrize("backend", ["plan", "legacy", "codegen"])
 def test_forced_deopt_differential(backend):
-    """Drive a speculation failure through each backend: both must
-    deoptimize, rematerialize the virtual Pair, and accumulate the
-    exact same cycles."""
+    """Drive a speculation failure through each backend: all three must
+    deoptimize and rematerialize the virtual Pair identically.  Plan
+    and legacy accumulate the exact same cycles; codegen pre-folds each
+    block's cost, so its cycles differ only in float summation order."""
     results = {}
-    for chosen in ("plan", "legacy"):
+    for chosen in ("plan", "legacy", "codegen"):
         program = compile_source(DEOPT_SOURCE)
         vm = VM(program, CompilerConfig.partial_escape(
             execution_backend=chosen))
@@ -263,9 +264,14 @@ def test_forced_deopt_differential(backend):
                            vm.exec_stats.deopts,
                            program.get_static("Main", "sink").fields)
         assert vm.exec_stats.deopts >= 1
+        assert vm.backend_fallbacks == 0
     assert results["plan"] == results["legacy"]
-    # The parametrization keeps both backends in the failure report;
-    # the cross-check above is symmetric.
+    plan, codegen = results["plan"], results["codegen"]
+    assert (codegen[0], codegen[2], codegen[3]) == \
+        (plan[0], plan[2], plan[3])
+    assert codegen[1] == pytest.approx(plan[1], rel=1e-9)
+    # The parametrization keeps every backend in the failure report;
+    # the cross-checks above are symmetric.
     assert results[backend][2] >= 1
 
 
