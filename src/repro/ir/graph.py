@@ -21,6 +21,14 @@ class Graph:
     deferred effects.
     """
 
+    #: Moves on every change a verifier can see: an input or successor
+    #: edge (with the predecessor link it moves), a usage of a
+    #: registered node, a registration or an unregistration.  Equal
+    #: counts mean an unchanged graph, so a passed check need not run
+    #: again.  A class-level default, so graphs pickled before the
+    #: counter existed still load.
+    edit_count: int = 0
+
     def __init__(self, method=None):
         #: The JMethod this graph was built from (for frame states/dumps).
         self.method = method
@@ -55,6 +63,7 @@ class Graph:
             return node
         if node.graph is not None:
             raise IRError(f"{node} already belongs to another graph")
+        self.edit_count += 1
         stack = [node]
         while stack:
             current = stack.pop()
@@ -71,6 +80,7 @@ class Graph:
     def _unregister(self, node: Node):
         self._nodes.pop(node.id, None)
         node.graph = None
+        self.edit_count += 1
 
     def adopt(self, node: Node) -> Node:
         """Move *node* from another graph into this one (inlining)."""

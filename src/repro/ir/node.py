@@ -16,7 +16,9 @@ declared per class via ``_input_slots`` / ``_input_lists`` and
 ``_successor_slots``; ``__init_subclass__`` flattens the declarations of
 the whole MRO once into the class's :class:`EdgeLayout`, which every edge
 walk reads, and generates properties that keep the usage/predecessor
-bookkeeping consistent on every assignment.
+bookkeeping consistent on every assignment.  Every edge change is also
+counted in the graph's ``edit_count``, so a verifier can tell an
+unchanged graph from an edited one.
 
 One deliberate deviation from Graal, anticipated by the paper's Section 7:
 all *virtualizable* nodes (allocation, field access, monitors, reference
@@ -57,16 +59,20 @@ class NodeInputList:
 
     def __setitem__(self, index, value: Optional["Node"]):
         old = self._items[index]
+        if old is value:
+            return
         if old is not None:
             old._remove_usage(self._owner)
         self._items[index] = value
         if value is not None:
             value._add_usage(self._owner)
+        self._owner._edited()
 
     def append(self, value: Optional["Node"]):
         self._items.append(value)
         if value is not None:
             value._add_usage(self._owner)
+        self._owner._edited()
 
     def extend(self, values):
         for value in values:
@@ -76,17 +82,20 @@ class NodeInputList:
         self._items.insert(index, value)
         if value is not None:
             value._add_usage(self._owner)
+        self._owner._edited()
 
     def pop(self, index=-1):
         value = self._items.pop(index)
         if value is not None:
             value._remove_usage(self._owner)
+        self._owner._edited()
         return value
 
     def remove(self, value: "Node"):
         self._items.remove(value)
         if value is not None:
             value._remove_usage(self._owner)
+        self._owner._edited()
 
     def index(self, value) -> int:
         return self._items.index(value)
@@ -119,6 +128,9 @@ def _make_input_property(name: str):
         self._ins[name] = value
         if value is not None:
             value._add_usage(self)
+        graph = self.graph  # Node._edited, inlined on the hottest edit
+        if graph is not None:
+            graph.edit_count += 1
 
     return property(getter, setter)
 
@@ -132,15 +144,16 @@ def _make_successor_property(name: str):
         if old is value:
             return
         if old is not None and old.predecessor is self:
-            old.predecessor = None
+            old.clear_predecessor()
         self._succs[name] = value
-        if value is not None:
-            if value.predecessor is not None and value.predecessor is not \
-                    self:
+        self._edited()
+        if value is not None and value.predecessor is not self:
+            if value.predecessor is not None:
                 raise IRError(
                     f"{value} already has predecessor "
                     f"{value.predecessor}; cannot attach to {self}")
             value.predecessor = self
+            value._edited()
 
     return property(getter, setter)
 
@@ -217,10 +230,24 @@ class Node:
                 raise TypeError(f"{type(self).__name__} has no input "
                                 f"{name!r}")
 
+    # -- edit counting ----------------------------------------------------------
+
+    def _edited(self):
+        """Count a change to this node's edges in its graph's
+        :attr:`~repro.ir.graph.Graph.edit_count`."""
+        graph = self.graph
+        if graph is not None:
+            graph.edit_count += 1
+
     # -- usages -----------------------------------------------------------------
 
     def _add_usage(self, user: "Node"):
         self._usages[user] = self._usages.get(user, 0) + 1
+        # A user in this node's graph counts the edit itself; one outside
+        # it (a detached node PEA is building) cannot.
+        graph = self.graph
+        if graph is not None and user.graph is not graph:
+            graph.edit_count += 1
 
     def _remove_usage(self, user: "Node"):
         count = self._usages.get(user, 0)
@@ -228,6 +255,9 @@ class Node:
             self._usages.pop(user, None)
         else:
             self._usages[user] = count - 1
+        graph = self.graph
+        if graph is not None and user.graph is not graph:
+            graph.edit_count += 1
 
     @property
     def usages(self) -> List["Node"]:
@@ -298,6 +328,13 @@ class Node:
     def clear_successors(self):
         for name in self._edges.successor_slots:
             setattr(self, name, None)
+
+    def clear_predecessor(self):
+        """Drop this node's ``predecessor`` link alone, for surgery that
+        relinks the predecessor's successor slot itself."""
+        if self.predecessor is not None:
+            self.predecessor = None
+            self._edited()
 
     # -- graph-wide edits -----------------------------------------------------------
 

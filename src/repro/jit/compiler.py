@@ -229,6 +229,8 @@ class Compiler:
         for timing in plan.timings:
             self.phase_seconds[timing.phase] = \
                 self.phase_seconds.get(timing.phase, 0.0) + timing.seconds
+        self.phase_seconds["verify"] = \
+            self.phase_seconds.get("verify", 0.0) + plan.verify_seconds
         ea_result = (ea_phase.last_result if ea_phase is not None
                      and ea_phase.last_result is not None else PEAResult())
         lowering, stored = self._lower(graph, method, osr_bci)

@@ -181,7 +181,7 @@ class CanonicalizerPhase(Phase):
         node.clear_successors()
         graph._replace_successor(predecessor, node, survivor)
         node.replace_at_usages(None)
-        node.predecessor = None
+        node.clear_predecessor()
         node.clear_inputs()
         node.safe_delete()
         kill_branch(graph, victim)
@@ -202,7 +202,7 @@ class CanonicalizerPhase(Phase):
         node.next = None
         predecessor = node.predecessor
         graph._replace_successor(predecessor, node, deopt)
-        node.predecessor = None
+        node.clear_predecessor()
         node.replace_at_usages(None)
         node.clear_inputs()
         node.safe_delete()

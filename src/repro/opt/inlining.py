@@ -199,7 +199,7 @@ class InliningPhase(Phase):
             ret = returns[0]
             replacement = ret.value
             ret_predecessor = ret.predecessor
-            ret.predecessor = None
+            ret.clear_predecessor()
             graph._replace_successor(ret_predecessor, ret, successor)
             ret.clear_inputs()
             ret.safe_delete()
@@ -209,7 +209,7 @@ class InliningPhase(Phase):
             for ret in returns:
                 end = graph.add(EndNode())
                 ret_predecessor = ret.predecessor
-                ret.predecessor = None
+                ret.clear_predecessor()
                 graph._replace_successor(ret_predecessor, ret, end)
                 merge.add_end(end)
                 values.append(ret.value)
@@ -231,7 +231,7 @@ class InliningPhase(Phase):
             kill_branch(graph, successor)
 
         invoke.replace_at_usages(replacement)
-        invoke.predecessor = None
+        invoke.clear_predecessor()
         invoke.clear_inputs()
         invoke.clear_successors()
         invoke.safe_delete()

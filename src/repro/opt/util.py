@@ -87,7 +87,7 @@ def kill_branch(graph: Graph, root: Node) -> None:
     # Physically delete: break all edges first, then unregister.
     for node in dead:
         node.clear_successors()
-        node.predecessor = None
+        node.clear_predecessor()
     for node in dead:
         node.replace_at_usages(None)
         node.clear_inputs()
@@ -115,11 +115,11 @@ def simplify_merge(graph: Graph, merge: MergeNode) -> None:
     successor = merge.next
     merge.next = None
     merge.remove_end(end)
-    end.predecessor = None
+    end.clear_predecessor()
     graph._replace_successor(predecessor, end, successor)
     end.replace_at_usages(None)
     end.safe_delete()
     merge.replace_at_usages(None)
-    merge.predecessor = None
+    merge.clear_predecessor()
     merge.clear_inputs()
     merge.safe_delete()

@@ -214,8 +214,8 @@ class GraphVerifier:
                 for name, value in node.named_inputs():
                     if self._is_control_input(name, value):
                         continue
-                    self._check_available(value, block,
-                                          f"{node} input {name}", cfg)
+                    self._check_available(value, block, (node, name),
+                                          cfg)
         # Phi inputs must be available at the corresponding predecessor.
         for phi in self.graph.nodes_of(PhiNode):
             merge = phi.merge
@@ -231,7 +231,7 @@ class GraphVerifier:
                 if anchor_block is None:
                     continue
                 self._check_available(value, anchor_block,
-                                      f"{phi} input [{index}]", cfg)
+                                      (phi, f"[{index}]"), cfg)
 
     @staticmethod
     def _is_control_input(name: str, value: Node) -> bool:
@@ -242,11 +242,21 @@ class GraphVerifier:
                 or name == "loop_begin"
                 or name.startswith(("ends[", "loop_ends[")))
 
+    def _report_use(self, use: tuple, problem: str):
+        """Report *problem* at a use site given as its parts, ``(user,
+        input name, value, ...)``, which read "user input name via
+        value ..."; the text is built only for a finding."""
+        user, name, *through = use
+        self._report(f"{user} input {name}"
+                     + "".join(f" via {value}" for value in through)
+                     + f": {problem}")
+
     def _check_available(self, value: Optional[Node], use_block: IRBlock,
-                         what: str, cfg: ControlFlowGraph,
+                         use: tuple, cfg: ControlFlowGraph,
                          _stack: Optional[Set[Node]] = None):
         """*value* (and its floating expression tree) must be defined in
-        blocks dominating *use_block*."""
+        blocks dominating *use_block*.  *use* names the use site in the
+        parts :meth:`_report_use` takes."""
         if value is None or isinstance(value, _ALWAYS_AVAILABLE) or \
                 isinstance(value, VirtualObjectNode):
             return
@@ -256,11 +266,11 @@ class GraphVerifier:
         if value.is_fixed:
             def_block = cfg.block_of.get(value)
             if def_block is None:
-                self._report(f"{what}: fixed def {value} is unreachable")
+                self._report_use(use, f"fixed def {value} is unreachable")
             elif not cfg.dominates(def_block, use_block):
-                self._report(
-                    f"{what}: def {value} (block {def_block.index}) "
-                    f"does not dominate use (block {use_block.index})")
+                self._report_use(
+                    use, f"def {value} (block {def_block.index}) does "
+                         f"not dominate use (block {use_block.index})")
             else:
                 self._dom_ok.add(key)
             return
@@ -269,25 +279,25 @@ class GraphVerifier:
             def_block = cfg.block_of.get(merge) if merge is not None \
                 else None
             if def_block is None:
-                self._report(f"{what}: phi {value} has no reachable "
-                             f"merge")
+                self._report_use(use, f"phi {value} has no reachable "
+                                      f"merge")
             elif not cfg.dominates(def_block, use_block):
-                self._report(
-                    f"{what}: phi {value} (merge block "
-                    f"{def_block.index}) does not dominate use (block "
-                    f"{use_block.index})")
+                self._report_use(
+                    use, f"phi {value} (merge block {def_block.index}) "
+                         f"does not dominate use (block "
+                         f"{use_block.index})")
             else:
                 self._dom_ok.add(key)
             return
         # Other floating node: recurse into its inputs.
         stack = _stack if _stack is not None else set()
         if value in stack:
-            self._report(f"{what}: floating cycle through {value}")
+            self._report_use(use, f"floating cycle through {value}")
             return
         stack.add(value)
+        through = use + (value,)
         for inp in value.inputs():
-            self._check_available(inp, use_block, f"{what} via {value}",
-                                  cfg, stack)
+            self._check_available(inp, use_block, through, cfg, stack)
         stack.discard(value)
         self._dom_ok.add(key)
 

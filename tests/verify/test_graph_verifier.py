@@ -233,3 +233,32 @@ def test_compiled_graphs_verify_clean():
         compiler = Compiler(program, factory(verify_ir=True))
         result = compiler.compile(program.method("Main.entry"))
         assert GraphVerifier(result.graph).run() == []
+
+
+def test_dominance_findings_name_the_whole_use_chain():
+    """The finding text of a use reached through floating nodes, pinned
+    byte for byte (the verifier formats it only when it reports)."""
+    from repro.bytecode.instructions import FieldRef
+    graph, if_node, left, right, end_left, end_right, merge, ret = \
+        diamond()
+    load = N.LoadFieldNode(FieldRef("Box", "v"), object=graph.null)
+    graph.insert_before(end_left, load)
+    add = graph.add(N.BinaryArithmeticNode("add", x=load,
+                                           y=graph.constant(1)))
+    ret.value = graph.add(N.BinaryArithmeticNode("mul", x=add, y=add))
+    assert GraphVerifier(graph).run() == [
+        "9|Return input value via 13|BinaryArithmetic mul via "
+        "12|BinaryArithmetic add: def 11|LoadField Box.v (block 3) does "
+        "not dominate use (block 2)"]
+
+    graph, *_, ret = diamond()
+    first = graph.add(N.BinaryArithmeticNode("add", x=graph.constant(1),
+                                             y=graph.constant(2)))
+    second = graph.add(N.BinaryArithmeticNode("add", x=first,
+                                              y=graph.constant(3)))
+    first.x = second
+    ret.value = second
+    assert GraphVerifier(graph).run() == [
+        "9|Return input value via 13|BinaryArithmetic add via "
+        "11|BinaryArithmetic add: floating cycle through "
+        "13|BinaryArithmetic add"]
