@@ -34,6 +34,7 @@ from ..ir.nodes import (FixedGuardNode, IsNullNode, LoadFieldNode,
                         NewArrayNode, NewInstanceNode, PhiNode,
                         StoreFieldNode, StoreIndexedNode)
 from ..scheduler.cfg import ControlFlowGraph
+from ..scheduler.controlflow import dominates
 from .conngraph import ConnectionGraph
 from .dataflow import BackwardSolver, BytecodeCFG, ForwardSolver, IRCFG
 
@@ -214,7 +215,7 @@ def _strictly_dominates(cfg: ControlFlowGraph, a, b) -> bool:
     if block_a is block_b:
         nodes = block_a.nodes
         return nodes.index(a) < nodes.index(b)
-    return cfg.dominates(block_a, block_b)
+    return dominates(cfg.idom, block_a, block_b)
 
 
 # ---------------------------------------------------------------------------

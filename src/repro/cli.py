@@ -264,8 +264,8 @@ def cmd_lint(args) -> int:
 
 def cmd_fuzz(args) -> int:
     import os
-    if args.verify_ir:
-        os.environ["REPRO_VERIFY_IR"] = "1"
+    # Every engine compile runs the full IR verifier.
+    os.environ["REPRO_VERIFY_IR"] = "1"
     from .verify.fuzz import fuzz
     cache = _make_cache(args)
     service = None
@@ -426,10 +426,6 @@ def main(argv=None) -> int:
                                   "(.jasm + .json) here")
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="skip delta-debugging of failures")
-    fuzz_parser.add_argument("--verify-ir", action="store_true",
-                             default=True,
-                             help="run the full IR verifier after "
-                                  "every phase (default on)")
     fuzz_parser.add_argument("--service", nargs="?", const="auto",
                              metavar="HOST:PORT",
                              help="route all differential engines "

@@ -1,20 +1,24 @@
 """Basic-block analysis over bytecode: CFG, dominators, loop headers.
 
 The graph builder processes blocks in reverse post order and needs to
-know, for every block, its forward predecessors and whether it is a loop
-header (the target of a back edge).  Back edges are classified by
-dominance (edge ``u -> v`` is a back edge iff ``v`` dominates ``u``),
-which also rejects irreducible control flow — our bytecode producers
-only emit reducible graphs.
+know, for every block, which predecessors reach it over a back edge and
+whether it is a loop header (the target of a back edge).  Back edges are
+classified by dominance (edge ``u -> v`` is a back edge iff ``v``
+dominates ``u``), which also rejects irreducible control flow — our
+bytecode producers only emit reducible graphs.  The order, dominators
+and loops come from :mod:`repro.scheduler.controlflow`, shared with the
+IR's :class:`~repro.scheduler.cfg.ControlFlowGraph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..bytecode.classfile import JMethod
 from ..bytecode.opcodes import Op, info
+from ..scheduler.controlflow import (dominates, immediate_dominators,
+                                     natural_loop, reverse_post_order)
 
 
 class IrreducibleLoopError(Exception):
@@ -34,10 +38,6 @@ class BasicBlock:
     #: Predecessor block ids whose edge into this block is a back edge.
     back_edge_preds: List[int] = field(default_factory=list)
 
-    def forward_predecessors(self) -> List[int]:
-        return [p for p in self.predecessors
-                if p not in self.back_edge_preds]
-
 
 class BlockGraph:
     """The CFG of one method's bytecode."""
@@ -47,7 +47,9 @@ class BlockGraph:
         self.blocks: List[BasicBlock] = []
         self.block_of_bci: Dict[int, int] = {}
         self.rpo: List[int] = []
-        self.idom: List[Optional[int]] = []
+        self.reachable: Set[int] = set()
+        #: Immediate dominators of the reachable blocks (entry: None).
+        self.idom: Dict[int, Optional[int]] = {}
         self._build()
 
     # -- construction ------------------------------------------------------
@@ -100,83 +102,26 @@ class BlockGraph:
         return {bci for bci in leaders if bci < len(code)}
 
     def _compute_order_and_dominators(self):
-        # Iterative DFS post-order from block 0.
-        visited: Set[int] = set()
-        post: List[int] = []
-        stack: List[Tuple[int, int]] = [(0, 0)]
-        visited.add(0)
-        while stack:
-            block_id, succ_index = stack.pop()
-            successors = self.blocks[block_id].successors
-            if succ_index < len(successors):
-                stack.append((block_id, succ_index + 1))
-                succ = successors[succ_index]
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, 0))
-            else:
-                post.append(block_id)
-        self.rpo = list(reversed(post))
-        self.reachable = visited
+        blocks = self.blocks
+        self.rpo = reverse_post_order(0, lambda b: blocks[b].successors)
+        self.reachable = set(self.rpo)
         # Prune edges from unreachable blocks.
-        for block in self.blocks:
-            if block.index not in visited:
+        for block in blocks:
+            if block.index not in self.reachable:
                 for succ in block.successors:
-                    succ_block = self.blocks[succ]
+                    succ_block = blocks[succ]
                     if block.index in succ_block.predecessors:
                         succ_block.predecessors.remove(block.index)
                 block.successors = []
-
-        # Cooper-Harvey-Kennedy iterative dominators.
-        rpo_index = {b: i for i, b in enumerate(self.rpo)}
-        idom: Dict[int, int] = {0: 0}
-        changed = True
-        while changed:
-            changed = False
-            for block_id in self.rpo:
-                if block_id == 0:
-                    continue
-                preds = [p for p in self.blocks[block_id].predecessors
-                         if p in idom]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for pred in preds[1:]:
-                    new_idom = self._intersect(new_idom, pred, idom,
-                                               rpo_index)
-                if idom.get(block_id) != new_idom:
-                    idom[block_id] = new_idom
-                    changed = True
-        self.idom = [idom.get(b.index) for b in self.blocks]
-
-    @staticmethod
-    def _intersect(a: int, b: int, idom: Dict[int, int],
-                   rpo_index: Dict[int, int]) -> int:
-        while a != b:
-            while rpo_index[a] > rpo_index[b]:
-                a = idom[a]
-            while rpo_index[b] > rpo_index[a]:
-                b = idom[b]
-        return a
-
-    def dominates(self, a: int, b: int) -> bool:
-        """True if block *a* dominates block *b*."""
-        current: Optional[int] = b
-        while True:
-            if current == a:
-                return True
-            if current == 0:
-                return False
-            current = self.idom[current]
-            if current is None:
-                return False
+        self.idom = immediate_dominators(
+            self.rpo, lambda b: blocks[b].predecessors)
 
     def _classify_back_edges(self):
         for block in self.blocks:
             if block.index not in self.reachable:
                 continue
             for succ in block.successors:
-                if self.dominates(succ, block.index):
+                if dominates(self.idom, succ, block.index):
                     succ_block = self.blocks[succ]
                     succ_block.is_loop_header = True
                     succ_block.back_edge_preds.append(block.index)
@@ -196,18 +141,7 @@ class BlockGraph:
 
     # -- queries ------------------------------------------------------------
 
-    def block_at(self, bci: int) -> BasicBlock:
-        return self.blocks[self.block_of_bci[bci]]
-
     def loop_blocks(self, header: int) -> Set[int]:
         """All blocks in the natural loop of *header*."""
-        header_block = self.blocks[header]
-        members: Set[int] = {header}
-        worklist = list(header_block.back_edge_preds)
-        while worklist:
-            block_id = worklist.pop()
-            if block_id in members:
-                continue
-            members.add(block_id)
-            worklist.extend(self.blocks[block_id].predecessors)
-        return members
+        return natural_loop(header, self.blocks[header].back_edge_preds,
+                            lambda b: self.blocks[b].predecessors)

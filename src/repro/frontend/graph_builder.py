@@ -131,7 +131,13 @@ class GraphBuilder:
         self._anchor = start
 
         if self.continuation is not None:
-            frame, block, entry_bci = self._build_continuation_entry()
+            entry_bci, stack_depth, _context = self.continuation
+            block = self._entry_block("continuation", entry_bci)
+            if block.index not in self.block_graph.reachable:
+                raise GraphBuildError(
+                    f"continuation bci {entry_bci} of "
+                    f"{self.method.qualified_name} is unreachable")
+            frame = self._entry_frame(entry_bci, stack_depth)
             if entry_bci == block.start:
                 self._incoming[block.index] = [(self._anchor, frame)]
             else:
@@ -163,71 +169,42 @@ class GraphBuilder:
             self._incoming[self.block_graph.rpo[0]] = [(self._anchor,
                                                         frame)]
         else:
-            frame, entry_block = self._build_osr_entry()
-            self._incoming[entry_block] = [(self._anchor, frame)]
+            bci = self.osr_bci
+            block = self._entry_block("OSR", bci)
+            if block.start != bci or not block.is_loop_header:
+                raise GraphBuildError(
+                    f"OSR bci {bci} of {self.method.qualified_name} is "
+                    f"not a loop header")
+            # The operand stack is empty at a backedge (the interpreter
+            # only offers OSR there), so the entry frame carries locals
+            # only.
+            self._incoming[block.index] = [(self._anchor,
+                                            self._entry_frame(bci, 0))]
 
         for block_id in self.block_graph.rpo:
             self._process_block(self.block_graph.blocks[block_id])
         graph.verify()
         return graph
 
-    def _build_osr_entry(self) -> Tuple[BuilderFrame, int]:
-        """The OSR entry frame: one ParameterNode per local slot live at
-        the loop header, dead slots cleared — the dual of the
-        deoptimizer's frame-state decoding (an interpreter frame mapped
-        *into* compiled code instead of out of it)."""
-        graph = self.graph
-        bci = self.osr_bci
+    def _entry_block(self, kind: str, bci: int) -> BasicBlock:
+        """The block holding the *kind* entry's *bci*."""
         if not 0 <= bci < len(self.method.code):
             raise GraphBuildError(
-                f"OSR bci {bci} out of range in "
+                f"{kind} bci {bci} out of range in "
                 f"{self.method.qualified_name}")
-        block = self.block_graph.blocks[
-            self.block_graph.block_of_bci[bci]]
-        if block.start != bci or not block.is_loop_header:
-            raise GraphBuildError(
-                f"OSR bci {bci} of {self.method.qualified_name} is not "
-                f"a loop header")
-        live = self.liveness.live_before(bci)
-        local_count = max(self.method.max_locals, self.method.arg_count)
-        params = []
-        slots = []
-        locals_: List[Node] = []
-        for slot in range(local_count):
-            if slot in live:
-                param = graph.add(ParameterNode(len(params)))
-                params.append(param)
-                slots.append(slot)
-                locals_.append(param)
-            else:
-                locals_.append(graph.null)
-        graph.parameters = params
-        graph.osr_entry_bci = bci
-        graph.osr_local_slots = slots
-        # The operand stack is empty at a backedge (the interpreter only
-        # offers OSR there), so the entry frame carries locals only.
-        return BuilderFrame(locals_), block.index
+        return self.block_graph.blocks[self.block_graph.block_of_bci[bci]]
 
-    def _build_continuation_entry(self) -> Tuple[BuilderFrame, BasicBlock,
-                                                 int]:
-        """A deoptless continuation entry: like the OSR entry, but at an
-        arbitrary deopt bci — possibly mid-block, possibly with operand
-        stack values, which become extra ParameterNodes after the live
-        local slots.  The runtime re-enters compiled code with exactly
-        the rematerialized frame the deoptimizer would have handed the
-        interpreter."""
+    def _entry_frame(self, bci: int, stack_depth: int) -> BuilderFrame:
+        """The entry frame of an OSR or deoptless continuation graph: one
+        ParameterNode per local slot live at *bci*, dead slots cleared,
+        then one per operand-stack value — the dual of the
+        deoptimizer's frame-state decoding (an interpreter frame mapped
+        *into* compiled code instead of out of it).  An OSR entry is the
+        case of a loop header with an empty stack; a continuation may
+        enter at any deopt bci, mid-block and with stack values, and is
+        re-entered with exactly the rematerialized frame the
+        deoptimizer would have handed the interpreter."""
         graph = self.graph
-        bci, stack_depth, _context = self.continuation
-        if not 0 <= bci < len(self.method.code):
-            raise GraphBuildError(
-                f"continuation bci {bci} out of range in "
-                f"{self.method.qualified_name}")
-        block = self.block_graph.blocks[
-            self.block_graph.block_of_bci[bci]]
-        if block.index not in self.block_graph.reachable:
-            raise GraphBuildError(
-                f"continuation bci {bci} of {self.method.qualified_name} "
-                f"is unreachable")
         live = self.liveness.live_before(bci)
         local_count = max(self.method.max_locals, self.method.arg_count)
         params = []
@@ -247,7 +224,7 @@ class GraphBuilder:
         graph.osr_entry_bci = bci
         graph.osr_local_slots = slots
         graph.entry_stack_depth = stack_depth
-        return BuilderFrame(locals_, stack), block, bci
+        return BuilderFrame(locals_, stack)
 
     # -- plumbing -----------------------------------------------------------
 

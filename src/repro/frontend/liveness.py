@@ -5,28 +5,33 @@ Graal clears non-live locals when building frame states and loop phis
 local slots, creating phantom loop-carried values that force Partial
 Escape Analysis to materialize objects that are actually dead.
 
-Standard backward dataflow: ``LOAD n`` uses slot *n*, ``STORE n``
-defines it.  The result answers "is local *n* live immediately before
-*bci*?".
+Standard backward dataflow, solved by the generic
+:class:`~repro.analysis.dataflow.BackwardSolver` over the bytecode CFG:
+``LOAD n`` uses slot *n*, ``STORE n`` defines it.  The result answers
+"is local *n* live immediately before *bci*?".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from typing import List, Set
 
-from ..bytecode.classfile import JMethod
-from ..bytecode.opcodes import Op, info
+from ..analysis.dataflow import BackwardSolver, BytecodeCFG
+from ..bytecode.opcodes import Op
 from .blocks import BlockGraph
 
 
 class LocalLiveness:
+    """The live-before set of every bci.  The instance is also the
+    solver's analysis: states are sets of live slots, joined by union
+    over a block's successors."""
+
     def __init__(self, block_graph: BlockGraph):
         self.method = block_graph.method
         self.block_graph = block_graph
         #: live-before sets, one per bci.
         self._live_before: List[Set[int]] = [
             set() for _ in self.method.code]
-        self._compute()
+        BackwardSolver(BytecodeCFG(block_graph), self).solve()
 
     # -- queries ----------------------------------------------------------
 
@@ -38,27 +43,27 @@ class LocalLiveness:
 
     # -- analysis -----------------------------------------------------------
 
-    def _compute(self):
+    @staticmethod
+    def bottom() -> Set[int]:
+        return set()
+
+    @staticmethod
+    def join(a: Set[int], b: Set[int]) -> Set[int]:
+        return a | b
+
+    def transfer(self, block_id: int, live_out: Set[int]) -> Set[int]:
+        """Walk the block backward from the slots live at its end,
+        recording the live-before set of every bci; returns the slots
+        live at its start.  The solver's last visit of a block sees the
+        fixed point, so the recorded sets end up final."""
+        block = self.block_graph.blocks[block_id]
         code = self.method.code
-        blocks = self.block_graph.blocks
-        live_in: Dict[int, Set[int]] = {b.index: set() for b in blocks}
-        changed = True
-        while changed:
-            changed = False
-            # Reverse RPO approximates post-order for fast convergence.
-            for block in reversed([
-                    blocks[i] for i in self.block_graph.rpo]):
-                live = set()
-                for succ in block.successors:
-                    live |= live_in[succ]
-                for bci in range(block.end, block.start - 1, -1):
-                    insn = code[bci]
-                    if insn.op is Op.STORE:
-                        live.discard(insn.operand)
-                    elif insn.op is Op.LOAD:
-                        live.add(insn.operand)
-                    self._live_before[bci] = set(live)
-                if live != live_in[block.index]:
-                    live_in[block.index] = live
-                    changed = True
-        self.live_in = live_in
+        live = set(live_out)
+        for bci in range(block.end, block.start - 1, -1):
+            insn = code[bci]
+            if insn.op is Op.STORE:
+                live.discard(insn.operand)
+            elif insn.op is Op.LOAD:
+                live.add(insn.operand)
+            self._live_before[bci] = set(live)
+        return live

@@ -634,25 +634,31 @@ class CompilationCache:
     def _write_disk(self, key: str, entries: List[CacheEntry]) -> None:
         if not self.cache_dir:
             return
-        path = self._graph_path(key)
+        stored = {"format": CACHE_FORMAT, "key": key,
+                  "entries": [{"facts": e.facts, "blob": e.blob,
+                               "meta": e.meta,
+                               "digest": hashlib.sha256(
+                                   e.blob).hexdigest()}
+                              for e in entries]}
+        if self._publish(self._graph_path(key), stored):
+            self.stats.disk_writes += 1
+
+    def _publish(self, path: str, stored: Dict[str, Any]) -> bool:
+        """Pickle *stored* to a temporary file named for this process,
+        thread and write, then move it onto *path* with one atomic
+        ``os.replace``.  False when the disk refused (the disk layer is
+        best-effort)."""
+        tmp = (f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
+               f".{next(self._tmp_counter)}")
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            stored = {"format": CACHE_FORMAT, "key": key,
-                      "entries": [{"facts": e.facts, "blob": e.blob,
-                                   "meta": e.meta,
-                                   "digest": hashlib.sha256(
-                                       e.blob).hexdigest()}
-                                  for e in entries]}
-            tmp = (f"{path}.tmp.{os.getpid()}"
-                   f".{threading.get_ident()}"
-                   f".{next(self._tmp_counter)}")
             with open(tmp, "wb") as handle:
                 pickle.dump(stored, handle,
                             protocol=pickle.HIGHEST_PROTOCOL)
             os.replace(tmp, path)
-            self.stats.disk_writes += 1
+            return True
         except OSError:
-            pass  # disk layer is best-effort
+            return False
 
     # -- harness warm-up records --------------------------------------------
 
@@ -679,18 +685,9 @@ class CompilationCache:
     def store_harness_record(self, key: str,
                              record: Dict[str, Any]) -> None:
         self._harness[key] = record
-        if not self.cache_dir:
-            return
-        path = self._harness_path(key)
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "wb") as handle:
-                pickle.dump({"format": CACHE_FORMAT, "record": record},
-                            handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except OSError:
-            pass
+        if self.cache_dir:
+            self._publish(self._harness_path(key),
+                          {"format": CACHE_FORMAT, "record": record})
 
 
 # -- disk maintenance (the `repro cache` subcommand) --------------------------

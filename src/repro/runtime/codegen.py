@@ -68,6 +68,7 @@ from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
                         NewInstanceNode, ParameterNode, PhiNode,
                         RefEqualsNode, ReturnNode, StartNode,
                         StoreFieldNode, StoreIndexedNode, StoreStaticNode)
+from ..scheduler.cfg import ControlFlowGraph
 from .costmodel import CostModel, ExecutionStats
 from .deopt import MISSING, Deoptimizer
 from .graph_interpreter import MAX_CONTROL_STEPS, GraphExecutionError
@@ -211,62 +212,18 @@ class _Emitter:
         #: LoopBeginNode -> out-edge targets its body produces
         #: (memoized mirror of emission, used by :meth:`_probe`).
         self._out_cache: Dict[LoopBeginNode, List[Node]] = {}
-        self._compute_merge_owners()
-
-    def _compute_merge_owners(self) -> None:
-        """Natural-loop membership over the fixed CFG: a node belongs to
-        loop L when it reaches one of L's back edges without passing
-        through L's header.  The innermost (smallest-body) containing
-        loop of every merge decides End locality during emission."""
-        preds: Dict[Node, List[Node]] = {}
-        seen = set()
-        stack: List[Node] = [self.graph.start]
-        while stack:
-            node = stack.pop()
-            if node is None or node in seen:
-                continue
-            seen.add(node)
-            if isinstance(node, IfNode):
-                succs = (node.true_successor, node.false_successor)
-            elif isinstance(node, EndNode):
-                merge = node.merge()
-                succs = (merge,) if merge is not None else ()
-            elif isinstance(node, LoopEndNode):
-                succs = (node.loop_begin,)
-            elif isinstance(node, (ReturnNode, DeoptimizeNode)):
-                succs = ()
-            else:
-                nxt = getattr(node, "next", None)
-                succs = (nxt,) if nxt is not None else ()
-            for succ in succs:
-                preds.setdefault(succ, []).append(node)
-                stack.append(succ)
-        bodies: List[Tuple[LoopBeginNode, set]] = []
-        for node in seen:
-            if not isinstance(node, LoopBeginNode):
-                continue
-            body = {node}
-            work = [end for end in node.loop_ends if end in seen]
-            while work:
-                member = work.pop()
-                if member in body:
-                    continue
-                body.add(member)
-                work.extend(preds.get(member, ()))
-            bodies.append((node, body))
-        for node in seen:
-            if not isinstance(node, MergeNode) or \
-                    isinstance(node, LoopBeginNode):
-                continue
-            owner = None
-            owner_size = None
-            for begin, body in bodies:
-                if node in body and (owner is None
-                                     or len(body) < owner_size):
-                    owner = begin
-                    owner_size = len(body)
-            if owner is not None:
-                self._merge_loop[node] = owner
+        cfg = ControlFlowGraph(graph)
+        loops = sorted(((cfg.loop_members(block), block.first)
+                        for block in cfg.blocks if block.is_loop_header),
+                       key=lambda loop: len(loop[0]))
+        for block in cfg.blocks:
+            merge = block.first
+            if isinstance(merge, MergeNode) and \
+                    not isinstance(merge, LoopBeginNode):
+                for members, begin in loops:  # innermost first
+                    if block in members:
+                        self._merge_loop[merge] = begin
+                        break
 
     # -- plumbing ----------------------------------------------------------
 

@@ -46,7 +46,7 @@ from ..bytecode.classfile import Program
 from ..bytecode.heap import Heap
 from ..bytecode.interpreter import wrap_int
 from ..ir.graph import Graph
-from ..ir.node import Node
+from ..ir.node import IRError, Node
 from ..ir.nodes import (ARITHMETIC_EVAL, COMPARE_EVAL, ArrayLengthNode,
                         BeginNode, BinaryArithmeticNode, ConditionalNode,
                         ConstantNode, DeoptimizeNode, EndNode,
@@ -59,6 +59,7 @@ from ..ir.nodes import (ARITHMETIC_EVAL, COMPARE_EVAL, ArrayLengthNode,
                         ParameterNode, PhiNode, RefEqualsNode, ReturnNode,
                         StartNode, StoreFieldNode, StoreIndexedNode,
                         StoreStaticNode)
+from ..scheduler.cfg import control_successors
 from .costmodel import CostModel, ExecutionStats
 from .deopt import MISSING, Deoptimizer
 from .graph_interpreter import MAX_CONTROL_STEPS, GraphExecutionError
@@ -131,21 +132,14 @@ class ExecutionPlan:
         stack: List[Node] = [graph.start]
         while stack:
             node = stack.pop()
-            if node is None or node in seen:
+            if node in seen:
                 continue
             seen.add(node)
             order.append(node)
-            for successor in node.successors():
-                stack.append(successor)
-            if isinstance(node, EndNode):
-                merge = node.merge()
-                if merge is None:
-                    raise PlanError(f"{node} feeds no merge")
-                stack.append(merge)
-            elif isinstance(node, LoopEndNode):
-                if node.loop_begin is None:
-                    raise PlanError(f"{node} has no loop begin")
-                stack.append(node.loop_begin)
+            try:
+                stack.extend(control_successors(node))
+            except IRError as error:
+                raise PlanError(str(error)) from error
         return order
 
     def _validate(self):

@@ -7,13 +7,31 @@ cost model uses block/node counts as its code-size proxy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from functools import cached_property
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Set
 
 from ..ir.graph import Graph
-from ..ir.node import (ControlSinkNode, ControlSplitNode, FixedNode,
-                       FixedWithNextNode, IRError, Node)
-from ..ir.nodes import (BeginNode, EndNode, IfNode, LoopBeginNode,
-                        LoopEndNode, MergeNode, StartNode)
+from ..ir.node import FixedNode, FixedWithNextNode, IRError, Node
+from ..ir.nodes import EndNode, LoopBeginNode, LoopEndNode, MergeNode
+from .controlflow import (immediate_dominators, natural_loop,
+                          reverse_post_order)
+
+
+def control_successors(node: FixedNode) -> Iterable[FixedNode]:
+    """The fixed nodes control passes to from *node*: an End's merge, a
+    LoopEnd's loop begin (neither has successor slots), else its
+    successor slots in declaration order."""
+    if isinstance(node, EndNode):
+        merge = node.merge()
+        if merge is None:
+            raise IRError(f"{node} feeds no merge")
+        return (merge,)
+    if isinstance(node, LoopEndNode):
+        if node.loop_begin is None:
+            raise IRError(f"{node} has no loop begin")
+        return (node.loop_begin,)
+    return node.successors()
 
 
 class IRBlock:
@@ -76,134 +94,42 @@ class ControlFlowGraph:
             for node in nodes:
                 self.block_of[node] = block
             # Discover new block entries.
-            last = nodes[-1]
-            targets: List[FixedNode] = []
-            if isinstance(last, ControlSplitNode):
-                targets.extend(last.successors())
-            elif isinstance(last, EndNode):
-                merge = last.merge()
-                if merge is None:
-                    raise IRError(f"{last} feeds no merge")
-                targets.append(merge)
-            elif isinstance(last, LoopEndNode):
-                targets.append(last.loop_begin)
-            elif isinstance(last, FixedWithNextNode):
-                targets.append(last.next)  # a merge
-            for target in targets:
+            for target in control_successors(nodes[-1]):
                 if target not in seen:
                     seen.add(target)
                     entries.append(target)
 
         # Edges (now that all blocks exist).
         for block in self.blocks:
-            last = block.last
-            if isinstance(last, ControlSplitNode):
-                succs = list(last.successors())
-            elif isinstance(last, EndNode):
-                succs = [last.merge()]
-            elif isinstance(last, LoopEndNode):
-                succs = [last.loop_begin]
-            elif isinstance(last, FixedWithNextNode):
-                succs = [last.next]
-            else:  # control sink
-                succs = []
-            for succ in succs:
+            for succ in control_successors(block.last):
                 succ_block = self.block_of[succ]
                 block.successors.append(succ_block)
                 succ_block.predecessors.append(block)
 
-        self._compute_rpo()
-        self._compute_loops()
-
-    def _compute_rpo(self):
-        entry = self.block_of[self.graph.start]
-        post: List[IRBlock] = []
-        visited: Set[IRBlock] = {entry}
-        stack = [(entry, 0)]
-        while stack:
-            block, index = stack.pop()
-            # Skip back edges (LoopEnd -> LoopBegin) during the DFS.
-            successors = [s for s in block.successors
-                          if not isinstance(block.last, LoopEndNode)]
-            if index < len(successors):
-                stack.append((block, index + 1))
-                succ = successors[index]
-                if succ not in visited:
-                    visited.add(succ)
-                    stack.append((succ, 0))
-            else:
-                post.append(block)
-        self.rpo = list(reversed(post))
-
-    def _compute_loops(self):
+        # The order skips back edges (LoopEnd -> LoopBegin).
+        self.rpo = reverse_post_order(
+            self.block_of[graph.start],
+            lambda block: () if isinstance(block.last, LoopEndNode)
+            else block.successors)
         for block in self.blocks:
-            if not block.is_loop_header:
-                continue
-            header: LoopBeginNode = block.first  # type: ignore[assignment]
-            members: Set[IRBlock] = {block}
-            worklist = [self.block_of[le] for le in header.loop_ends]
-            while worklist:
-                member = worklist.pop()
-                if member in members:
-                    continue
-                members.add(member)
-                worklist.extend(member.predecessors)
-            self._loop_members[block] = members
+            if block.is_loop_header:
+                latches = [self.block_of[end]
+                           for end in block.first.loop_ends]
+                self._loop_members[block] = natural_loop(
+                    block, latches, attrgetter("predecessors"))
 
     # -- dominators ------------------------------------------------------------
 
-    def compute_dominators(self) -> Dict[IRBlock, Optional[IRBlock]]:
-        """Immediate dominators (Cooper-Harvey-Kennedy), cached."""
-        if hasattr(self, "_idom"):
-            return self._idom
-        entry = self.block_of[self.graph.start]
-        rpo_index = {block: i for i, block in enumerate(self.rpo)}
-        idom: Dict[IRBlock, IRBlock] = {entry: entry}
-        changed = True
-        while changed:
-            changed = False
-            for block in self.rpo:
-                if block is entry:
-                    continue
-                preds = [p for p in block.predecessors if p in idom]
-                if not preds:
-                    continue
-                new_idom = preds[0]
-                for pred in preds[1:]:
-                    new_idom = self._intersect(new_idom, pred, idom,
-                                               rpo_index)
-                if idom.get(block) is not new_idom:
-                    idom[block] = new_idom
-                    changed = True
-        self._idom = {block: (None if block is entry
-                              else idom.get(block))
-                      for block in self.blocks}
-        return self._idom
-
-    @staticmethod
-    def _intersect(a, b, idom, rpo_index):
-        while a is not b:
-            while rpo_index.get(a, 0) > rpo_index.get(b, 0):
-                a = idom[a]
-            while rpo_index.get(b, 0) > rpo_index.get(a, 0):
-                b = idom[b]
-        return a
-
-    def dominates(self, a: IRBlock, b: IRBlock) -> bool:
-        """True if block *a* dominates block *b*."""
-        idom = self.compute_dominators()
-        current: Optional[IRBlock] = b
-        while current is not None:
-            if current is a:
-                return True
-            current = idom.get(current)
-        return False
+    @cached_property
+    def idom(self) -> Dict[IRBlock, Optional[IRBlock]]:
+        """Immediate dominators, in block order (entry: ``None``)."""
+        idom = immediate_dominators(self.rpo, attrgetter("predecessors"))
+        return {block: idom.get(block) for block in self.blocks}
 
     def dominator_children(self) -> Dict[IRBlock, List[IRBlock]]:
-        idom = self.compute_dominators()
         children: Dict[IRBlock, List[IRBlock]] = {b: [] for b in
                                                   self.blocks}
-        for block, parent in idom.items():
+        for block, parent in self.idom.items():
             if parent is not None:
                 children[parent].append(block)
         return children

@@ -431,7 +431,7 @@ def check_source(source: str,
                 coverage.add("pea:materialized")
             if ea.removed_monitor_pairs:
                 coverage.add("pea:monitor-elision")
-            if result.plan is None:
+            if result.lowering is None:
                 coverage.add("plan:fallback")
     except GraphVerificationError as error:
         return CheckResult(("verifier", str(error)), coverage)

@@ -40,6 +40,7 @@ from ..ir.nodes import (BeginNode, ConstantNode, DeoptimizeNode, EndNode,
                         LoopExitNode, MergeNode, ParameterNode, PhiNode,
                         StartNode, VirtualObjectNode)
 from ..scheduler.cfg import ControlFlowGraph, IRBlock
+from ..scheduler.controlflow import dominates
 
 
 class GraphVerificationError(IRError):
@@ -267,7 +268,7 @@ class GraphVerifier:
             def_block = cfg.block_of.get(value)
             if def_block is None:
                 self._report_use(use, f"fixed def {value} is unreachable")
-            elif not cfg.dominates(def_block, use_block):
+            elif not dominates(cfg.idom, def_block, use_block):
                 self._report_use(
                     use, f"def {value} (block {def_block.index}) does "
                          f"not dominate use (block {use_block.index})")
@@ -281,7 +282,7 @@ class GraphVerifier:
             if def_block is None:
                 self._report_use(use, f"phi {value} has no reachable "
                                       f"merge")
-            elif not cfg.dominates(def_block, use_block):
+            elif not dominates(cfg.idom, def_block, use_block):
                 self._report_use(
                     use, f"phi {value} (merge block {def_block.index}) "
                          f"does not dominate use (block "

@@ -6,6 +6,8 @@ between shards, and atomic publication makes every read some writer's
 complete snapshot."""
 
 import hashlib
+import os
+import sys
 import tempfile
 import threading
 
@@ -150,6 +152,55 @@ def test_concurrent_writers_never_tear_reads():
         final = CompilationCache(tmp)._read_disk(key)
         assert len(final) == 2
         assert final[0].blob in all_blobs
+
+
+def test_threads_sharing_a_cache_publish_whole_harness_records(tmp_path):
+    """Threads of one process storing warm-up records under one key
+    through one cache: each write goes through its own temporary file,
+    so a reader only ever loads some writer's complete record and no
+    temporary file is left behind."""
+    writers, rounds = 4, 15
+    cache = CompilationCache(str(tmp_path))
+    path = cache._harness_path("k")
+    records = [{"writer": w, "round": r, "pad": "x" * 100_000}
+               for w in range(writers) for r in range(rounds)]
+    failures = []
+    stop = threading.Event()
+
+    def write_loop(writer: int) -> None:
+        for round_ in range(rounds):
+            cache.store_harness_record(
+                "k", records[writer * rounds + round_])
+
+    def read_loop() -> None:
+        while not stop.is_set():
+            if not os.path.exists(path):
+                continue
+            record = CompilationCache(str(tmp_path)) \
+                .load_harness_record("k")
+            if record not in records:
+                failures.append("torn or unreadable record")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        reader = threading.Thread(target=read_loop)
+        reader.start()
+        threads = [threading.Thread(target=write_loop, args=(w,))
+                   for w in range(writers)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        stop.set()
+        reader.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [reader])
+    assert not failures, failures[:3]
+    assert CompilationCache(str(tmp_path)).load_harness_record("k") \
+        in records
+    assert os.listdir(os.path.dirname(path)) == ["k.pkl"]
 
 
 def test_adopt_entry_publishes_variants_across_instances(tmp_path):
