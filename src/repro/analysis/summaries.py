@@ -92,10 +92,6 @@ class ParamSummary:
         return ParamEscape.UNUSED
 
     @property
-    def is_captured(self) -> bool:
-        return self.captured
-
-    @property
     def borrowable(self) -> bool:
         """True when the callee never creates a new name for the object:
         a caller may pass a throwaway copy without observable effect."""
@@ -449,21 +445,6 @@ class SummaryDatabase:
 
     def digest(self, method: JMethod) -> str:
         return self.summary(method).digest()
-
-    def call_digests(self, method: JMethod) -> Dict[str, str]:
-        """``qualified_name -> digest`` for every method whose summary
-        the given method's compilation may consult (its static call
-        targets, transitively irrelevant — one level is what PEA
-        reads)."""
-        self._ensure_computed()
-        digests: Dict[str, str] = {}
-        if method.code is None:
-            return digests
-        for insn in method.code:
-            if insn.op in _INVOKES:
-                for target in self.resolve_targets(insn.operand):
-                    digests[target.qualified_name] = self.digest(target)
-        return digests
 
     def resolve_targets(self, ref: MethodRef) -> List[JMethod]:
         """Every method an invoke of *ref* may dispatch to."""

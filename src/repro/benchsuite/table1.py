@@ -137,6 +137,7 @@ def generate(suites: Sequence[str], quick: bool = False,
         elided = sum(m.warmup_iterations_elided for m in measurements)
         print(f"cache: {stats.hits} hits, {stats.misses} misses, "
               f"{stats.disk_hits} from disk, {stats.evictions} evicted, "
+              f"{stats.dropped} dropped, "
               f"{elided} warm-up iterations elided", file=out)
     fallbacks = sum(m.backend_fallbacks for m in measurements)
     print(f"backend fallbacks: {fallbacks} installs ran on the "

@@ -119,9 +119,6 @@ class Profile:
         self.backedges[key] = count
         return count
 
-    def backedge_count(self, method: JMethod, bci: int) -> int:
-        return self.backedges.get((method, bci), 0)
-
     def record_osr_entry(self, method: JMethod, bci: int):
         key = (method, bci)
         self.osr_entries[key] = self.osr_entries.get(key, 0) + 1

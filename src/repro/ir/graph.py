@@ -134,14 +134,6 @@ class Graph:
         self._replace_successor(predecessor, anchor, node)
         node.next = anchor
 
-    def insert_after(self, anchor: FixedWithNextNode,
-                     node: FixedWithNextNode):
-        """Splice *node* into control flow immediately after *anchor*."""
-        self.add(node)
-        successor = anchor.next
-        anchor.next = node
-        node.next = successor
-
     @staticmethod
     def _replace_successor(predecessor: Node, old: Node, new: Node):
         for name in predecessor._edges.successor_slots:

@@ -49,12 +49,6 @@ class PhiNode(FloatingNode):
     def values(self):
         return self.input_list("values")
 
-    def value_at(self, index: int):
-        return self.values[index]
-
-    def set_value_at(self, index: int, value):
-        self.values[index] = value
-
     def is_degenerate(self) -> Optional["PhiNode"]:
         """If all inputs are the same node (or self), return that node."""
         unique = None

@@ -8,20 +8,23 @@ Compilation in this VM is a pure function of three things:
    :meth:`repro.bytecode.classfile.Program.content_fingerprint`);
 2. the **configuration** — which phases run and with which knobs
    (:func:`pipeline_fingerprint`); and
-3. the **profile facts the pipeline actually consumed** — branch-count
-   speculation decisions, branch probabilities and receiver-type
-   speculation, recorded by threading a :class:`RecordingProfile`
-   through ``build_graph``/``InliningPhase``.
+3. the **profile facts the pipeline actually consumed** — branch
+   speculation decisions, OSR'd loops and receiver-type speculation,
+   recorded by threading a :class:`RecordingProfile` through
+   ``build_graph``/``InliningPhase``.
 
-The cache is keyed by (1) + (2) plus whether a profile was present;
-each entry carries its recorded facts (3) as a *speculation
-fingerprint*.  A lookup hits only when every recorded fact still holds
-against the requesting VM's live profile — the discipline of
-speculative-code caches (Deoptless, arXiv:2203.02340; soundness of
-cached speculative code is exactly "assumptions still hold",
-arXiv:1711.03050).  When a VM invalidates a method after repeated
-deoptimization, it also evicts the cache entry it used: the post-deopt
-profile changes the facts, so the entry can never validate again.
+The cache is keyed by (1) + (2) plus whether a profile was present and
+the resolved escape tier; the compiler derives that key once per
+compilation (``Compiler.resolve``) and hands it to :meth:`lookup` and
+:meth:`store`.  Each entry carries its recorded facts (3) as a
+*speculation fingerprint*.  A lookup hits only when every recorded
+fact still holds against the requesting VM's live profile — the
+discipline of speculative-code caches (Deoptless, arXiv:2203.02340;
+soundness of cached speculative code is exactly "assumptions still
+hold", arXiv:1711.03050).  When a VM invalidates a method after
+repeated deoptimization, it also evicts the cache entry it used: the
+post-deopt profile changes the facts, so the entry can never validate
+again.
 
 Two levels:
 
@@ -59,7 +62,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..bytecode.classfile import JClass, JField, JMethod, Program
 from ..bytecode.interpreter import Profile
-from ..ir.graph import Graph
 from ..opt.inlining import InliningPolicy
 from .options import CompilerConfig
 
@@ -180,7 +182,10 @@ class RecordingProfile:
     fingerprint*: replaying them against another profile and getting the
     same answers proves the pipeline would make the same speculation
     and inlining decisions, so the cached graph is exactly what a fresh
-    compilation would produce.
+    compilation would produce.  A fact is ``(query, method, *args,
+    answer)`` for one of :data:`RECORDED_QUERIES`; any other profile
+    query raises ``AttributeError``, so an unrecorded query cannot
+    reach a cached graph.
 
     Facts are recorded at *decision* level (speculation outcome,
     receiver class name), not as raw sample counters: decisions stay
@@ -191,21 +196,26 @@ class RecordingProfile:
         self.profile = profile
         self.facts: List[tuple] = []
 
+    def _record(self, query: str, method: JMethod, *args):
+        answer = getattr(self.profile, query)(method, *args)
+        self.facts.append((query, method.qualified_name, *args, answer))
+        return answer
+
     # Queried by GraphBuilder._try_speculate.
     def branch_outcome(self, method: JMethod, bci: int,
                        min_samples: int):
-        outcome = self.profile.branch_outcome(method, bci, min_samples)
-        self.facts.append(("branch_outcome", method.qualified_name, bci,
-                           min_samples, outcome))
-        return outcome
+        return self._record("branch_outcome", method, bci, min_samples)
 
-    # Defensive: nothing in the pipeline reads raw counts today, but a
-    # phase that starts to would get an exact-count (always-safe) fact.
-    def branch_counts(self, method: JMethod, bci: int):
-        counts = self.profile.branch_counts(method, bci)
-        self.facts.append(("branch_counts", method.qualified_name, bci,
-                           counts))
-        return counts
+    # Queried by GraphBuilder._try_speculate: loop exits stop being
+    # profiled once the loop tiers up through OSR.
+    def loop_has_osr(self, method: JMethod, bci: int) -> bool:
+        return self._record("loop_has_osr", method, bci)
+
+    # Queried by InliningPhase._speculative_target.
+    def monomorphic_receiver(self, method: JMethod, bci: int,
+                             min_samples: int):
+        return self._record("monomorphic_receiver", method, bci,
+                            min_samples)
 
     # Queried by GraphBuilder for If edge probabilities.  Deliberately
     # NOT recorded as a fact: the probability is embedded in the graph
@@ -216,84 +226,39 @@ class RecordingProfile:
     def taken_probability(self, method: JMethod, bci: int) -> float:
         return self.profile.taken_probability(method, bci)
 
-    # Queried by GraphBuilder._try_speculate: loop exits stop being
-    # profiled once the loop tiers up through OSR.
-    def loop_has_osr(self, method: JMethod, bci: int) -> bool:
-        outcome = self.profile.loop_has_osr(method, bci)
-        self.facts.append(("loop_has_osr", method.qualified_name, bci,
-                           outcome))
-        return outcome
 
-    # Queried by InliningPhase._speculative_target.
-    def monomorphic_receiver(self, method: JMethod, bci: int,
-                             min_samples: int):
-        receiver = self.profile.monomorphic_receiver(method, bci,
-                                                     min_samples)
-        self.facts.append(("monomorphic_receiver", method.qualified_name,
-                           bci, min_samples, receiver))
-        return receiver
-
-    # Queried by threshold-derived policies (and harness probes).
-    def invocation_count(self, method: JMethod) -> int:
-        count = self.profile.invocation_count(method)
-        self.facts.append(("invocation_count", method.qualified_name,
-                           count))
-        return count
+#: The profile queries :class:`RecordingProfile` records — the fact
+#: kinds :func:`validate_facts` replays.
+RECORDED_QUERIES = frozenset({"branch_outcome", "loop_has_osr",
+                              "monomorphic_receiver"})
 
 
 def validate_facts(facts: Tuple[tuple, ...], program: Program,
                    profile: Optional[Profile]) -> bool:
-    """True when every recorded profile fact holds verbatim against
-    *profile* (method names resolved in *program*).
+    """True when every recorded fact holds verbatim against *profile*
+    (method names resolved in *program*).
 
+    A profile fact ``(query, method, *args, answer)`` holds when
+    ``getattr(profile, query)(method, *args) == answer``.
     ``escape_summary`` facts are program facts, not profile facts: they
     are revalidated by recomputing the summary database against the
     requesting program (memoized there), independent of any profile.
     """
-    summary_facts = [fact for fact in facts
-                     if fact[0] == "escape_summary"]
-    if summary_facts:
-        try:
-            from ..analysis.summaries import summaries_for
-            database = summaries_for(program)
-            for __, qualified, expected in summary_facts:
-                if database.digest(
-                        program.method(qualified)) != expected:
-                    return False
-        except Exception:  # noqa: BLE001 - unresolved method etc.
-            return False
-        facts = tuple(fact for fact in facts
-                      if fact[0] != "escape_summary")
-    if profile is None:
-        return not facts
     try:
-        for fact in facts:
-            kind = fact[0]
-            if kind == "branch_outcome":
-                __, qualified, bci, min_samples, expected = fact
-                actual = profile.branch_outcome(
-                    program.method(qualified), bci, min_samples)
-            elif kind == "branch_counts":
-                __, qualified, bci, expected = fact
-                actual = profile.branch_counts(program.method(qualified),
-                                               bci)
-            elif kind == "loop_has_osr":
-                __, qualified, bci, expected = fact
-                actual = profile.loop_has_osr(
-                    program.method(qualified), bci)
-            elif kind == "monomorphic_receiver":
-                __, qualified, bci, min_samples, expected = fact
-                actual = profile.monomorphic_receiver(
-                    program.method(qualified), bci, min_samples)
-            elif kind == "invocation_count":
-                __, qualified, expected = fact
-                actual = profile.invocation_count(
-                    program.method(qualified))
+        for query, qualified, *args in facts:
+            method = program.method(qualified)
+            if query == "escape_summary":
+                from ..analysis.summaries import summaries_for
+                holds = summaries_for(program).digest(method) == args[0]
             else:
+                *args, answer = args
+                holds = (profile is not None
+                         and query in RECORDED_QUERIES
+                         and getattr(profile, query)(method, *args)
+                         == answer)
+            if not holds:
                 return False
-            if actual != expected:
-                return False
-    except Exception:
+    except Exception:  # noqa: BLE001 - unresolved method etc.
         return False
     return True
 
@@ -378,6 +343,11 @@ class CacheStats:
     continuation_stores: int = 0
     disk_hits: int = 0
     disk_writes: int = 0
+    #: Entries rejected as unusable: disk files that do not unpickle,
+    #: carry another format or echo another key; entries whose blob
+    #: digest does not match; variants whose facts hold but whose
+    #: payload does not load.  A missing file is not a drop.
+    dropped: int = 0
     lookup_seconds: float = 0.0
     store_seconds: float = 0.0
 
@@ -387,24 +357,6 @@ class CacheStats:
     def delta(self, before: Dict[str, Any]) -> Dict[str, Any]:
         return {name: value - before[name]
                 for name, value in self.snapshot().items()}
-
-
-@dataclass
-class CachedCompilation:
-    """One validated hit: a private graph copy bound to the requesting
-    program, plus everything needed to rebuild a CompilationResult."""
-
-    graph: Graph
-    ea_result: Any
-    node_count: int
-    #: The storing compiler's backend lowering: ``(backend, payload)``
-    #: (the plan's linearized node-id order, or the generated-Python
-    #: payload of :meth:`repro.runtime.codegen.CodegenPlan.payload`),
-    #: ``(backend, "unsupported")`` when lowering failed at store time,
-    #: or ``None`` when that compiler ran the legacy backend.
-    lowering: Any
-    #: Handle for eviction (used by the VM on deopt invalidation).
-    entry: "CacheEntry"
 
 
 @dataclass
@@ -460,10 +412,10 @@ class CompilationCache:
         deopt site cache independently.
 
         *tier* is the **resolved** escape-tier token this compilation
-        runs under (``Compiler.resolve_tier_for``); ``None`` resolves a
-        static tier from the config.  Keying on the resolution — not
-        just the policy — is what guarantees no entry is ever served
-        across ``escape_tier`` values."""
+        runs under (``Compiler.resolve``); ``None`` resolves a static
+        tier from the config.  Keying on the resolution — not just the
+        policy — is what guarantees no entry is ever served across
+        ``escape_tier`` values."""
         if tier is None:
             spec = config.static_tier_spec()
             tier = spec.token() if spec is not None else "?"
@@ -472,65 +424,57 @@ class CompilationCache:
                         pipeline_fingerprint(config), profiled,
                         entry_bci, tier))
 
-    # -- lookup/store -------------------------------------------------------
+    # -- lookup/store/evict by key ------------------------------------------
 
-    def lookup(self, program: Program, method: JMethod,
-               config: CompilerConfig, profile: Optional[Profile],
-               entry_bci: Optional[int] = None,
-               tier: Optional[str] = None
-               ) -> Optional[CachedCompilation]:
+    def lookup(self, key: str, program: Program,
+               profile: Optional[Profile]
+               ) -> Optional[Tuple[CacheEntry, Dict[str, Any]]]:
+        """The first variant under *key* whose facts hold against
+        *profile* and whose payload loads into *program*, with that
+        payload (a private graph copy bound to *program*)."""
         started = time.perf_counter()
         try:
             with self._lock:
-                return self._lookup_locked(program, method, config,
-                                           profile, entry_bci, tier)
+                entries = self._entries(key)
+                for entry in entries:
+                    if not validate_facts(entry.facts, program, profile):
+                        continue
+                    try:
+                        payload = load_graph_payload(entry.blob, program)
+                    except Exception:  # noqa: BLE001 - unresolvable
+                        self.stats.dropped += 1
+                        continue
+                    self.stats.hits += 1
+                    return entry, payload
+                if entries:
+                    self.stats.validation_failures += 1
+                self.stats.misses += 1
+                return None
         finally:
             self.stats.lookup_seconds += time.perf_counter() - started
 
-    def _lookup_locked(self, program, method, config, profile,
-                       entry_bci, tier=None
-                       ) -> Optional[CachedCompilation]:
-            key = self.compilation_key(program, method, config,
-                                       profile is not None, entry_bci,
-                                       tier)
-            entries = self._entries(key)
-            saw_candidate = False
-            for entry in entries:
-                if not validate_facts(entry.facts, program, profile):
-                    saw_candidate = True
-                    continue
-                try:
-                    payload = load_graph_payload(entry.blob, program)
-                except Exception:
-                    # Unresolvable token (program drifted): unusable.
-                    saw_candidate = True
-                    continue
-                self.stats.hits += 1
-                return CachedCompilation(
-                    payload["graph"], payload["ea_result"],
-                    payload["node_count"], payload["lowering"], entry)
-            if saw_candidate:
-                self.stats.validation_failures += 1
-            self.stats.misses += 1
-            return None
+    def peek(self, key: str, program: Program,
+             profile: Optional[Profile]) -> Optional[CacheEntry]:
+        """The first variant under *key* whose facts hold against
+        *profile*, without loading its payload (the compile service
+        answers with it; its client loads it)."""
+        with self._lock:
+            for entry in self._entries(key):
+                if validate_facts(entry.facts, program, profile):
+                    return entry
+        return None
 
-    def store(self, program: Program, method: JMethod,
-              config: CompilerConfig, profile: Optional[Profile],
-              facts: Tuple[tuple, ...], graph: Graph, ea_result: Any,
-              node_count: int, lowering: Any,
-              entry_bci: Optional[int] = None,
-              tier: Optional[str] = None) -> Optional[CacheEntry]:
+    def store(self, key: str, program: Program, method: JMethod,
+              facts: Tuple[tuple, ...], payload: Dict[str, Any],
+              entry_bci=None) -> Optional[CacheEntry]:
+        """Store *payload* (``graph``, ``ea_result``, ``node_count``,
+        ``lowering``) detached from *program* as the variant of *key*
+        with speculation *facts*; ``None`` when it does not pickle."""
         started = time.perf_counter()
         try:
-            key = self.compilation_key(program, method, config,
-                                       profile is not None, entry_bci,
-                                       tier)
             try:
-                blob = dump_graph_payload(
-                    {"graph": graph, "ea_result": ea_result,
-                     "node_count": node_count, "lowering": lowering},
-                    program)
-            except Exception:
+                blob = dump_graph_payload(payload, program)
+            except Exception:  # noqa: BLE001
                 return None  # unpicklable graph: simply don't cache
             entry = CacheEntry(key, tuple(facts), blob,
                                {"method": method.qualified_name,
@@ -552,37 +496,19 @@ class CompilationCache:
             self.stats.stores += 1
             self._write_disk(entry.key, entries)
 
-    def evict(self, entry: Optional[CacheEntry]) -> None:
-        """Drop one variant — used when deopt invalidation proves its
-        speculation wrong (the post-deopt profile changes the facts, so
-        the entry could never validate again anyway)."""
-        if entry is None:
-            return
-        with self._lock:
-            entries = self._memory.get(entry.key)
-            if not entries:
-                return
-            remaining = [e for e in entries if e is not entry
-                         and e.facts != entry.facts]
-            if len(remaining) != len(entries):
-                self._memory[entry.key] = remaining
-                self.stats.evictions += 1
-                self._write_disk(entry.key, remaining)
-
-    def evict_variant(self, key: str, facts: Tuple[tuple, ...]) -> bool:
-        """Drop the variant of *key* whose facts match — the
-        compile-service side of deopt invalidation, where the client
-        names the entry instead of holding it."""
+    def evict(self, key: str, facts: Tuple[tuple, ...]) -> None:
+        """Drop the variant of *key* whose speculation facts are
+        *facts* — deopt invalidation proved them wrong, so the entry
+        could never validate again.  Serves a VM retiring its code and
+        the compile service's ``evict`` message alike."""
+        facts = tuple(map(tuple, facts))
         with self._lock:
             entries = self._entries(key)
-            facts = tuple(map(tuple, facts))
             remaining = [e for e in entries if e.facts != facts]
-            if len(remaining) == len(entries):
-                return False
-            self._memory[key] = remaining
-            self.stats.evictions += 1
-            self._write_disk(key, remaining)
-            return True
+            if len(remaining) != len(entries):
+                self._memory[key] = remaining
+                self.stats.evictions += 1
+                self._write_disk(key, remaining)
 
     def _entries(self, key: str) -> List[CacheEntry]:
         entries = self._memory.get(key)
@@ -615,20 +541,26 @@ class CompilationCache:
                             f"{key}.pkl")
 
     def _read_disk(self, key: str) -> List[CacheEntry]:
-        path = self._graph_path(key)
+        """The digest-valid entries of *key*'s file.  A missing file is
+        a plain miss; every rejected file or entry counts as dropped."""
         try:
-            with open(path, "rb") as handle:
+            with open(self._graph_path(key), "rb") as handle:
                 stored = pickle.load(handle)
-            if stored.get("format") != CACHE_FORMAT:
-                return []
-            if stored.get("key") != key:
-                return []  # cross-shard/renamed file: reject wholesale
-            return [CacheEntry(key, tuple(map(tuple, e["facts"])),
-                               e["blob"], e.get("meta", {}))
-                    for e in stored["entries"]
-                    if hashlib.sha256(e["blob"]).hexdigest()
-                    == e.get("digest")]
-        except Exception:
+            if stored.get("format") != CACHE_FORMAT \
+                    or stored.get("key") != key:
+                # Another format, or a cross-shard/renamed file.
+                raise ValueError("rejected wholesale")
+            entries = [CacheEntry(key, tuple(map(tuple, e["facts"])),
+                                  e["blob"], e.get("meta", {}))
+                       for e in stored["entries"]
+                       if hashlib.sha256(e["blob"]).hexdigest()
+                       == e.get("digest")]
+            self.stats.dropped += len(stored["entries"]) - len(entries)
+            return entries
+        except FileNotFoundError:
+            return []
+        except Exception:  # noqa: BLE001 - unreadable file
+            self.stats.dropped += 1
             return []
 
     def _write_disk(self, key: str, entries: List[CacheEntry]) -> None:

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+from .cache import CacheEntry
 from .server import DEFAULT_AUTHKEY, dump_program, parse_address
 
 
@@ -31,7 +32,9 @@ from .server import DEFAULT_AUTHKEY, dump_program, parse_address
 class CompileReply:
     """One resolved compile request.
 
-    Exactly one of (``blob``, ``error``) is set.  ``qualified`` and
+    Exactly one of (``entry``, ``error``) is set: the service's cache
+    entry (key, speculation facts, detached payload), which the VM
+    validates and installs like a cache hit.  ``qualified`` and
     ``entry_bci`` echo the submission so the VM can route the install
     without keeping its own request table.
     """
@@ -39,10 +42,7 @@ class CompileReply:
     request_id: int
     qualified: str
     entry_bci: Optional[int]
-    key: Optional[str] = None
-    blob: Optional[bytes] = None
-    facts: Optional[Tuple[tuple, ...]] = None
-    meta: Optional[dict] = None
+    entry: Optional[CacheEntry] = None
     error: Optional[str] = None
 
 
@@ -145,8 +145,9 @@ class ServiceClient:
             __, rid, key, blob, facts, meta = message
             qualified, entry_bci = self._pending.pop(rid, ("?", None))
             self._compile_replies.append(CompileReply(
-                rid, qualified, entry_bci, key=key, blob=blob,
-                facts=facts, meta=meta))
+                rid, qualified, entry_bci, entry=CacheEntry(
+                    key, tuple(map(tuple, facts)), blob,
+                    dict(meta or {}))))
         elif kind == "compile-error":
             __, rid, detail = message
             qualified, entry_bci = self._pending.pop(rid, ("?", None))

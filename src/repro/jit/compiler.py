@@ -5,12 +5,13 @@ global value numbering, then (optionally) one of the escape analyses,
 then cleanup.
 
 When given a :class:`~repro.jit.cache.CompilationCache`, the compiler
-becomes memoizing: it records every profile fact the pipeline consumes
-(through a :class:`~repro.jit.cache.RecordingProfile`) and stores the
-optimized graph under a content-addressed key; later compilations of the
-same method under the same configuration — from this compiler or any
-other sharing the cache — reuse the stored graph when the recorded facts
-still hold against their own profile.
+becomes memoizing: it derives each compilation's content-addressed key
+once (:meth:`Compiler.resolve`), records every profile fact the
+pipeline consumes (through a :class:`~repro.jit.cache.RecordingProfile`)
+and stores the optimized graph under that key; later compilations of
+the same method under the same configuration — from this compiler or
+any other sharing the cache, or the compile service — reuse the stored
+graph when the recorded facts still hold against their own profile.
 """
 
 from __future__ import annotations
@@ -33,8 +34,8 @@ from ..pea.equi_escape import EquiEscapePhase
 from ..pea.partial_escape import PartialEscapePhase, PEAResult
 from ..runtime.codegen import CodegenError, CodegenPlan
 from ..runtime.plan import ExecutionPlan, PlanError
-from .cache import (CacheEntry, CachedCompilation, CompilationCache,
-                    RecordingProfile, load_graph_payload)
+from .cache import (CacheEntry, CompilationCache, RecordingProfile,
+                    load_graph_payload)
 from .deoptless import is_continuation_entry
 from .options import CompilerConfig, TierSpec
 
@@ -106,20 +107,29 @@ class Compiler:
         #: to the cheap tier instead of queueing PEA work).
         self.service_queue_depth = 0
 
-    def resolve_tier_for(self, method: JMethod) -> TierSpec:
-        """Evaluate the per-method escape-tier policy.
+    def resolve(self, method: JMethod,
+                osr_bci=None) -> Tuple[TierSpec, Optional[str]]:
+        """The escape tier ``(method, osr_bci)`` compiles at and, with a
+        cache attached, the key its artifact is cached under.  Each
+        compile derives them once; the compile service dedups requests
+        on the same key before handing this compiler to its worker.
 
-        Reads hotness from the *live* profile (never through a
-        :class:`RecordingProfile` — an exact invocation-count fact
-        would almost never revalidate and would kill caching).  Cache
-        safety comes from keying every artifact with the resolved tier
-        token instead.
+        Evaluates the per-method escape-tier policy with hotness from
+        the *live* profile (never through a :class:`RecordingProfile` —
+        an exact invocation-count fact would almost never revalidate
+        and would kill caching).  Cache safety comes from keying every
+        artifact with the resolved tier token instead.
         """
         hotness = (self.profile.invocation_count(method)
                    if self.profile is not None else 0)
-        return self.config.resolve_tier(
+        tier = self.config.resolve_tier(
             method.qualified_name, len(method.code), hotness,
             queue_depth=self.service_queue_depth)
+        if self.cache is None:
+            return tier, None
+        return tier, CompilationCache.compilation_key(
+            self.program, method, self.config, self.profile is not None,
+            osr_bci, tier.token())
 
     def compile(self, method: JMethod,
                 osr_bci=None) -> CompilationResult:
@@ -140,14 +150,11 @@ class Compiler:
     def _compile(self, method: JMethod,
                  osr_bci=None) -> CompilationResult:
         config = self.config
-        tier = self.resolve_tier_for(method)
-
-        if self.cache is not None:
-            cached = self.cache.lookup(self.program, method, config,
-                                       self.profile, entry_bci=osr_bci,
-                                       tier=tier.token())
-            if cached is not None:
-                return self._relink(cached, method, osr_bci)
+        tier, key = self.resolve(method, osr_bci)
+        if key is not None:
+            hit = self.cache.lookup(key, self.program, self.profile)
+            if hit is not None:
+                return self._relink(*hit, method, osr_bci)
         # Record consumed facts even without a cache: the VM uses them
         # to re-validate installed code against the live profile.
         profile = RecordingProfile(self.profile) \
@@ -241,48 +248,45 @@ class Compiler:
             # is only reusable while every consulted summary still
             # digests the same against the loading program.
             facts = facts + summary_view.facts()
+        node_count = graph.node_count()
         entry = None
-        if self.cache is not None:
+        if key is not None:
             entry = self.cache.store(
-                self.program, method, config, self.profile, facts,
-                graph, ea_result, graph.node_count(), stored,
-                entry_bci=osr_bci, tier=tier.token())
-        return CompilationResult(graph, ea_result, graph.node_count(),
-                                 lowering, cache_entry=entry,
-                                 facts=facts)
+                key, self.program, method, facts,
+                {"graph": graph, "ea_result": ea_result,
+                 "node_count": node_count, "lowering": stored},
+                entry_bci=osr_bci)
+        return CompilationResult(graph, ea_result, node_count, lowering,
+                                 cache_entry=entry, facts=facts)
 
-    def result_from_service(self, method: JMethod, blob: bytes,
-                            facts, key: str, meta: Optional[dict],
+    def result_from_service(self, method: JMethod, entry: CacheEntry,
                             osr_bci=None) -> CompilationResult:
         """Materialize a compile-service reply exactly like a cache
-        hit: attach the detached payload to *this* program, re-link the
-        backend lowering, and adopt the entry into the local cache so
-        deopt invalidation can evict it (and later lookups hit without
-        a round trip).  The caller has already validated *facts*
-        against its live profile."""
-        payload = load_graph_payload(blob, self.program)
-        entry = CacheEntry(key, tuple(map(tuple, facts)), blob,
-                           dict(meta or {}))
-        result = self._relink(CachedCompilation(
-            payload["graph"], payload["ea_result"], payload["node_count"],
-            payload["lowering"], entry), method, osr_bci)
+        hit: load the entry's payload into *this* program, re-link it,
+        and adopt the entry into the local cache so deopt invalidation
+        can evict it (and later lookups hit without a round trip).  The
+        caller has already validated the entry's facts against its
+        live profile."""
+        result = self._relink(entry,
+                              load_graph_payload(entry.blob, self.program),
+                              method, osr_bci)
         if self.cache is not None:
             self.cache.adopt_entry(entry)
         self.compile_count += 1
         self.cache_hit_count += 1
         return result
 
-    def _relink(self, cached: CachedCompilation, method: JMethod,
-                osr_bci) -> CompilationResult:
-        """Rebuild the result of a stored graph (a cache hit or a
-        compile-service reply), re-linking the stored lowering."""
-        lowering, __ = self._lower(cached.graph, method, osr_bci,
-                                   cached.lowering)
+    def _relink(self, entry: CacheEntry, payload: Dict[str, Any],
+                method: JMethod, osr_bci) -> CompilationResult:
+        """The result of a validated cache entry and its loaded payload
+        (a cache hit or a compile-service reply), re-linking the
+        stored lowering."""
+        graph = payload["graph"]
+        lowering, __ = self._lower(graph, method, osr_bci,
+                                   payload["lowering"])
         return CompilationResult(
-            cached.graph, cached.ea_result, cached.node_count, lowering,
-            cache_entry=cached.entry, cache_hit=True,
-            facts=tuple(cached.entry.facts)
-            if cached.entry is not None else ())
+            graph, payload["ea_result"], payload["node_count"], lowering,
+            cache_entry=entry, cache_hit=True, facts=entry.facts)
 
     def _lower(self, graph: Graph, method: JMethod, osr_bci,
                stored=None) -> Tuple[Optional[Lowering], Any]:

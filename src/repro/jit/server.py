@@ -47,13 +47,18 @@ facts, the stale reply is rejected, and the client resubmits).
 Dedup and the shared cache
 --------------------------
 
-Requests are keyed by the PR 3 content-addressed compilation key.  A
-request whose key is already being compiled *joins* the in-flight job
-(one compilation, many replies); a request whose key validates against
-the shared cache is answered immediately without queueing.  Deopt
-invalidation flows back: clients broadcast ``("evict", key, facts)``
-and the service drops the variant, so a failed speculation cannot be
-re-served to the fleet.
+Each request gets a request-scoped :class:`~repro.jit.compiler.Compiler`
+holding the restored profile and the observed queue depth; it derives
+the request's content-addressed compilation key, and the worker later
+compiles with that same compiler, so the artifact is stored under the
+key the request was deduplicated on.  A request whose key is already
+being compiled *joins* the in-flight job (one compilation, many
+replies); a request with a variant whose facts hold in the shared cache
+(:meth:`~repro.jit.cache.CompilationCache.peek`) is answered
+immediately without queueing.  Deopt invalidation flows back: clients
+broadcast ``("evict", key, facts)`` and the service drops the variant
+through the same :meth:`~repro.jit.cache.CompilationCache.evict` a VM
+uses, so a failed speculation cannot be re-served to the fleet.
 
 Failure semantics: a dead service (or any connection error) makes the
 client VM log once and fall back to in-process compilation — the
@@ -74,6 +79,8 @@ from ..bytecode.classfile import (OBJECT_CLASS, JClass, JField, JMethod,
                                   Program)
 from ..bytecode.interpreter import Profile
 from .cache import CacheEntry, CompilationCache
+from .compiler import Compiler
+from .deoptless import is_continuation_entry
 from .options import CompilerConfig
 
 #: Shared-secret for :mod:`multiprocessing.connection` HMAC handshakes.
@@ -230,16 +237,12 @@ class _Job:
     """One queued compilation with every connection waiting on it."""
 
     key: str
-    fingerprint: str
-    qualified: str
-    entry_bci: Optional[int]
-    config: CompilerConfig
-    profile_snapshot: Optional[dict]
-    #: Queue depth observed when the request was keyed; the worker's
-    #: compiler re-resolves the escape tier with the same depth so the
-    #: stored artifact lands under the dedup key even for depth-aware
-    #: tier policies.
-    queue_depth: int = 0
+    #: The request-scoped compiler that derived *key*: it holds the
+    #: restored profile and the queue depth observed at keying, so the
+    #: worker compiling with it stores the artifact under *key*.
+    compiler: Compiler
+    method: JMethod
+    entry_bci: Any
     waiters: List[Tuple[_ClientConn, int]] = field(default_factory=list)
     done: bool = False
 
@@ -386,7 +389,7 @@ class CompileService:
                                  entry_bci, config, snapshot)
         elif kind == "evict":
             __, key, facts = message
-            self.cache.evict_variant(key, facts)
+            self.cache.evict(key, facts)
             self.stats.evictions_received += 1
         elif kind == "stats":
             conn.send(("stats", message[1], self.stats.snapshot()))
@@ -397,17 +400,14 @@ class CompileService:
             threading.Thread(target=self.shutdown, daemon=True).start()
 
     def _handle_compile(self, conn: _ClientConn, rid: int,
-                        fingerprint: str, qualified: str,
-                        entry_bci: Optional[int],
+                        fingerprint: str, qualified: str, entry_bci,
                         config: CompilerConfig,
                         snapshot: Optional[dict]) -> None:
-        from .cache import validate_facts
         if self._stop.is_set():
             # Raced shutdown(): the queue is being failed, so a job
             # enqueued now would never be drained.  Refuse immediately.
             conn.send(("compile-error", rid, "service shutting down"))
             return
-        from .deoptless import is_continuation_entry
         with self._lock:
             self.stats.requests += 1
             if is_continuation_entry(entry_bci):
@@ -428,54 +428,31 @@ class CompileService:
                 if snapshot is not None:
                     profile = Profile()
                     profile.restore(program, snapshot)
+                compiler = Compiler(program, config, profile, self.cache)
+                compiler.service_queue_depth = self._queue.qsize()
+                __, key = compiler.resolve(method, entry_bci)
             except Exception as exc:  # noqa: BLE001 - bad request
                 conn.send(("compile-error", rid,
                            f"{type(exc).__name__}: {exc}"))
                 self.stats.compile_errors += 1
                 return
-            # Resolve the escape tier exactly as the worker's compiler
-            # will (same profile snapshot, same queue depth) so the
-            # dedup key matches the key the artifact is stored under.
-            queue_depth = self._queue.qsize()
-            hotness = (profile.invocation_count(method)
-                       if profile is not None else 0)
-            tier = config.resolve_tier(
-                qualified, len(method.code), hotness,
-                queue_depth=queue_depth).token()
-            key = CompilationCache.compilation_key(
-                program, method, config, profile is not None, entry_bci,
-                tier)
             job = self._inflight.get(key)
             if job is not None and not job.done:
                 job.waiters.append((conn, rid))
                 self.stats.dedup_joined += 1
                 return
-            entry = self._peek_cache(key, program, profile,
-                                     validate_facts)
+            entry = self.cache.peek(key, program, profile)
             if entry is not None:
                 self.stats.cache_hits += 1
                 conn.send(("compiled", rid, entry.key, entry.blob,
                            entry.facts, entry.meta))
                 return
-            job = _Job(key, fingerprint, qualified, entry_bci, config,
-                       snapshot, queue_depth=queue_depth,
+            job = _Job(key, compiler, method, entry_bci,
                        waiters=[(conn, rid)])
             self._inflight[key] = job
             self._queue.put(job)
             self.stats.queue_depth_max = max(
                 self.stats.queue_depth_max, self._queue.qsize())
-
-    def _peek_cache(self, key: str, program: Program,
-                    profile: Optional[Profile],
-                    validate_facts) -> Optional[CacheEntry]:
-        """The first cached variant under *key* whose facts validate
-        against the request's profile, without materializing the
-        payload (the client does that)."""
-        with self.cache._lock:
-            for entry in self.cache._entries(key):
-                if validate_facts(entry.facts, program, profile):
-                    return entry
-        return None
 
     # -- workers -----------------------------------------------------------
 
@@ -491,18 +468,9 @@ class CompileService:
                                             f"{exc}")
 
     def _compile_job(self, job: _Job) -> None:
-        from .compiler import Compiler
-        program = self._programs[job.fingerprint]
-        method = program.method(job.qualified)
-        profile = None
-        if job.profile_snapshot is not None:
-            profile = Profile()
-            profile.restore(program, job.profile_snapshot)
-        compiler = Compiler(program, job.config, profile,
-                            cache=self.cache)
-        compiler.service_queue_depth = job.queue_depth
         try:
-            result = compiler.compile(method, osr_bci=job.entry_bci)
+            result = job.compiler.compile(job.method,
+                                          osr_bci=job.entry_bci)
         except Exception as exc:  # noqa: BLE001 - compile failure
             self._finish_job(job, error=f"{type(exc).__name__}: {exc}")
             return

@@ -437,18 +437,20 @@ class VM:
             self.deoptless.retirements += 1
         else:
             self.osr_compiled.pop((method, entry), None)
-        entry_record = variant.result.cache_entry
+        record = variant.result.cache_entry
+        if record is None:
+            return
         if self.cache is not None:
             # The post-deopt profile changes the speculation facts, so
             # the cached entry could never validate again — and a
             # *different* VM whose profile still matches would re-import
             # the failed speculation.  Evict it.
-            self.cache.evict(entry_record)
-        if self._service is not None and entry_record is not None:
+            self.cache.evict(record.key, record.facts)
+        if self._service is not None:
             # Broadcast the same eviction to the shared service cache,
             # so the fleet cannot be re-served the failed speculation.
             try:
-                self._service.evict(entry_record.key, entry_record.facts)
+                self._service.evict(record.key, record.facts)
             except Exception as exc:  # noqa: BLE001
                 self._service_lost(exc)
 
@@ -596,8 +598,8 @@ class VM:
             return
         result = None
         if reply.error is None:
-            facts = tuple(map(tuple, reply.facts))
-            if not validate_facts(facts, self.program, self.profile):
+            if not validate_facts(reply.entry.facts, self.program,
+                                  self.profile):
                 if key not in self._service_retried and \
                         self._service is not None:
                     self._service_retried.add(key)
@@ -610,8 +612,7 @@ class VM:
             else:
                 try:
                     result = self.compiler.result_from_service(
-                        method, reply.blob, facts, reply.key,
-                        reply.meta, osr_bci=entry)
+                        method, reply.entry, osr_bci=entry)
                 except Exception:  # noqa: BLE001 - undecodable payload
                     pass
         self._service_retried.discard(key)

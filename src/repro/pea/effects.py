@@ -114,7 +114,3 @@ class Effects:
 
     def __len__(self):
         return len(self._items) + len(self._deletions)
-
-    def descriptions(self) -> List[str]:
-        return [d for d, __ in self._items] + [
-            f"delete {n!r}" for n in self._deletions]

@@ -37,12 +37,6 @@ class PEAResult:
     #: rolled-back loop-processing retries are discarded with them.
     events: list = field(default_factory=list)
 
-    @property
-    def fully_removed_allocations(self) -> int:
-        """Allocations removed with no materialization anywhere (an upper
-        bound: materializations are not tied back to allocations)."""
-        return max(0, self.virtualized_allocations - self.materializations)
-
 
 class PartialEscapePhase(Phase):
     name = "partial-escape-analysis"

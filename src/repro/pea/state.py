@@ -100,10 +100,6 @@ class PEAState:
     def get_state(self, virtual_object: VirtualObjectNode) -> ObjectState:
         return self.object_states[virtual_object]
 
-    def state_for(self, node: Node) -> Optional[ObjectState]:
-        alias = self.get_alias(node)
-        return self.object_states.get(alias) if alias is not None else None
-
     def add_object(self, state: ObjectState):
         self.object_states[state.virtual_object] = state
 

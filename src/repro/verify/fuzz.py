@@ -14,14 +14,11 @@ One fuzz iteration:
    configurations varying the execution backend, the escape tier and
    deoptless dispatch — and compare per-call return values, heap
    allocation counts, monitor balance, deopt counts and the final
-   static object graph (the rematerialized escape state).  The
-   summary and deoptless engines must match the plan engine on every
-   observable and may only *lower* the allocation count.  The
-   conngraph engine compiles *different* code (no virtualization, so
-   deopt schedules and elided monitor pairs legitimately diverge from
-   the PEA engines); it is held to the reference invariants — identical
-   results and statics, balanced monitors, allocations bounded by the
-   interpreter's.
+   static object graph (the rematerialized escape state).  Every
+   engine is held to the reference invariants — identical results and
+   statics, balanced monitors, allocations bounded by the
+   interpreter's — and each :data:`ENGINES` entry declares which other
+   engine's counts it must also reproduce (its oracle).
 4. Programs that exercise new coverage are queued for mutation; a
    mismatch or verifier failure is delta-debugged down to a minimal
    reproducer (:mod:`repro.verify.shrink`) and persisted to the
@@ -36,6 +33,7 @@ rematerialization.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import random
 from dataclasses import dataclass, field
@@ -63,26 +61,73 @@ SUMMARY_DEPTH = 4
 
 ENTRY = "Main.entry"
 
-#: The differential engines in run order: name -> keyword arguments of
-#: :func:`run_engine_vm`, or ``None`` for the reference bytecode
-#: interpreter.  With a shared cache the order decides which engine
-#: compiles a graph and which ones hit its entry, so it is part of the
-#: campaign: reordering changes every fuzz run.
-ENGINES: Dict[str, Optional[dict]] = {
-    "interp": None,
+@dataclass(frozen=True)
+class Engine:
+    """One differential engine: how to run it, and its oracle — which
+    engine's counts it must reproduce, and on which counts.  Every
+    engine is also held to the interpreter invariants
+    (:func:`compare_outcomes`)."""
+
+    #: Keyword arguments of :func:`run_engine_vm`; ``None`` for the
+    #: reference bytecode interpreter.
+    options: Optional[dict]
+    #: The engine whose counts this one must reproduce (``None``: the
+    #: interpreter invariants only).
+    reproduces: Optional[str] = None
+    #: ``(failure category, EngineOutcome counts, relation)`` in check
+    #: order: each count must be ``relation(own, reproduced)``.
+    checks: Tuple[Tuple[str, Tuple[str, ...],
+                        Callable[[int, int], bool]], ...] = ()
+    #: Compare only when neither engine deopted and this one never
+    #: dispatched.
+    undisturbed_only: bool = False
+
+
+#: Backends must be bit-identical to the threaded-code backend.
+_SAME_AS_PLAN = (
+    ("alloc-mismatch", ("allocations",), operator.eq),
+    ("backend-mismatch", ("monitor_enters", "deopts", "osr_entries"),
+     operator.eq),
+)
+
+#: The differential engines in run order.  With a shared cache the
+#: order decides which engine compiles a graph and which ones hit its
+#: entry, so it is part of the campaign: reordering changes every fuzz
+#: run.
+ENGINES: Dict[str, Engine] = {
+    "interp": Engine(None),
     # The legacy GraphInterpreter backend.
-    "legacy": {"backend": "legacy"},
+    "legacy": Engine({"backend": "legacy"}, "plan", _SAME_AS_PLAN),
     # The threaded-code backend: the reference the others compare to.
-    "plan": {"backend": "plan"},
+    "plan": Engine({"backend": "plan"}),
     # Generated Python code.
-    "codegen": {"backend": "codegen"},
-    # Interprocedural escape summaries.
-    "summaries": {"backend": "plan", "escape_tier": "pea+summaries"},
+    "codegen": Engine({"backend": "codegen"}, "plan", _SAME_AS_PLAN),
+    # Interprocedural escape summaries are a pure optimization: every
+    # count matches the summary-less plan engine, except that heap
+    # allocations may only go *down*.
+    "summaries": Engine(
+        {"backend": "plan", "escape_tier": "pea+summaries"}, "plan",
+        (("summary-mismatch",
+          ("monitor_enters", "deopts", "osr_entries"), operator.eq),
+         ("summary-alloc-mismatch", ("allocations",), operator.le))),
     # The connection-graph fast tier: no PEA; flow-insensitive escape
-    # analysis drives stack allocation and lock elision instead.
-    "conngraph": {"backend": "plan", "escape_tier": "conngraph"},
-    # Deoptless continuation dispatch.
-    "deoptless": {"backend": "plan", "deoptless": True},
+    # analysis drives stack allocation and lock elision instead.  It
+    # compiles genuinely different code, so deopt schedules, elided
+    # monitor pairs and allocation counts all legitimately diverge from
+    # the PEA engines.
+    "conngraph": Engine({"backend": "plan", "escape_tier": "conngraph"}),
+    # Deoptless continuation dispatch.  A continuation is compiled
+    # code, so once a deopt happened it can hit further guards the
+    # interpreted bridge would simply execute: deopt totals,
+    # invalidation schedules and the recompiles' elided allocations and
+    # monitor pairs diverge by design.  Without any deopt or dispatch
+    # deoptless is pure observation and must match plan exactly.
+    "deoptless": Engine(
+        {"backend": "plan", "deoptless": True}, "plan",
+        (("deoptless-off-path-mismatch",
+          ("allocations", "monitor_enters", "osr_entries"),
+          operator.eq),),
+        undisturbed_only=True),
 }
 
 
@@ -271,7 +316,7 @@ def run_engine(name: str, make_program: Callable[[], object],
                cache: Optional[CompilationCache] = None,
                service_address: Optional[str] = None) -> EngineOutcome:
     """Run the probe sequence under engine *name* of :data:`ENGINES`."""
-    options = ENGINES[name]
+    options = ENGINES[name].options
     if options is None:
         return run_engine_interpreter(make_program, probes)
     return run_engine_vm(make_program, probes=probes, cache=cache,
@@ -304,83 +349,27 @@ def compare_outcomes(outcomes: Dict[str, EngineOutcome]
                     f"{name} allocated {outcome.allocations} > "
                     f"interpreter {reference.allocations} — PEA must "
                     "never add dynamic allocations")
-    plan = outcomes["plan"]
-    for name in ("legacy", "codegen"):
-        other = outcomes.get(name)
-        if other is None:
+    for name, engine in ENGINES.items():
+        outcome = outcomes.get(name)
+        if outcome is None or engine.reproduces is None:
             continue
-        if other.allocations != plan.allocations:
-            return ("alloc-mismatch",
-                    f"{name} allocated {other.allocations}, plan "
-                    f"{plan.allocations} (backends must be "
-                    "bit-identical)")
-        if (other.monitor_enters != plan.monitor_enters
-                or other.deopts != plan.deopts
-                or other.osr_entries != plan.osr_entries):
-            return ("backend-mismatch",
-                    f"{name} monitors={other.monitor_enters} "
-                    f"deopts={other.deopts} osr={other.osr_entries}; "
-                    f"plan monitors={plan.monitor_enters} "
-                    f"deopts={plan.deopts} osr={plan.osr_entries}")
-    summaries = outcomes.get("summaries")
-    if summaries is not None:
-        # Interprocedural escape summaries are a pure optimization:
-        # everything observable must match the summary-less plan engine
-        # (results/statics already checked against the interpreter
-        # above), and heap allocations may only go *down*.
-        if (summaries.monitor_enters != plan.monitor_enters
-                or summaries.deopts != plan.deopts
-                or summaries.osr_entries != plan.osr_entries):
-            return ("summary-mismatch",
-                    f"summaries monitors={summaries.monitor_enters} "
-                    f"deopts={summaries.deopts} "
-                    f"osr={summaries.osr_entries}; plan "
-                    f"monitors={plan.monitor_enters} "
-                    f"deopts={plan.deopts} osr={plan.osr_entries}")
-        if summaries.allocations > plan.allocations:
-            return ("summary-alloc-mismatch",
-                    f"escape summaries allocated "
-                    f"{summaries.allocations} > baseline "
-                    f"{plan.allocations} — summaries must never add "
-                    "heap allocations")
-    # The conngraph engine needs no section of its own: it compiles
-    # genuinely different code (no virtualization), so deopt schedules,
-    # elided monitor pairs and allocation counts all legitimately
-    # diverge from the PEA engines.  The reference loop above already
-    # pins everything it must satisfy — identical results and statics,
-    # balanced monitors, allocations bounded by the interpreter's.
-    deoptless = outcomes.get("deoptless")
-    if deoptless is not None:
-        # Deoptless replaces interpreted deopt bridges with compiled
-        # continuations.  The generic reference loop above already
-        # pins the hard invariants — identical per-call results and
-        # final statics (the checksums), balanced monitors, and
-        # allocations bounded by the interpreter.  Allocation and
-        # monitor-enter *counts* are deliberately not compared against
-        # the plan engine once a dispatch happened: a continuation is
-        # compiled code, so it can hit further guards the interpreted
-        # bridge would simply execute — deopt totals and therefore
-        # invalidation schedules diverge by design, and the
-        # post-invalidation recompiles elide different allocations and
-        # monitor pairs.  When *no* dispatch was attempted, though,
-        # deoptless was pure overhead-free observation and the two
-        # configurations must be bit-identical.
-        untouched = (deoptless.dispatches == 0
-                     and not outcomes["plan"].deopts
-                     and not deoptless.deopts)
-        if untouched and (
-                deoptless.allocations != plan.allocations
-                or deoptless.monitor_enters != plan.monitor_enters
-                or deoptless.osr_entries != plan.osr_entries):
-            return ("deoptless-off-path-mismatch",
-                    f"no deopt occurred, yet deoptless "
-                    f"allocs={deoptless.allocations} "
-                    f"monitors={deoptless.monitor_enters} "
-                    f"osr={deoptless.osr_entries}; plan "
-                    f"allocs={plan.allocations} "
-                    f"monitors={plan.monitor_enters} "
-                    f"osr={plan.osr_entries}")
+        oracle = outcomes[engine.reproduces]
+        if engine.undisturbed_only and (
+                outcome.dispatches or outcome.deopts or oracle.deopts):
+            continue
+        for category, counts, relation in engine.checks:
+            if not all(relation(getattr(outcome, count),
+                                getattr(oracle, count))
+                       for count in counts):
+                return (category,
+                        f"{name} {_counts(outcome, counts)}; "
+                        f"{engine.reproduces} {_counts(oracle, counts)}")
     return None
+
+
+def _counts(outcome: EngineOutcome, counts: Tuple[str, ...]) -> str:
+    return " ".join(f"{count}={getattr(outcome, count)}"
+                    for count in counts)
 
 
 # -- one fuzz iteration ---------------------------------------------------------

@@ -174,11 +174,6 @@ class ProgramGenerator:
 
         return cls(rand_int)
 
-    @classmethod
-    def from_random(cls, rng) -> "ProgramGenerator":
-        """Adapter for a ``random.Random`` instance."""
-        return cls(rng.randint)
-
     # -- drawing helpers --------------------------------------------------
 
     def _int(self, lo, hi):

@@ -81,14 +81,6 @@ def _walk_lists(program: GeneratedProgram):
         yield from descend((method,), stmts)
 
 
-def _get_list(program: GeneratedProgram, path) -> List[Stmt]:
-    method, *steps = path
-    container = program.bodies[method]
-    for index, part in steps:
-        container = getattr(container[index], part)
-    return container
-
-
 def _try_structural(program: GeneratedProgram, predicate: Predicate
                     ) -> Optional[GeneratedProgram]:
     """One structural simplification: hoist a compound's body into its

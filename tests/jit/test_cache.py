@@ -232,13 +232,20 @@ def test_disk_round_trip(tmp_path):
 
 def test_corrupt_disk_entry_is_ignored(tmp_path):
     cache_dir = str(tmp_path / "cache")
-    _, r1, c1 = run_vm(LOOP_SOURCE, cache=CompilationCache(cache_dir))
-    for path in glob.glob(os.path.join(cache_dir, "graphs", "*", "*.pkl")):
+    cold = CompilationCache(cache_dir)
+    _, r1, c1 = run_vm(LOOP_SOURCE, cache=cold)
+    assert cold.stats.dropped == 0  # a missing file is a plain miss
+    paths = glob.glob(os.path.join(cache_dir, "graphs", "*", "*.pkl"))
+    assert paths
+    for path in paths:
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
-    vm, r2, c2 = run_vm(LOOP_SOURCE, cache=CompilationCache(cache_dir))
+    cache = CompilationCache(cache_dir)
+    vm, r2, c2 = run_vm(LOOP_SOURCE, cache=cache)
     assert (r1, c1) == (r2, c2)
     assert vm.compiler.cache_hit_count == 0
+    # Every corrupted file was read once, and counted.
+    assert cache.stats.dropped == len(paths)
 
 
 # -- codegen payloads ----------------------------------------------------------

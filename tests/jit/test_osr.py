@@ -155,11 +155,11 @@ def test_osr_and_entry_variants_do_not_collide(tmp_path):
     # Populate the cache with the OSR variant only ...
     vm.call("Main.run", 2_000)
     [(_, osr_bci)] = list(vm.osr_compiled)
-    assert cache.lookup(program, method, vm.config, vm.profile,
-                        entry_bci=osr_bci) is not None
+    __, osr_key = vm.compiler.resolve(method, osr_bci)
+    assert cache.lookup(osr_key, program, vm.profile) is not None
     # ... and the normal-entry lookup must still miss.
-    assert cache.lookup(program, method, vm.config, vm.profile,
-                        entry_bci=None) is None
+    __, entry_key = vm.compiler.resolve(method)
+    assert cache.lookup(entry_key, program, vm.profile) is None
 
 
 def test_warm_vm_reuses_cached_osr_variant(tmp_path):

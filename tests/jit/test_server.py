@@ -290,7 +290,7 @@ def test_clean_shutdown_fails_queued_requests(tmp_path):
             break
     assert {reply.request_id for reply in replies} == set(rids)
     for reply in replies:
-        assert reply.blob is None
+        assert reply.entry is None
         assert "shutting down" in reply.error
     service.shutdown()  # idempotent
     client.close()
