@@ -17,66 +17,30 @@ from __future__ import annotations
 import argparse
 import cProfile
 import sys
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..jit import CompilerConfig
-from .harness import Measurement, run_workload
+from .harness import (Measurement, delta_pct, run_suite,
+                      verify_checksums)
 from .profiling import print_profile, profiled
 from .reporting import pct, render_table
-from .workloads import SUITES, Workload, quick_copy
+from .workloads import SUITES, quick_copy
 
 
-@dataclass
-class ThreeWay:
-    workload: Workload
-    no_ea: Measurement
-    equi: Measurement
-    pea: Measurement
-
-    def speedup(self, measurement: Measurement) -> float:
-        base = self.no_ea.iterations_per_minute
-        if base == 0:
-            return 0.0
-        return (measurement.iterations_per_minute - base) / base * 100.0
-
-    @property
-    def equi_speedup_pct(self) -> float:
-        return self.speedup(self.equi)
-
-    @property
-    def pea_speedup_pct(self) -> float:
-        return self.speedup(self.pea)
-
-    def verify(self):
-        assert self.no_ea.checksum == self.equi.checksum == \
-            self.pea.checksum, f"{self.workload.name}: checksum mismatch"
+def arms(backend: str = "plan", collect_node_histogram: bool = False
+         ) -> Dict[str, CompilerConfig]:
+    """The three configurations of Section 6.2, baseline first."""
+    options = dict(execution_backend=backend,
+                   collect_node_histogram=collect_node_histogram)
+    return {"no_ea": CompilerConfig.no_ea(**options),
+            "equi": CompilerConfig.equi_escape(**options),
+            "pea": CompilerConfig.partial_escape(**options)}
 
 
-def run_three_way(workload: Workload, backend: str = "plan",
-                  histogram: Optional[Dict[str, int]] = None
-                  ) -> ThreeWay:
-    collect = histogram is not None
-    result = ThreeWay(
-        workload,
-        run_workload(workload, CompilerConfig.no_ea(
-            execution_backend=backend, collect_node_histogram=collect),
-            histogram),
-        run_workload(workload, CompilerConfig.equi_escape(
-            execution_backend=backend, collect_node_histogram=collect),
-            histogram),
-        run_workload(workload, CompilerConfig.partial_escape(
-            execution_backend=backend, collect_node_histogram=collect),
-            histogram),
-    )
-    result.verify()
-    return result
-
-
-def _three_way_worker(item) -> ThreeWay:
-    """Module-level worker so ProcessPoolExecutor can pickle it."""
-    workload, backend = item
-    return run_three_way(workload, backend)
+def speedup_pct(measured: Mapping[str, Measurement], arm: str) -> float:
+    """*arm*'s speedup over the no-EA arm, in percent."""
+    return delta_pct(measured["no_ea"].iterations_per_minute,
+                     measured[arm].iterations_per_minute)
 
 
 #: The paper's Section 6.2 numbers: suite -> (server EA %, Graal PEA %).
@@ -89,34 +53,34 @@ PAPER_62 = {
 
 def generate(suites: Sequence[str], quick: bool = False, out=sys.stdout,
              jobs: int = 1, backend: str = "plan",
-             profile: bool = False) -> Dict[str, List[ThreeWay]]:
+             profile: bool = False
+             ) -> Dict[str, List[Dict[str, Measurement]]]:
+    """Run the suites under :func:`arms` and print each suite's
+    speedups; returns every workload's ``{arm: Measurement}`` per
+    suite, in suite order."""
     if profile:
         jobs = 1  # cProfile + histogram need everything in-process
     histogram: Optional[Dict[str, int]] = {} if profile else None
     profiler = cProfile.Profile() if profile else None
-    results: Dict[str, List[ThreeWay]] = {}
+    configs = arms(backend, collect_node_histogram=profile)
+    results: Dict[str, List[Dict[str, Measurement]]] = {}
     for suite_name in suites:
         workloads = SUITES[suite_name]
         if quick:
             workloads = [quick_copy(w) for w in workloads]
         with profiled(profiler):
-            if jobs > 1:
-                from concurrent.futures import ProcessPoolExecutor
-                items = [(w, backend) for w in workloads]
-                with ProcessPoolExecutor(max_workers=jobs) as pool:
-                    three_ways = list(pool.map(_three_way_worker, items))
-            else:
-                three_ways = [run_three_way(w, backend, histogram)
-                              for w in workloads]
-        results[suite_name] = three_ways
-        rows = [[t.workload.name, pct(t.equi_speedup_pct),
-                 pct(t.pea_speedup_pct)] for t in three_ways]
-        equi_avg = sum(t.equi_speedup_pct for t in three_ways) \
-            / len(three_ways)
-        pea_avg = sum(t.pea_speedup_pct for t in three_ways) \
-            / len(three_ways)
+            measured = run_suite(workloads, configs, jobs=jobs,
+                                 histogram=histogram)
+        for workload, measurements in zip(workloads, measured):
+            verify_checksums(workload, measurements)
+        results[suite_name] = measured
+        equi = [speedup_pct(m, "equi") for m in measured]
+        pea = [speedup_pct(m, "pea") for m in measured]
+        rows = [[w.name, pct(e), pct(p)]
+                for w, e, p in zip(workloads, equi, pea)]
         paper_equi, paper_pea = PAPER_62[suite_name]
-        rows.append(["average", pct(equi_avg), pct(pea_avg)])
+        rows.append(["average", pct(sum(equi) / len(equi)),
+                     pct(sum(pea) / len(pea))])
         rows.append(["(paper)", pct(paper_equi), pct(paper_pea)])
         print(f"\n== {suite_name}: speedup over no-EA ==", file=out)
         print(render_table(["benchmark", "equi-escape EA", "PEA"], rows),

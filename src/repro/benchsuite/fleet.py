@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..api import VM, CompilerConfig, compile_source
 from ..jit.server import CompileService, format_address
-from .harness import run_workload
+from .harness import mismatched, run_arms
 from .workloads import ALL_WORKLOADS, by_name, quick_copy
 
 #: Tier-up thresholds for the load-generation phases: low enough that a
@@ -167,38 +167,32 @@ def _latency_summary(records: List[dict]) -> dict:
 
 def _identity_ab(address, names: Sequence[str], quick: bool) -> dict:
     """Per-workload service-on vs service-off measurement through the
-    ordinary harness; both runs use the standard benchmark
+    ordinary harness; both arms use the standard benchmark
     configuration (only ``compile_service`` differs)."""
+    arms = {"service": CompilerConfig.partial_escape(
+                compile_service=format_address(address)),
+            "local": CompilerConfig.partial_escape()}
     section: Dict[str, dict] = {}
-    all_identical = True
-    service_config = CompilerConfig.partial_escape(
-        compile_service=format_address(address))
-    local_config = CompilerConfig.partial_escape()
     for name in names:
         workload = by_name(name)
         if quick:
             workload = quick_copy(workload)
-        program = compile_source(workload.source,
-                                 natives=workload.natives or None)
-        serviced = run_workload(workload, service_config,
-                                program=program)
-        local = run_workload(workload, local_config, program=program)
-        same = all(getattr(serviced, metric) == getattr(local, metric)
-                   for metric in _IDENTITY_METRICS)
-        all_identical = all_identical and same
+        measured = run_arms(workload, arms)
+        differ = mismatched(measured, _IDENTITY_METRICS)
+        local = measured["local"]
         section[name] = {
-            "metrics_identical": same,
+            "metrics_identical": not differ,
             "checksum": local.checksum,
             "deopts_measured": local.deopts_measured,
-            "service_cache_hits": serviced.cache_hits,
+            "service_cache_hits": measured["service"].cache_hits,
         }
-        if not same:
+        if differ:
             section[name]["mismatch"] = {
-                metric: [getattr(serviced, metric),
-                         getattr(local, metric)]
-                for metric in _IDENTITY_METRICS
-                if getattr(serviced, metric) != getattr(local, metric)}
-    return {"all_identical": all_identical, "workloads": section}
+                metric: [getattr(m, metric) for m in measured.values()]
+                for metric in differ}
+    return {"all_identical": all(row["metrics_identical"]
+                                 for row in section.values()),
+            "workloads": section}
 
 
 def run_fleet(workers: int = 16, mix_tasks: int = 96, seed: int = 2024,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import api
 from ..api import VM, CompilerConfig, compile_source
@@ -118,6 +118,12 @@ class Measurement:
     gc_minor_collections: float = field(default=0.0, compare=False)
     gc_pause_cycles: float = field(default=0.0, compare=False)
     gc_promoted_kb: float = field(default=0.0, compare=False)
+    #: Per compiled method (and OSR variant, labelled ``name@osrBCI``):
+    #: the lowering the VM executes and its size — codegen source
+    #: bytes, plan handler slots, or IR nodes on the GraphInterpreter.
+    #: Excluded from equality: the lowering is the backend's choice.
+    code_sizes: Dict[str, dict] = field(default_factory=dict,
+                                        compare=False)
 
     @property
     def iterations_per_minute(self) -> float:
@@ -196,6 +202,24 @@ def _vm_tick(vm: VM) -> Tuple[int, ...]:
     return (len(vm.compiled), len(vm._uncompilable),
             len(vm.osr_compiled), len(vm._osr_uncompilable),
             vm.exec_stats.deopts, vm.invalidations)
+
+
+def _code_sizes(vm: VM) -> Dict[str, dict]:
+    """Per compiled method (and OSR variant): which lowering the VM
+    executes and how big it is (:attr:`Measurement.code_sizes`)."""
+    def describe(result) -> dict:
+        if result.codegen is not None:
+            return {"backend": "codegen",
+                    "size": result.codegen.code_size}
+        if result.plan is not None:
+            return {"backend": "plan", "size": len(result.plan.nodes)}
+        return {"backend": "interpreter", "size": result.node_count}
+
+    rows = {method.qualified_name: describe(result)
+            for method, result in vm.compiled.items()}
+    for (method, bci), result in vm.osr_compiled.items():
+        rows[f"{method.qualified_name}@osr{bci}"] = describe(result)
+    return rows
 
 
 def _profile_snapshot(vm: VM) -> dict:
@@ -395,7 +419,82 @@ def run_workload(workload: Workload, config: CompilerConfig,
         gc_minor_collections=gc_delta.minor_collections / iterations,
         gc_pause_cycles=gc_delta.pause_cycles / iterations,
         gc_promoted_kb=gc_delta.promoted_bytes / iterations / 1024.0,
+        code_sizes=_code_sizes(vm),
     )
+
+
+def run_arms(workload: Workload, arms: Mapping[str, CompilerConfig],
+             histogram: Optional[Dict[str, int]] = None,
+             cache: Optional[CompilationCache] = None
+             ) -> Dict[str, Measurement]:
+    """Measure *workload* under each arm (name -> configuration), in
+    order, with :func:`run_workload`.
+
+    The source -> bytecode build is hoisted out of the per-arm runs:
+    every VM shares one Program (the interpreter's statics are reset
+    after every iteration, and profiles live in the VM, so the runs
+    cannot observe each other)."""
+    program = compile_source(workload.source,
+                             natives=workload.natives or None)
+    return {name: run_workload(workload, config, histogram,
+                               program=program, cache=cache)
+            for name, config in arms.items()}
+
+
+def _compare_worker(item) -> Dict[str, Measurement]:
+    """Module-level worker so ProcessPoolExecutor can pickle it."""
+    workload, arms, cache_dir = item
+    cache = CompilationCache(cache_dir) if cache_dir is not None else None
+    return run_arms(workload, arms, cache=cache)
+
+
+def run_suite(workloads: Sequence[Workload],
+              arms: Mapping[str, CompilerConfig],
+              jobs: int = 1,
+              histogram: Optional[Dict[str, int]] = None,
+              cache: Optional[CompilationCache] = None
+              ) -> List[Dict[str, Measurement]]:
+    """:func:`run_arms` for every workload; with ``jobs > 1``, fan the
+    (independent) workloads out over worker processes.  Results are
+    reassembled in submission order, so the output is bit-identical to
+    a serial run.  ``histogram`` is only honored serially (profiling
+    forces ``jobs=1``).  With ``jobs > 1`` the in-process cache level
+    cannot cross process boundaries, so workers share through the
+    cache's directory (no sharing when it has none)."""
+    if jobs <= 1:
+        return [run_arms(w, arms, histogram, cache) for w in workloads]
+    from concurrent.futures import ProcessPoolExecutor
+    cache_dir = cache.cache_dir if cache is not None else None
+    items = [(w, dict(arms), cache_dir) for w in workloads]
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(_compare_worker, items))
+
+
+def mismatched(measurements: Mapping[str, Measurement],
+               fields: Sequence[str]) -> List[str]:
+    """The *fields* on which the arms' measurements differ."""
+    first, *rest = measurements.values()
+    return [name for name in fields
+            if any(getattr(m, name) != getattr(first, name)
+                   for m in rest)]
+
+
+def delta_pct(before: float, after: float) -> float:
+    """Relative change from *before* to *after*, in percent (0 when
+    *before* is 0)."""
+    if before == 0:
+        return 0.0
+    return (after - before) / before * 100.0
+
+
+def verify_checksums(workload: Workload,
+                     measurements: Mapping[str, Measurement]) -> None:
+    """Raise unless every arm computed the same result."""
+    if mismatched(measurements, ("checksum",)):
+        raise AssertionError(
+            f"{workload.name}: checksum mismatch "
+            + " vs ".join(str(m.checksum)
+                          for m in measurements.values()))
 
 
 @dataclass
@@ -406,36 +505,37 @@ class Comparison:
     without: Measurement
     with_pea: Measurement
 
-    def _delta_pct(self, before: float, after: float) -> float:
-        if before == 0:
-            return 0.0
-        return (after - before) / before * 100.0
+    @classmethod
+    def of(cls, workload: Workload,
+           arms: Mapping[str, Measurement]) -> "Comparison":
+        """The row of a :func:`run_arms` result over the arms ``no_ea``
+        and ``pea``; raises on a checksum mismatch."""
+        verify_checksums(workload, arms)
+        return cls(workload, arms["no_ea"], arms["pea"])
+
+    @property
+    def arms(self) -> Dict[str, Measurement]:
+        return {"no_ea": self.without, "pea": self.with_pea}
 
     @property
     def kb_delta_pct(self) -> float:
-        return self._delta_pct(self.without.kb_per_iteration,
-                               self.with_pea.kb_per_iteration)
+        return delta_pct(self.without.kb_per_iteration,
+                         self.with_pea.kb_per_iteration)
 
     @property
     def allocs_delta_pct(self) -> float:
-        return self._delta_pct(self.without.allocations_per_iteration,
-                               self.with_pea.allocations_per_iteration)
+        return delta_pct(self.without.allocations_per_iteration,
+                         self.with_pea.allocations_per_iteration)
 
     @property
     def monitor_delta_pct(self) -> float:
-        return self._delta_pct(self.without.monitor_ops_per_iteration,
-                               self.with_pea.monitor_ops_per_iteration)
+        return delta_pct(self.without.monitor_ops_per_iteration,
+                         self.with_pea.monitor_ops_per_iteration)
 
     @property
     def speedup_pct(self) -> float:
-        return self._delta_pct(self.without.iterations_per_minute,
-                               self.with_pea.iterations_per_minute)
-
-    def verify(self):
-        if self.without.checksum != self.with_pea.checksum:
-            raise AssertionError(
-                f"{self.workload.name}: checksum mismatch "
-                f"{self.without.checksum} vs {self.with_pea.checksum}")
+        return delta_pct(self.without.iterations_per_minute,
+                         self.with_pea.iterations_per_minute)
 
 
 def compare_workload(workload: Workload,
@@ -444,53 +544,8 @@ def compare_workload(workload: Workload,
                      histogram: Optional[Dict[str, int]] = None,
                      cache: Optional[CompilationCache] = None
                      ) -> Comparison:
-    """Run one workload under the paper's two configurations.
-
-    The source -> bytecode build is hoisted out of the per-config runs:
-    both VMs share one Program (the interpreter's statics are reset
-    after every iteration, and profiles live in the VM, so the runs
-    cannot observe each other)."""
-    program = compile_source(workload.source,
-                             natives=workload.natives or None)
-    comparison = Comparison(
-        workload,
-        run_workload(workload, baseline or CompilerConfig.no_ea(),
-                     histogram, program=program, cache=cache),
-        run_workload(workload, optimized
-                     or CompilerConfig.partial_escape(), histogram,
-                     program=program, cache=cache),
-    )
-    comparison.verify()
-    return comparison
-
-
-def _compare_worker(item) -> Comparison:
-    """Module-level worker so ProcessPoolExecutor can pickle it."""
-    workload, baseline, optimized, cache_dir = item
-    cache = CompilationCache(cache_dir) if cache_dir is not None else None
-    return compare_workload(workload, baseline, optimized, cache=cache)
-
-
-def run_suite(workloads: Sequence[Workload],
-              baseline: Optional[CompilerConfig] = None,
-              optimized: Optional[CompilerConfig] = None,
-              jobs: int = 1,
-              histogram: Optional[Dict[str, int]] = None,
-              cache: Optional[CompilationCache] = None
-              ) -> List[Comparison]:
-    """Compare every workload; with ``jobs > 1``, fan the (independent)
-    per-workload comparisons out over worker processes.  Results are
-    reassembled in submission order, so the output is bit-identical to
-    a serial run.  ``histogram`` is only honored serially (profiling
-    forces ``jobs=1``).  With ``jobs > 1`` the in-process cache level
-    cannot cross process boundaries, so workers share through the
-    cache's directory (no sharing when it has none)."""
-    if jobs <= 1:
-        return [compare_workload(w, baseline, optimized, histogram,
-                                 cache=cache)
-                for w in workloads]
-    from concurrent.futures import ProcessPoolExecutor
-    cache_dir = cache.cache_dir if cache is not None else None
-    items = [(w, baseline, optimized, cache_dir) for w in workloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_compare_worker, items))
+    """Run one workload under the paper's two configurations."""
+    arms = {"no_ea": baseline or CompilerConfig.no_ea(),
+            "pea": optimized or CompilerConfig.partial_escape()}
+    return Comparison.of(workload,
+                         run_arms(workload, arms, histogram, cache))

@@ -2,7 +2,9 @@
 
 Runs the whole workload corpus twice — once under the threaded-code
 ``plan`` backend (the base) and once under the generated-Python
-``codegen`` backend (the diff) — and reports:
+``codegen`` backend (the diff), each through the harness's
+:func:`~.harness.run_workload` (GC barrier included; with a cache
+directory, warm-up elision as in ``table1``) — and reports:
 
 - a per-workload table of wall-clock time, allocations and deopts,
   sorted by wall-clock regression (worst speedup first), plus a
@@ -28,11 +30,11 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from .. import api
 from ..api import CompilerConfig, compile_source
 from ..jit.cache import CompilationCache
+from .harness import mismatched, run_workload
 from .reporting import num, render_table
 from .workloads import SUITES, Workload, quick_copy
 
@@ -42,87 +44,37 @@ IDENTITY_FIELDS = ("checksum", "kb_per_iteration",
                    "monitor_ops_per_iteration", "deopts")
 
 
-def _method_sizes(vm) -> Dict[str, dict]:
-    """Per compiled method (and OSR variant): which lowering the VM
-    executes and how big it is."""
-    rows: Dict[str, dict] = {}
-
-    def describe(result) -> dict:
-        if result.codegen is not None:
-            return {"backend": "codegen",
-                    "size": result.codegen.code_size}
-        if result.plan is not None:
-            return {"backend": "plan", "size": len(result.plan.nodes)}
-        return {"backend": "interpreter", "size": result.node_count}
-
-    for method, result in vm.compiled.items():
-        rows[method.qualified_name] = describe(result)
-    for (method, bci), result in vm.osr_compiled.items():
-        rows[f"{method.qualified_name}@osr{bci}"] = describe(result)
-    return rows
-
-
-def _run(workload: Workload, backend: str, osr: bool,
-         cache: Optional[CompilationCache]) -> dict:
-    """One timed, per-method-instrumented run of *workload* under
-    *backend*.  Mirrors the harness's measured window (zeroed cycle
-    counter, statics reset per iteration) but keeps the VM so the
-    compiled set can be inspected afterwards."""
-    program = compile_source(workload.source,
-                             natives=workload.natives or None)
-    config = CompilerConfig.partial_escape(execution_backend=backend,
-                                           osr=osr)
-    started = time.perf_counter()
-    vm = api.compile(program, config=config, cache=cache).vm
-    checksum = 0
-    for _ in range(workload.warmup_iterations):
-        checksum = vm.call(workload.entry, workload.iteration_size)
-        program.reset_statics()
-    vm.cycles_snapshot()
-    vm.exec_stats.cycles = 0.0
-    heap_before = vm.heap_snapshot()
-    for _ in range(workload.measure_iterations):
-        checksum = vm.call(workload.entry, workload.iteration_size)
-        program.reset_statics()
-    seconds = time.perf_counter() - started
-    heap_delta = vm.heap_snapshot().delta(heap_before)
-    cycles = vm.cycles_snapshot()
-    iterations = workload.measure_iterations
-    return {
-        "seconds": seconds,
-        "checksum": checksum,
-        "kb_per_iteration": heap_delta.allocated_bytes / iterations
-        / 1024.0,
-        "allocations_per_iteration": heap_delta.allocations / iterations,
-        "monitor_ops_per_iteration": heap_delta.monitor_operations
-        / iterations,
-        "cycles_per_iteration": cycles / iterations,
-        "deopts": vm.exec_stats.deopts,
-        "osr_entries": vm.osr_entries,
-        "methods": _method_sizes(vm),
-    }
-
-
 def run_jitdiff(workloads: Sequence[Workload], osr: bool = True,
                 cache: Optional[CompilationCache] = None,
                 out=sys.stdout) -> dict:
-    """Diff the corpus; returns the full report (also printed)."""
+    """Diff the corpus; returns the full report (also printed).  Each
+    backend is one timed :func:`~.harness.run_workload` call over one
+    shared Program, so the timing covers VM construction, warm-up and
+    the measured window."""
     per_workload = {}
     methods: List[dict] = []
     mismatches: List[str] = []
     totals = {"plan": 0.0, "codegen": 0.0}
     for workload in workloads:
-        base = _run(workload, "plan", osr, cache)
-        diff = _run(workload, "codegen", osr, cache)
-        totals["plan"] += base["seconds"]
-        totals["codegen"] += diff["seconds"]
-        mismatched = [name for name in IDENTITY_FIELDS
-                      if base[name] != diff[name]]
-        if mismatched:
-            mismatches.append(f"{workload.name}: {', '.join(mismatched)}")
-        for label in sorted(set(base["methods"]) | set(diff["methods"])):
-            plan_row = base["methods"].get(label)
-            codegen_row = diff["methods"].get(label)
+        program = compile_source(workload.source,
+                                 natives=workload.natives or None)
+        measured, seconds = {}, {}
+        for backend in ("plan", "codegen"):
+            config = CompilerConfig.partial_escape(
+                execution_backend=backend, osr=osr)
+            started = time.perf_counter()
+            measured[backend] = run_workload(workload, config,
+                                             program=program, cache=cache)
+            seconds[backend] = time.perf_counter() - started
+            totals[backend] += seconds[backend]
+        differ = mismatched(measured, IDENTITY_FIELDS)
+        if differ:
+            mismatches.append(f"{workload.name}: {', '.join(differ)}")
+        base = measured["plan"].code_sizes
+        diff = measured["codegen"].code_sizes
+        for label in sorted(set(base) | set(diff)):
+            plan_row = base.get(label)
+            codegen_row = diff.get(label)
             methods.append({
                 "workload": workload.name,
                 "method": label,
@@ -135,17 +87,18 @@ def run_jitdiff(workloads: Sequence[Workload], osr: bool = True,
                 "codegen_backend":
                     codegen_row["backend"] if codegen_row else "absent",
             })
+        codegen = measured["codegen"]
         per_workload[workload.name] = {
-            "plan_seconds": round(base["seconds"], 3),
-            "codegen_seconds": round(diff["seconds"], 3),
-            "speedup": round(base["seconds"]
-                             / max(diff["seconds"], 1e-9), 3),
+            "plan_seconds": round(seconds["plan"], 3),
+            "codegen_seconds": round(seconds["codegen"], 3),
+            "speedup": round(seconds["plan"]
+                             / max(seconds["codegen"], 1e-9), 3),
             "allocations_per_iteration":
-                diff["allocations_per_iteration"],
-            "deopts": diff["deopts"],
-            "osr_entries": diff["osr_entries"],
-            "metrics_identical": not mismatched,
-            "mismatched_fields": mismatched,
+                codegen.allocations_per_iteration,
+            "deopts": codegen.deopts,
+            "osr_entries": codegen.osr_entries,
+            "metrics_identical": not differ,
+            "mismatched_fields": differ,
         }
 
     # Worst wall-clock regression first, CoreCLR-jitdiff style.

@@ -22,10 +22,10 @@ import io
 import json
 import sys
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from ..jit import CompilationCache, CompilerConfig
-from .harness import Comparison, run_suite, run_workload
+from .harness import Comparison, mismatched, run_suite, run_workload
 from .jitdiff import run_jitdiff
 from .profiling import print_profile, profiled
 from .reporting import num, pct, render_table
@@ -83,15 +83,19 @@ def generate(suites: Sequence[str], quick: bool = False,
              osr: bool = True,
              fleet: Optional[dict] = None) -> dict:
     """Run the selected suites and print Table 1; returns the raw
-    comparisons keyed by suite for programmatic use."""
+    comparisons keyed by suite for programmatic use.  With *json_path*
+    the A/B sections run too, all before the cache summary is printed,
+    so that line covers every run the command made."""
     if profile:
         jobs = 1  # cProfile + histogram need everything in-process
-    baseline = CompilerConfig.no_ea(
-        execution_backend=backend, collect_node_histogram=profile,
-        osr=osr)
-    optimized = CompilerConfig.partial_escape(
-        execution_backend=backend, collect_node_histogram=profile,
-        osr=osr)
+    arms = {
+        "no_ea": CompilerConfig.no_ea(
+            execution_backend=backend, collect_node_histogram=profile,
+            osr=osr),
+        "pea": CompilerConfig.partial_escape(
+            execution_backend=backend, collect_node_histogram=profile,
+            osr=osr),
+    }
     histogram = {} if profile else None
     profiler = cProfile.Profile() if profile else None
     results = {}
@@ -102,10 +106,11 @@ def generate(suites: Sequence[str], quick: bool = False,
             workloads = [quick_copy(w) for w in workloads]
         started = time.perf_counter()
         with profiled(profiler):
-            comparisons = run_suite(workloads, baseline, optimized,
-                                    jobs=jobs, histogram=histogram,
-                                    cache=cache)
+            measured = run_suite(workloads, arms, jobs=jobs,
+                                 histogram=histogram, cache=cache)
         wall_clock[suite_name] = time.perf_counter() - started
+        comparisons = [Comparison.of(w, m)
+                       for w, m in zip(workloads, measured)]
         results[suite_name] = comparisons
         shown = ([w.name for w in DACAPO_SHOWN]
                  if suite_name == "dacapo" else None)
@@ -126,11 +131,15 @@ def generate(suites: Sequence[str], quick: bool = False,
                 if c.without.monitor_ops_per_iteration > 0]
             print(render_table(["benchmark", "without", "with", "change"],
                                lock_rows), file=out)
+    measurements = [m for cs in results.values() for c in cs
+                    for m in c.arms.values()]
     if profile:
         print_profile(profiler, histogram, out=out)
-        _print_compile_seconds(results, out)
-    measurements = [m for cs in results.values() for c in cs
-                    for m in (c.without, c.with_pea)]
+        _print_compile_seconds(measurements, out)
+    sections = None
+    if json_path:
+        sections = _ab_sections(results, backend, quick, jobs, cache, osr,
+                                fleet)
     print(file=out)
     if cache is not None:
         stats = cache.stats
@@ -144,16 +153,47 @@ def generate(suites: Sequence[str], quick: bool = False,
           f"GraphInterpreter instead of the configured backend",
           file=out)
     if json_path:
-        analysis_ab = _analysis_ab(results, backend=backend,
-                                   cache=cache, osr=osr)
-        codegen_ab = _codegen_ab(results, osr=osr)
-        gc_ab = _gc_ab(results, backend=backend, cache=cache, osr=osr)
         _write_json(json_path, results, wall_clock, jobs, backend, quick,
-                    cache, osr, analysis_ab, codegen_ab, fleet, gc_ab)
+                    cache, osr, sections)
     return results
 
 
-def _analysis_ab(results: dict, backend: str,
+def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
+                 cache: Optional[CompilationCache], osr: bool,
+                 fleet: Optional[dict]) -> dict:
+    """Every A/B the ``--json`` payload records: ``analysis_ab`` at the
+    top level, the rest under ``timing``."""
+    comparisons = [c for cs in results.values() for c in cs]
+    analysis_ab = _analysis_ab(comparisons, backend=backend, jobs=jobs,
+                               cache=cache, osr=osr)
+    timing = {
+        "codegen_ab": _codegen_ab(comparisons, osr=osr),
+        # Escape-tier x generational-collector A/B.  The metrics inside
+        # are simulated and deterministic; the section lives under
+        # ``timing`` because its headline claim — pause cycles saved
+        # per tier — is a performance claim.
+        "gc_ab": _gc_ab(comparisons, backend=backend, jobs=jobs,
+                        cache=cache, osr=osr),
+    }
+    if fleet is not None:
+        # Compile-service fleet benchmark (see benchsuite.fleet):
+        # wall-clock/latency numbers are machine-dependent, but
+        # dedup_or_hit_rate, checksums_consistent and
+        # identity.all_identical are acceptance-gated invariants.
+        timing["fleet"] = fleet
+    if osr:
+        # OSR's gain is real wall-clock, not a simulated metric: one
+        # loop-heavy workload warmed with and without OSR.
+        h2 = by_name("h2")
+        timing["osr_warmup_ab"] = _osr_warmup_ab(
+            quick_copy(h2) if quick else h2)
+    # Deoptless phase-shift A/B: post-flip tail latency and interpreter
+    # bridging, deoptless off vs on (simulated, deterministic).
+    timing["deoptless_ab"] = _deoptless_ab()
+    return {"analysis_ab": analysis_ab, "timing": timing}
+
+
+def _analysis_ab(comparisons: List[Comparison], backend: str, jobs: int,
                  cache: Optional[CompilationCache], osr: bool) -> dict:
     """Per-workload A/B of the interprocedural escape-summary analysis:
     re-run every workload under ``escape_tier="pea+summaries"`` and
@@ -163,95 +203,95 @@ def _analysis_ab(results: dict, backend: str,
     config = CompilerConfig.partial_escape(
         execution_backend=backend, osr=osr,
         escape_tier="pea+summaries")
+    measured = run_suite([c.workload for c in comparisons],
+                         {"summaries": config}, jobs=jobs, cache=cache)
     section = {}
-    for comparisons in results.values():
-        for c in comparisons:
-            pea = c.with_pea
-            summ = run_workload(c.workload, config, cache=cache)
-            section[c.workload.name] = {
-                "allocations_per_iteration_pea":
-                    pea.allocations_per_iteration,
-                "allocations_per_iteration_summaries":
-                    summ.allocations_per_iteration,
-                "allocations_delta_per_iteration": round(
-                    pea.allocations_per_iteration
-                    - summ.allocations_per_iteration, 6),
-                "materializations_pea": pea.materializations,
-                "materializations_summaries": summ.materializations,
-                "checksum_identical": summ.checksum == pea.checksum,
-                "monitor_ops_identical":
-                    summ.monitor_ops_per_iteration
-                    == pea.monitor_ops_per_iteration,
-                "deopts_identical": summ.deopts == pea.deopts,
-            }
+    for c, arms in zip(comparisons, measured):
+        pea, summ = c.with_pea, arms["summaries"]
+        differ = mismatched({"pea": pea, "summaries": summ},
+                            ("checksum", "monitor_ops_per_iteration",
+                             "deopts"))
+        section[c.workload.name] = {
+            "allocations_per_iteration_pea":
+                pea.allocations_per_iteration,
+            "allocations_per_iteration_summaries":
+                summ.allocations_per_iteration,
+            "allocations_delta_per_iteration": round(
+                pea.allocations_per_iteration
+                - summ.allocations_per_iteration, 6),
+            "materializations_pea": pea.materializations,
+            "materializations_summaries": summ.materializations,
+            "checksum_identical": "checksum" not in differ,
+            "monitor_ops_identical":
+                "monitor_ops_per_iteration" not in differ,
+            "deopts_identical": "deopts" not in differ,
+        }
     return section
 
 
-#: The three escape tiers the GC A/B compares.  The PEA arm stacks the
-#: connection graph on top (``+cgstack``) so allocations PEA leaves
-#: behind but the cheaper analysis can prove non-escaping still leave
-#: the heap — that is what keeps the arms totally ordered.
-_GC_AB_TIERS = (("none", "none"),
-                ("conngraph", "conngraph"),
-                ("pea", "pea+summaries+cgstack"))
+#: The escape tiers the GC A/B compares, by arm.  The ``none`` arm is
+#: Table 1's no-EA measurement (the same configuration), so only the
+#: other two run.  The PEA arm stacks the connection graph on top
+#: (``+cgstack``) so allocations PEA leaves behind but the cheaper
+#: analysis can prove non-escaping still leave the heap — that is what
+#: keeps the arms totally ordered.
+_GC_AB_TIERS = {"none": "none",
+                "conngraph": "conngraph",
+                "pea": "pea+summaries+cgstack"}
+
+#: The Measurement fields each GC A/B arm records.
+_GC_AB_FIELDS = ("checksum", "allocations_per_iteration",
+                 "kb_per_iteration", "gc_minor_collections",
+                 "gc_pause_cycles", "gc_promoted_kb",
+                 "cycles_per_iteration")
 
 
-def _gc_ab(results: dict, backend: str,
+def _gc_ab(comparisons: List[Comparison], backend: str, jobs: int,
            cache: Optional[CompilationCache], osr: bool) -> dict:
     """Three-way escape-tier A/B through the simulated generational
-    collector: every workload runs under no escape analysis, the
-    connection-graph fast tier, and full PEA, and the section records
-    how allocation behavior translates into collector behavior (minor
-    collections, pause cycles, promotion).  Checksums must be identical
-    — tiers change *where* objects live, never what the program
-    computes — and per-iteration allocations must be totally ordered
-    ``pea <= conngraph <= none`` (PEA subsumes the connection graph's
-    decisions; see :mod:`repro.analysis.conngraph`)."""
+    collector: every workload under no escape analysis (Table 1's
+    no-EA arm), the connection-graph fast tier, and full PEA, and the
+    section records how allocation behavior translates into collector
+    behavior (minor collections, pause cycles, promotion).  Checksums
+    must be identical — tiers change *where* objects live, never what
+    the program computes — and per-iteration allocations must be
+    totally ordered ``pea <= conngraph <= none`` (PEA subsumes the
+    connection graph's decisions; see :mod:`repro.analysis.conngraph`)."""
+    rerun = {arm: CompilerConfig(escape_tier=tier,
+                                 execution_backend=backend, osr=osr)
+             for arm, tier in _GC_AB_TIERS.items() if arm != "none"}
+    measured = run_suite([c.workload for c in comparisons], rerun,
+                         jobs=jobs, cache=cache)
     section = {}
-    for comparisons in results.values():
-        for c in comparisons:
-            arms = {}
-            for arm, tier in _GC_AB_TIERS:
-                config = CompilerConfig(
-                    escape_tier=tier, execution_backend=backend, osr=osr)
-                m = run_workload(c.workload, config, cache=cache)
-                arms[arm] = {
-                    "tier": tier,
-                    "checksum": m.checksum,
-                    "allocations_per_iteration":
-                        m.allocations_per_iteration,
-                    "kb_per_iteration": m.kb_per_iteration,
-                    "gc_minor_collections": m.gc_minor_collections,
-                    "gc_pause_cycles": m.gc_pause_cycles,
-                    "gc_promoted_kb": m.gc_promoted_kb,
-                    "cycles_per_iteration": m.cycles_per_iteration,
-                }
-            none_, cg, pea = arms["none"], arms["conngraph"], arms["pea"]
-            section[c.workload.name] = {
-                **arms,
-                "checksums_identical":
-                    none_["checksum"] == cg["checksum"] == pea["checksum"],
-                "allocations_ordered":
-                    pea["allocations_per_iteration"]
-                    <= cg["allocations_per_iteration"]
-                    <= none_["allocations_per_iteration"],
-                "pause_cycles_saved_conngraph": round(
-                    none_["gc_pause_cycles"] - cg["gc_pause_cycles"], 6),
-                "pause_cycles_saved_pea": round(
-                    none_["gc_pause_cycles"] - pea["gc_pause_cycles"], 6),
-            }
+    for c, reran in zip(comparisons, measured):
+        arms = {"none": c.without, **reran}
+        rows = {arm: {"tier": _GC_AB_TIERS[arm],
+                      **{name: getattr(m, name) for name in _GC_AB_FIELDS}}
+                for arm, m in arms.items()}
+        none_, cg, pea = rows["none"], rows["conngraph"], rows["pea"]
+        section[c.workload.name] = {
+            **rows,
+            "checksums_identical": not mismatched(arms, ("checksum",)),
+            "allocations_ordered":
+                pea["allocations_per_iteration"]
+                <= cg["allocations_per_iteration"]
+                <= none_["allocations_per_iteration"],
+            "pause_cycles_saved_conngraph": round(
+                none_["gc_pause_cycles"] - cg["gc_pause_cycles"], 6),
+            "pause_cycles_saved_pea": round(
+                none_["gc_pause_cycles"] - pea["gc_pause_cycles"], 6),
+        }
     return section
 
 
-def _codegen_ab(results: dict, osr: bool) -> dict:
+def _codegen_ab(comparisons: List[Comparison], osr: bool) -> dict:
     """Wall-clock A/B of the codegen backend against the threaded-code
     plan backend over every workload the run covered: ``repro jitdiff``
     run uncached (so neither side hides behind warm-up elision), keeping
     its per-workload timings and its verdict that the deterministic
     metrics are bit-identical."""
-    workloads = [c.workload for comparisons in results.values()
-                 for c in comparisons]
-    report = run_jitdiff(workloads, osr=osr, out=io.StringIO())
+    report = run_jitdiff([c.workload for c in comparisons], osr=osr,
+                         out=io.StringIO())
     keys = ("plan_seconds", "codegen_seconds", "speedup")
     return {
         **{key: report["totals"][key] for key in keys},
@@ -341,17 +381,21 @@ def _osr_warmup_ab(workload: Workload) -> dict:
     }
 
 
-def _print_compile_seconds(results: dict, out) -> None:
-    """Per-phase compile-time breakdown (satellite of the compilation
-    cache work: Compiler aggregates instead of dropping timings)."""
+def _compile_seconds(measurements) -> Tuple[float, dict]:
+    """Total compile seconds and seconds per phase (as
+    :class:`~repro.jit.Compiler` aggregates them) over *measurements*."""
     phases: dict = {}
     total = 0.0
-    for comparisons in results.values():
-        for c in comparisons:
-            for m in (c.without, c.with_pea):
-                total += m.compile_seconds
-                for phase, seconds in m.compile_phase_seconds.items():
-                    phases[phase] = phases.get(phase, 0.0) + seconds
+    for m in measurements:
+        total += m.compile_seconds
+        for phase, seconds in m.compile_phase_seconds.items():
+            phases[phase] = phases.get(phase, 0.0) + seconds
+    return total, phases
+
+
+def _print_compile_seconds(measurements, out) -> None:
+    """Per-phase compile-time breakdown."""
+    total, phases = _compile_seconds(measurements)
     print(f"\n-- compile time: {total:.3f}s total --", file=out)
     rows = [[phase, f"{seconds:.3f}"]
             for phase, seconds in
@@ -359,15 +403,25 @@ def _print_compile_seconds(results: dict, out) -> None:
     print(render_table(["phase", "seconds"], rows), file=out)
 
 
+#: The Measurement fields ``suites`` records per workload, each once
+#: per Table 1 arm (``<field>_no_ea``, ``<field>_pea``).
+_SUITE_FIELDS = ("cycles_per_iteration", "kb_per_iteration",
+                 "allocations_per_iteration", "monitor_ops_per_iteration",
+                 "compiled_nodes", "deopts", "latency_p95_cycles",
+                 "latency_p99_cycles")
+
+#: The Measurement counters ``timing.suites`` sums per suite.
+_SUITE_COUNTERS = ("warmup_iterations_elided", "cache_hits",
+                   "osr_compilations", "osr_entries", "backend_fallbacks")
+
+
 def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
                 backend: str, quick: bool,
-                cache: Optional[CompilationCache] = None,
-                osr: bool = True,
-                analysis_ab: Optional[dict] = None,
-                codegen_ab: Optional[dict] = None,
-                fleet: Optional[dict] = None,
-                gc_ab: Optional[dict] = None) -> None:
-    """Benchmark metrics for CI tracking (BENCH_table1.json).
+                cache: Optional[CompilationCache], osr: bool,
+                sections: dict) -> None:
+    """Benchmark metrics for CI tracking (BENCH_table1.json): Table 1's
+    measurements, the A/B *sections* of :func:`_ab_sections` and the
+    cache counters, serialized.
 
     ``suites`` holds only deterministic, simulated metrics — identical
     across machines, cache modes and cold/warm runs, so CI can diff it
@@ -378,63 +432,23 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
         "jobs": jobs,
         "osr": osr,
         "quick": quick,
+        "analysis_ab": sections["analysis_ab"],
         "suites": {},
-        "timing": {"suites": {}},
+        "timing": {"suites": {}, **sections["timing"]},
     }
-    if analysis_ab is not None:
-        payload["analysis_ab"] = analysis_ab
     for suite_name, comparisons in results.items():
         payload["suites"][suite_name] = {
             "workloads": {
                 c.workload.name: {
                     "checksum": c.without.checksum,
-                    "cycles_per_iteration_no_ea":
-                        c.without.cycles_per_iteration,
-                    "cycles_per_iteration_pea":
-                        c.with_pea.cycles_per_iteration,
-                    "kb_per_iteration_no_ea": c.without.kb_per_iteration,
-                    "kb_per_iteration_pea": c.with_pea.kb_per_iteration,
-                    "allocations_per_iteration_no_ea":
-                        c.without.allocations_per_iteration,
-                    "allocations_per_iteration_pea":
-                        c.with_pea.allocations_per_iteration,
-                    "monitor_ops_per_iteration_no_ea":
-                        c.without.monitor_ops_per_iteration,
-                    "monitor_ops_per_iteration_pea":
-                        c.with_pea.monitor_ops_per_iteration,
-                    "compiled_nodes_no_ea": c.without.compiled_nodes,
-                    "compiled_nodes_pea": c.with_pea.compiled_nodes,
-                    "deopts_no_ea": c.without.deopts,
-                    "deopts_pea": c.with_pea.deopts,
-                    "latency_p95_cycles_no_ea":
-                        c.without.latency_p95_cycles,
-                    "latency_p95_cycles_pea":
-                        c.with_pea.latency_p95_cycles,
-                    "latency_p99_cycles_no_ea":
-                        c.without.latency_p99_cycles,
-                    "latency_p99_cycles_pea":
-                        c.with_pea.latency_p99_cycles,
+                    **{f"{name}_{arm}": getattr(m, name)
+                       for arm, m in c.arms.items()
+                       for name in _SUITE_FIELDS},
                 } for c in comparisons
             },
         }
-        phase_seconds: dict = {}
-        compile_seconds = 0.0
-        warmup_elided = 0
-        cache_hits = 0
-        osr_compilations = 0
-        osr_entries = 0
-        backend_fallbacks = 0
-        for c in comparisons:
-            for m in (c.without, c.with_pea):
-                compile_seconds += m.compile_seconds
-                warmup_elided += m.warmup_iterations_elided
-                cache_hits += m.cache_hits
-                osr_compilations += m.osr_compilations
-                osr_entries += m.osr_entries
-                backend_fallbacks += m.backend_fallbacks
-                for phase, seconds in m.compile_phase_seconds.items():
-                    phase_seconds[phase] = \
-                        phase_seconds.get(phase, 0.0) + seconds
+        measurements = [m for c in comparisons for m in c.arms.values()]
+        compile_seconds, phase_seconds = _compile_seconds(measurements)
         payload["timing"]["suites"][suite_name] = {
             "harness_wall_clock_seconds": round(
                 wall_clock[suite_name], 3),
@@ -443,35 +457,9 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
                 "phases": {phase: round(seconds, 3)
                            for phase, seconds in phase_seconds.items()},
             },
-            "warmup_iterations_elided": warmup_elided,
-            "cache_hits": cache_hits,
-            "osr_compilations": osr_compilations,
-            "osr_entries": osr_entries,
-            "backend_fallbacks": backend_fallbacks,
+            **{name: sum(getattr(m, name) for m in measurements)
+               for name in _SUITE_COUNTERS},
         }
-    if codegen_ab is not None:
-        payload["timing"]["codegen_ab"] = codegen_ab
-    if gc_ab is not None:
-        # Escape-tier x generational-collector A/B (see _gc_ab).  The
-        # metrics inside are simulated and deterministic; the section
-        # lives under ``timing`` because its headline claim — pause
-        # cycles saved per tier — is a performance claim.
-        payload["timing"]["gc_ab"] = gc_ab
-    if fleet is not None:
-        # Compile-service fleet benchmark (see benchsuite.fleet):
-        # wall-clock/latency numbers are machine-dependent, but
-        # dedup_or_hit_rate, checksums_consistent and
-        # identity.all_identical are acceptance-gated invariants.
-        payload["timing"]["fleet"] = fleet
-    if osr:
-        # Demonstrate the tentpole's point on real wall-clock: one
-        # loop-heavy workload warmed with and without OSR.
-        h2 = by_name("h2")
-        payload["timing"]["osr_warmup_ab"] = _osr_warmup_ab(
-            quick_copy(h2) if quick else h2)
-    # Deoptless phase-shift A/B: post-flip tail latency and interpreter
-    # bridging, deoptless off vs on (simulated, deterministic).
-    payload["timing"]["deoptless_ab"] = _deoptless_ab()
     if cache is not None:
         stats = cache.stats.snapshot()
         payload["timing"]["cache"] = {

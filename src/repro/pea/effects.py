@@ -26,7 +26,7 @@ class Effects:
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._items: List[Tuple[str, Callable[[], None]]] = []
+        self._items: List[Callable[[], None]] = []
         self._deletions: List[Node] = []
         self._created: List[Node] = []
 
@@ -51,17 +51,16 @@ class Effects:
 
     # -- recording ---------------------------------------------------------------
 
-    def add(self, description: str, action: Callable[[], None]):
-        self._items.append((description, action))
+    def add(self, action: Callable[[], None]):
+        self._items.append(action)
 
     def delete_fixed(self, node: FixedWithNextNode):
         """Unlink *node* from control flow at apply time (the last step)."""
         self._deletions.append(node)
 
     def replace_at_usages(self, node: Node, replacement: Optional[Node]):
-        self.add(f"replace {node!r} -> {replacement!r}",
-                 lambda: node.replace_at_usages(
-                     self._materialize_ref(replacement)))
+        self.add(lambda: node.replace_at_usages(
+            self._materialize_ref(replacement)))
 
     def _materialize_ref(self, replacement: Optional[Node]):
         if replacement is not None and replacement.graph is None:
@@ -73,26 +72,25 @@ class Effects:
             if new.graph is None:
                 self.graph.add(new)
             user.replace_input(old, new)
-        self.add(f"input {old!r} -> {new!r} in {user!r}", action)
+        self.add(action)
 
     def insert_fixed_before(self, anchor: Node,
                             node: FixedWithNextNode):
-        self.add(f"insert {node!r} before {anchor!r}",
-                 lambda: self.graph.insert_before(anchor, node))
+        self.add(lambda: self.graph.insert_before(anchor, node))
 
     def set_state_input(self, user: Node, slot_name: str, state: Node):
         def action():
             if state.graph is None:
                 self.graph.add(state)
             setattr(user, slot_name, state)
-        self.add(f"state of {user!r} <- {state!r}", action)
+        self.add(action)
 
     def set_phi_inputs(self, phi: Node, values: List[Node]):
         def action():
             if phi.graph is None:
                 self.graph.add(phi)
             phi.values.set_all([self._materialize_ref(v) for v in values])
-        self.add(f"phi {phi!r} inputs", action)
+        self.add(action)
 
     # -- application ---------------------------------------------------------------
 
@@ -100,7 +98,7 @@ class Effects:
         """Apply all recorded effects; returns the number applied."""
         from ..opt.util import sweep_floating
 
-        for description, action in self._items:
+        for action in self._items:
             action()
         # Orphaned frame states must release their references before the
         # deleted fixed nodes are checked for liveness.

@@ -175,7 +175,7 @@ class MergeProcessor:
                 if value is not None and value.graph is None:
                     graph.add(value)
             phi.values.set_all(inputs)
-        self.effects.add(f"create merge phi at {merge!r}", action)
+        self.effects.add(action)
 
     # -- Figure 6 (c): existing phis ---------------------------------------------
 

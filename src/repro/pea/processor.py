@@ -405,4 +405,4 @@ class PEAProcessor:
                     graph.add(value)
                 resolved.append(value)
             phi.values.set_all(resolved)
-        self.effects.add(f"create loop phi at {loop_begin!r}", action)
+        self.effects.add(action)

@@ -512,7 +512,10 @@ class PEATool:
         chain = list(frame_state.outer_chain())
         if not any(self._needs_rewrite(fs, state) for fs in chain):
             return
-        needed: Set[VirtualObjectNode] = set()
+        # Insertion-ordered (a dict, not an identity-hashed set): the
+        # snapshots below are created in this order, so node ids and
+        # the cached payload stay the same from process to process.
+        needed: Dict[VirtualObjectNode, None] = {}
         new_outer: Optional[FrameStateNode] = None
         new_chain: List[FrameStateNode] = []
         for original in reversed(chain):  # outermost first
@@ -585,7 +588,8 @@ class PEATool:
         return False
 
     def _carry_mapping(self, mapping: EscapeObjectStateNode,
-                       state: PEAState, needed: Set[VirtualObjectNode]
+                       state: PEAState,
+                       needed: Dict[VirtualObjectNode, None]
                        ) -> EscapeObjectStateNode:
         """Preserve an earlier round's EscapeObjectState, re-resolving
         entries through the current allocation state (an entry that now
@@ -610,7 +614,8 @@ class PEATool:
         return duplicate
 
     def _state_value(self, value: Optional[Node], state: PEAState,
-                     needed: Set[VirtualObjectNode]) -> Optional[Node]:
+                     needed: Dict[VirtualObjectNode, None]
+                     ) -> Optional[Node]:
         if value is None:
             return None
         resolved = self.resolve(value)
@@ -619,6 +624,6 @@ class PEATool:
             return resolved
         obj_state = state.get_state(alias)
         if obj_state.is_virtual:
-            needed.add(alias)
+            needed[alias] = None
             return alias
         return obj_state.materialized_value

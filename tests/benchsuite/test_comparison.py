@@ -4,9 +4,8 @@ import io
 
 import pytest
 
-from repro.benchsuite import comparison
-from repro.benchsuite.comparison import ThreeWay, run_three_way
-from repro.benchsuite.harness import Measurement
+from repro.benchsuite import comparison, harness
+from repro.benchsuite.harness import Measurement, run_arms
 from repro.benchsuite.workloads import ALL_WORKLOADS, by_name, quick_copy
 
 #: The equi-escape arm under the ``--quick`` warm-up: every compared
@@ -25,29 +24,29 @@ EQUI_QUICK = {
 
 @pytest.mark.parametrize("name", sorted(EQUI_QUICK))
 def test_equi_arm_is_pinned_and_below_pea(name):
-    three_way = run_three_way(quick_copy(by_name(name)))
-    assert three_way.equi == Measurement(name, "equi-escape EA",
-                                         *EQUI_QUICK[name])
+    measured = run_arms(quick_copy(by_name(name)), comparison.arms())
+    assert measured["equi"] == Measurement(name, "equi-escape EA",
+                                           *EQUI_QUICK[name])
     # The paper's ordering: flow-insensitive EA gains less than PEA.
-    assert three_way.equi_speedup_pct < three_way.pea_speedup_pct
+    assert comparison.speedup_pct(measured, "equi") < \
+        comparison.speedup_pct(measured, "pea")
 
 
-def _stub_three_way(calls):
-    def run(workload, backend="plan", histogram=None):
+def _stub_run_workload(calls):
+    cycles = {"no_ea": 100.0, "equi": 95.0, "pea": 90.0}
+
+    def run(workload, config, histogram=None, program=None, cache=None):
         calls.append(workload)
-
-        def measurement(config, cycles):
-            return Measurement(workload.name, config, 1, 1.0, 1.0, 0.0,
-                               cycles, 1, 0)
-        return ThreeWay(workload, measurement("without EA", 100.0),
-                        measurement("equi-escape EA", 95.0),
-                        measurement("with PEA", 90.0))
+        arm = next(name for name, arm_config in comparison.arms().items()
+                   if arm_config.escape_tier == config.escape_tier)
+        return Measurement(workload.name, config.label(), 1, 1.0, 1.0,
+                           0.0, cycles[arm], 1, 0)
     return run
 
 
 def test_main_runs_the_three_paper_suites(monkeypatch):
     calls = []
-    monkeypatch.setattr(comparison, "run_three_way", _stub_three_way(calls))
+    monkeypatch.setattr(harness, "run_workload", _stub_run_workload(calls))
     comparison.main([])
     assert {w.suite for w in calls} == set(comparison.PAPER_62)
 
@@ -55,7 +54,7 @@ def test_main_runs_the_three_paper_suites(monkeypatch):
 def test_quick_leaves_the_registry_unchanged(monkeypatch):
     before = {w.name: w.warmup_iterations for w in ALL_WORKLOADS}
     calls = []
-    monkeypatch.setattr(comparison, "run_three_way", _stub_three_way(calls))
+    monkeypatch.setattr(harness, "run_workload", _stub_run_workload(calls))
     comparison.generate(list(comparison.PAPER_62), quick=True,
                         out=io.StringIO())
     assert calls and all(w.warmup_iterations <= 25 for w in calls)

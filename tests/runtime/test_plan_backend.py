@@ -297,10 +297,12 @@ def test_parallel_harness_matches_serial():
     from repro.benchsuite.harness import run_suite
     workloads = [dataclasses.replace(by_name("specjbb2005"),
                                      warmup_iterations=22)]
-    serial = run_suite(workloads)
-    parallel = run_suite(workloads, jobs=2)
-    assert [(c.without, c.with_pea) for c in serial] == \
-        [(c.without, c.with_pea) for c in parallel]
+    arms = {"no_ea": CompilerConfig.no_ea(),
+            "pea": CompilerConfig.partial_escape()}
+    serial = run_suite(workloads, arms)
+    parallel = run_suite(workloads, arms, jobs=2)
+    assert serial == parallel
+    assert [list(m) for m in parallel] == [["no_ea", "pea"]]
 
 
 def test_histogram_identical_across_backends():
