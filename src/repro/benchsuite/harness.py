@@ -441,11 +441,14 @@ def run_arms(workload: Workload, arms: Mapping[str, CompilerConfig],
             for name, config in arms.items()}
 
 
-def _compare_worker(item) -> Dict[str, Measurement]:
-    """Module-level worker so ProcessPoolExecutor can pickle it."""
-    workload, arms, cache_dir = item
-    cache = CompilationCache(cache_dir) if cache_dir is not None else None
-    return run_arms(workload, arms, cache=cache)
+def _compare_worker(item) -> Tuple[Dict[str, Measurement],
+                                   Optional[dict]]:
+    """Module-level worker so ProcessPoolExecutor can pickle it: the
+    measurements, and the counters of the worker's cache."""
+    workload, arms, cached, cache_dir = item
+    cache = CompilationCache(cache_dir) if cached else None
+    measured = run_arms(workload, arms, cache=cache)
+    return measured, cache.stats.snapshot() if cached else None
 
 
 def run_suite(workloads: Sequence[Workload],
@@ -459,15 +462,21 @@ def run_suite(workloads: Sequence[Workload],
     reassembled in submission order, so the output is bit-identical to
     a serial run.  ``histogram`` is only honored serially (profiling
     forces ``jobs=1``).  With ``jobs > 1`` the in-process cache level
-    cannot cross process boundaries, so workers share through the
-    cache's directory (no sharing when it has none)."""
+    cannot cross process boundaries: each workload runs over its own
+    cache on *cache*'s directory (in memory when it has none), and
+    those caches' counters are added into ``cache.stats``."""
     if jobs <= 1:
         return [run_arms(w, arms, histogram, cache) for w in workloads]
     from concurrent.futures import ProcessPoolExecutor
     cache_dir = cache.cache_dir if cache is not None else None
-    items = [(w, dict(arms), cache_dir) for w in workloads]
+    items = [(w, dict(arms), cache is not None, cache_dir)
+             for w in workloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_compare_worker, items))
+        results = list(pool.map(_compare_worker, items))
+    if cache is not None:
+        for __, stats in results:
+            cache.stats.add(stats)
+    return [measured for measured, __ in results]
 
 
 def mismatched(measurements: Mapping[str, Measurement],

@@ -161,10 +161,12 @@ def generate(suites: Sequence[str], quick: bool = False,
 def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
                  cache: Optional[CompilationCache], osr: bool,
                  fleet: Optional[dict]) -> dict:
-    """Every A/B the ``--json`` payload records: ``analysis_ab`` at the
-    top level, the rest under ``timing``."""
+    """Every A/B the ``--json`` payload records: ``analysis_ab`` and
+    ``ablation_ab`` at the top level, the rest under ``timing``."""
     comparisons = [c for cs in results.values() for c in cs]
     analysis_ab = _analysis_ab(comparisons, backend=backend, jobs=jobs,
+                               cache=cache, osr=osr)
+    ablation_ab = _ablation_ab(comparisons, backend=backend, jobs=jobs,
                                cache=cache, osr=osr)
     timing = {
         "codegen_ab": _codegen_ab(comparisons, osr=osr),
@@ -190,7 +192,8 @@ def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
     # Deoptless phase-shift A/B: post-flip tail latency and interpreter
     # bridging, deoptless off vs on (simulated, deterministic).
     timing["deoptless_ab"] = _deoptless_ab()
-    return {"analysis_ab": analysis_ab, "timing": timing}
+    return {"analysis_ab": analysis_ab, "ablation_ab": ablation_ab,
+            "timing": timing}
 
 
 def _analysis_ab(comparisons: List[Comparison], backend: str, jobs: int,
@@ -225,6 +228,57 @@ def _analysis_ab(comparisons: List[Comparison], backend: str, jobs: int,
             "monitor_ops_identical":
                 "monitor_ops_per_iteration" not in differ,
             "deopts_identical": "deopts" not in differ,
+        }
+    return section
+
+
+#: The PEA ablations, by arm: each switches one ingredient of the full
+#: pipeline off.  The ``full`` arm is Table 1's PEA measurement (the
+#: same configuration), so only these run.
+_ABLATIONS = {
+    "single_pass": {"pea_iterations": 1},
+    # No virtual arrays (Section 5.2).
+    "no_arrays": {"pea_virtualize_arrays": False},
+    # No folding of reference equality, null and type checks on virtual
+    # objects.
+    "no_check_folds": {"pea_fold_checks": False},
+    # No load/store forwarding after escape analysis.
+    "no_read_elim": {"read_elimination": False},
+    # PEA "is particularly effective if it can interact with other
+    # parts of the compiler, such as inlining".
+    "no_inlining": {"inline": False},
+    # No profile-driven pruning of never-taken branches: rare escaping
+    # branches rejoin and force materialization.
+    "no_branch_speculation": {"speculate_branches": False},
+}
+
+#: The Measurement fields each ablation arm records.
+_ABLATION_FIELDS = ("checksum", "allocations_per_iteration",
+                    "kb_per_iteration", "cycles_per_iteration")
+
+
+def _ablation_ab(comparisons: List[Comparison], backend: str, jobs: int,
+                 cache: Optional[CompilationCache], osr: bool) -> dict:
+    """Per-workload A/B of the PEA ablations: every workload under each
+    arm of :data:`_ABLATIONS` beside the full pipeline (Table 1's PEA
+    arm).  Checksums must be identical — an ablation changes what the
+    compiler removes, never what the program computes — and no arm may
+    allocate less than ``full``."""
+    rerun = {arm: CompilerConfig.partial_escape(
+                 execution_backend=backend, osr=osr, **knobs)
+             for arm, knobs in _ABLATIONS.items()}
+    measured = run_suite([c.workload for c in comparisons], rerun,
+                         jobs=jobs, cache=cache)
+    section = {}
+    for c, reran in zip(comparisons, measured):
+        arms = {"full": c.with_pea, **reran}
+        full = c.with_pea.allocations_per_iteration
+        section[c.workload.name] = {
+            **{arm: {name: getattr(m, name) for name in _ABLATION_FIELDS}
+               for arm, m in arms.items()},
+            "checksums_identical": not mismatched(arms, ("checksum",)),
+            "never_below_full": all(m.allocations_per_iteration >= full
+                                    for m in reran.values()),
         }
     return section
 
@@ -433,6 +487,7 @@ def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
         "osr": osr,
         "quick": quick,
         "analysis_ab": sections["analysis_ab"],
+        "ablation_ab": sections["ablation_ab"],
         "suites": {},
         "timing": {"suites": {}, **sections["timing"]},
     }

@@ -46,11 +46,6 @@ def _pea_with_summaries(**kwargs):
     return CompilerConfig(**kwargs)
 
 
-def _auto_tier(**kwargs):
-    kwargs.setdefault("escape_tier", "auto")
-    return CompilerConfig(**kwargs)
-
-
 CONFIGS = {
     "interp": None,
     "no-ea": CompilerConfig.no_ea,
@@ -58,7 +53,6 @@ CONFIGS = {
     "conngraph": CompilerConfig.conngraph,
     "pea": CompilerConfig.partial_escape,
     "summaries": _pea_with_summaries,
-    "auto": _auto_tier,
 }
 
 

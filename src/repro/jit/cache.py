@@ -13,8 +13,8 @@ Compilation in this VM is a pure function of three things:
    recorded by threading a :class:`RecordingProfile` through
    ``build_graph``/``InliningPhase``.
 
-The cache is keyed by (1) + (2) plus whether a profile was present and
-the resolved escape tier; the compiler derives that key once per
+The cache is keyed by (1) + (2) plus whether a profile was present
+and the entry point; the compiler derives that key once per
 compilation (``Compiler.resolve``) and hands it to :meth:`lookup` and
 :meth:`store`.  Each entry carries its recorded facts (3) as a
 *speculation fingerprint*.  A lookup hits only when every recorded
@@ -94,7 +94,9 @@ from .options import CompilerConfig
 #: ``gvn`` and ``conditional_elimination`` knobs left the pipeline
 #: fingerprint (those phases always run) and the inlining policy
 #: hashed is always ``InliningPolicy()``.
-CACHE_FORMAT = 8
+#: 9: static escape tiers (keys lost the per-method tier token) and the
+#: type-speculation knob left the pipeline fingerprint (always on).
+CACHE_FORMAT = 9
 
 
 def default_cache_dir() -> str:
@@ -121,22 +123,16 @@ def _digest(description: Any) -> str:
 #: (observability only).
 _PIPELINE_FIELDS = (
     "inline", "speculate_branches", "speculation_min_samples",
-    "speculate_types", "pea_iterations", "read_elimination",
-    "pea_virtualize_arrays", "pea_fold_checks",
+    "pea_iterations", "read_elimination", "pea_virtualize_arrays",
+    "pea_fold_checks",
 )
 
 
 def pipeline_fingerprint(config: CompilerConfig) -> str:
     """Hash of every configuration knob that can change the optimized
-    graph a compilation produces.
-
-    The escape tier enters twice: the *policy* descriptor here (so two
-    configs with different policies never share a namespace), and the
-    per-method *resolved* tier token in each compilation key (so one
-    ``"auto"`` policy resolving a method differently over time — cold
-    conngraph now, hot PEA later — never serves an artifact across
-    tiers)."""
-    description = [("escape_tier", config.tier_descriptor())]
+    graph a compilation produces, the canonical escape-tier token
+    first."""
+    description = [("escape_tier", config.tier_spec().token())]
     description.extend((name, getattr(config, name))
                        for name in _PIPELINE_FIELDS)
     # The inliner's budgets are constants, hashed so that editing them
@@ -358,6 +354,11 @@ class CacheStats:
         return {name: value - before[name]
                 for name, value in self.snapshot().items()}
 
+    def add(self, snapshot: Dict[str, Any]) -> None:
+        """Count another cache's :meth:`snapshot` into these counters."""
+        for name, value in snapshot.items():
+            setattr(self, name, getattr(self, name) + value)
+
 
 @dataclass
 class CacheEntry:
@@ -401,28 +402,20 @@ class CompilationCache:
     @staticmethod
     def compilation_key(program: Program, method: JMethod,
                         config: CompilerConfig, profiled: bool,
-                        entry_bci=None, tier: Optional[str] = None
-                        ) -> str:
+                        entry_bci=None) -> str:
         """*entry_bci* distinguishes on-stack-replacement variants (one
         per loop header) from the normal method-entry compilation
         (``None``) — they are different graphs of the same method.  It
         may also be a deoptless continuation descriptor
         ``("cont", bci, stack_depth, context)``: the dispatch context is
         part of the key, so specialized continuation variants of one
-        deopt site cache independently.
-
-        *tier* is the **resolved** escape-tier token this compilation
-        runs under (``Compiler.resolve``); ``None`` resolves a static
-        tier from the config.  Keying on the resolution — not just the
-        policy — is what guarantees no entry is ever served across
+        deopt site cache independently.  The escape tier is part of
+        the pipeline fingerprint, so no entry is ever served across
         ``escape_tier`` values."""
-        if tier is None:
-            spec = config.static_tier_spec()
-            tier = spec.token() if spec is not None else "?"
         return _digest((CACHE_FORMAT, program.content_fingerprint(),
                         method.qualified_name,
                         pipeline_fingerprint(config), profiled,
-                        entry_bci, tier))
+                        entry_bci))
 
     # -- lookup/store/evict by key ------------------------------------------
 

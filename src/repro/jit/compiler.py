@@ -101,35 +101,19 @@ class Compiler:
         self.cache_hit_count = 0
         self.compile_seconds_total = 0.0
         self.phase_seconds: Dict[str, float] = {}
-        #: Pending jobs on the compile-service queue, fed to the
-        #: escape-tier policy (0 for in-process compilation; the
-        #: service sets it per job so a busy fleet degrades hot methods
-        #: to the cheap tier instead of queueing PEA work).
-        self.service_queue_depth = 0
 
     def resolve(self, method: JMethod,
                 osr_bci=None) -> Tuple[TierSpec, Optional[str]]:
         """The escape tier ``(method, osr_bci)`` compiles at and, with a
         cache attached, the key its artifact is cached under.  Each
         compile derives them once; the compile service dedups requests
-        on the same key before handing this compiler to its worker.
-
-        Evaluates the per-method escape-tier policy with hotness from
-        the *live* profile (never through a :class:`RecordingProfile` —
-        an exact invocation-count fact would almost never revalidate
-        and would kill caching).  Cache safety comes from keying every
-        artifact with the resolved tier token instead.
-        """
-        hotness = (self.profile.invocation_count(method)
-                   if self.profile is not None else 0)
-        tier = self.config.resolve_tier(
-            method.qualified_name, len(method.code), hotness,
-            queue_depth=self.service_queue_depth)
+        on the same key before handing this compiler to its worker."""
+        tier = self.config.tier_spec()
         if self.cache is None:
             return tier, None
         return tier, CompilationCache.compilation_key(
             self.program, method, self.config, self.profile is not None,
-            osr_bci, tier.token())
+            osr_bci)
 
     def compile(self, method: JMethod,
                 osr_bci=None) -> CompilationResult:
@@ -184,8 +168,7 @@ class Compiler:
             plan.append(InliningPhase(self.program, InliningPolicy(),
                                       profile,
                                       config.speculate_branches,
-                                      config.speculation_min_samples,
-                                      config.speculate_types))
+                                      config.speculation_min_samples))
         plan.append(CanonicalizerPhase())
         plan.append(GlobalValueNumberingPhase())
         plan.append(ConditionalEliminationPhase())

@@ -2,8 +2,9 @@
 these flags (no EA / equi-escape EA / connection-graph tier / Partial
 Escape Analysis).
 
-The escape-related knobs sit behind one policy:
-``CompilerConfig.escape_tier``.  A tier is either a *token* string —
+The escape-related knobs sit behind one field,
+``CompilerConfig.escape_tier``, a *token* string naming the tier every
+method compiles under:
 
 ``"none"``
     no escape analysis at all;
@@ -19,21 +20,14 @@ The escape-related knobs sit behind one policy:
 ``"pea"``
     the paper's Partial Escape Analysis (optionally
     ``"pea+summaries"``, ``"pea+cgstack"``,
-    ``"pea+summaries+cgstack"``);
-``"auto"``
-    per-method selection by :data:`AUTO_TIER_POLICY` (hot small
-    methods get PEA, everything else the connection graph)
-
-— or a callable *policy* receiving a :class:`TierRequest` (method
-name, bytecode size, hotness from the profile, compile-service queue
-depth) and returning a token or :class:`TierSpec` per method.
+    ``"pea+summaries+cgstack"``).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Optional
 
 from ..runtime.costmodel import CostModel
 
@@ -51,7 +45,7 @@ TIER_BASES = ("none", "equi", "conngraph", "pea")
 
 @dataclass(frozen=True)
 class TierSpec:
-    """A fully resolved escape tier for one compilation.
+    """The parsed form of an escape-tier token.
 
     ``base`` selects the analysis machinery; ``summaries`` enables the
     interprocedural escape summaries at call sites; ``stack`` (spelled
@@ -83,9 +77,7 @@ class TierSpec:
         return "+".join(parts)
 
     @classmethod
-    def parse(cls, token: Union[str, "TierSpec"]) -> "TierSpec":
-        if isinstance(token, TierSpec):
-            return token
+    def parse(cls, token: str) -> "TierSpec":
         parts = token.split("+")
         base = parts[0]
         if base not in TIER_BASES:
@@ -101,70 +93,14 @@ class TierSpec:
         return cls(base, flags["summaries"], flags["cgstack"])
 
 
-@dataclass(frozen=True)
-class TierRequest:
-    """What a :data:`TierPolicy` gets to look at for one method."""
-
-    method_name: str
-    #: Bytecode instruction count of the method.
-    method_size: int
-    #: Invocation count observed by the profile at compile time.
-    hotness: int
-    #: Pending jobs on the compile-service queue (0 for in-process
-    #: compilation) — a busy fleet should prefer the cheap tier.
-    queue_depth: int = 0
-
-
-#: A tier policy maps a per-method request to a tier token or spec.
-TierPolicy = Callable[[TierRequest], Union[str, TierSpec]]
-
-
-@dataclass(frozen=True)
-class AutoTierPolicy:
-    """The built-in ``"auto"`` policy.
-
-    Hot, reasonably sized methods get the precise tier (PEA +
-    summaries); cold or oversized methods — and any method compiled
-    while the service queue is deep — get the cheap connection-graph
-    tier.  The thresholds are deliberately simple; the point of the
-    policy *object* is that users can swap in their own.
-    """
-
-    #: Invocation count at which a method counts as hot (2x the default
-    #: compile threshold: the second compilation opportunity).
-    hot_invocations: int = 40
-    #: Methods with more bytecodes than this never get PEA.
-    large_method_size: int = 300
-    #: Service queue depth at which everything degrades to the cheap
-    #: tier.
-    busy_queue_depth: int = 4
-
-    def __call__(self, request: TierRequest) -> str:
-        if request.queue_depth >= self.busy_queue_depth:
-            return "conngraph"
-        if request.method_size > self.large_method_size:
-            return "conngraph"
-        if request.hotness >= self.hot_invocations:
-            return "pea+summaries"
-        return "conngraph"
-
-    def fingerprint(self):
-        return ("auto", self.hot_invocations, self.large_method_size,
-                self.busy_queue_depth)
-
-
-AUTO_TIER_POLICY = AutoTierPolicy()
-
-
 @dataclass
 class CompilerConfig:
     """One VM configuration."""
 
-    #: The escape-tier policy: a token string (``"none"``, ``"equi"``,
-    #: ``"conngraph"``, ``"pea"``, ``"pea+summaries"``, ...), a
-    #: :class:`TierSpec`, ``"auto"``, or a :data:`TierPolicy` callable
-    #: evaluated per method.  See the module docstring.
-    escape_tier: Union[str, TierSpec, TierPolicy] = "pea"
+    #: The escape tier as a token string (``"none"``, ``"equi"``,
+    #: ``"conngraph"``, ``"pea"``, ``"pea+summaries"``, ...).  See the
+    #: module docstring.
+    escape_tier: str = "pea"
     inline: bool = True
     #: Invocations before a method is compiled.
     compile_threshold: int = 20
@@ -183,8 +119,6 @@ class CompilerConfig:
     #: deopt + invalidation + recompile.
     speculate_branches: bool = True
     speculation_min_samples: int = 16
-    #: Profile-guided devirtualization of CHA-polymorphic calls.
-    speculate_types: bool = True
     #: Deoptimizations of one method before its code is thrown away and
     #: recompiled without the failed assumption.
     deopt_invalidate_threshold: int = 3
@@ -254,61 +188,9 @@ class CompilerConfig:
     collect_node_histogram: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
 
-    # -- escape-tier policy -------------------------------------------------
-
-    def tier_policy(self) -> TierPolicy:
-        """The per-method policy behind ``escape_tier``."""
-        tier = self.escape_tier
-        if tier == "auto":
-            return AUTO_TIER_POLICY
-        if isinstance(tier, TierSpec):
-            spec = tier
-            return lambda request: spec
-        if isinstance(tier, str):
-            spec = TierSpec.parse(tier)
-            return lambda request: spec
-        if callable(tier):
-            return tier
-        raise ValueError(f"invalid escape_tier {tier!r}")
-
-    def resolve_tier(self, method_name: str, method_size: int,
-                     hotness: int, queue_depth: int = 0) -> TierSpec:
-        """The tier one concrete compilation runs under."""
-        request = TierRequest(method_name=method_name,
-                              method_size=method_size, hotness=hotness,
-                              queue_depth=queue_depth)
-        return TierSpec.parse(self.tier_policy()(request))
-
-    def tier_descriptor(self):
-        """Stable, hashable description of the tier *policy* for the
-        pipeline fingerprint.  Per-method resolutions additionally key
-        the compilation cache with the resolved token, so two policies
-        sharing a descriptor could only cross-contaminate if they also
-        resolved identically — in which case the artifacts coincide.
-        """
-        tier = self.escape_tier
-        if isinstance(tier, TierSpec):
-            return tier.token()
-        if isinstance(tier, str):
-            if tier == "auto":
-                return AUTO_TIER_POLICY.fingerprint()
-            return TierSpec.parse(tier).token()
-        fingerprint = getattr(tier, "fingerprint", None)
-        if callable(fingerprint):
-            value = fingerprint()
-            return value if isinstance(value, str) else tuple(value)
-        return f"{getattr(tier, '__module__', '?')}." \
-               f"{getattr(tier, '__qualname__', repr(tier))}"
-
-    def is_static_tier(self) -> bool:
-        """True when every method compiles under the same tier."""
-        return isinstance(self.escape_tier, TierSpec) or (
-            isinstance(self.escape_tier, str)
-            and self.escape_tier != "auto")
-
-    def static_tier_spec(self) -> Optional[TierSpec]:
-        if not self.is_static_tier():
-            return None
+    def tier_spec(self) -> TierSpec:
+        """The escape tier every method of this configuration compiles
+        under."""
         return TierSpec.parse(self.escape_tier)
 
     # -- canned configurations ----------------------------------------------
@@ -334,18 +216,9 @@ class CompilerConfig:
         return cls(**kwargs)
 
     def label(self) -> str:
-        tier = self.escape_tier
-        if isinstance(tier, TierSpec):
-            base = tier.base
-        elif isinstance(tier, str):
-            if tier == "auto":
-                return "tiered EA (auto)"
-            base = TierSpec.parse(tier).base
-        else:
-            return "tiered EA (policy)"
         return {
             "none": "without EA",
             "equi": "equi-escape EA",
             "conngraph": "conn-graph EA",
             "pea": "with PEA",
-        }[base]
+        }[self.tier_spec().base]

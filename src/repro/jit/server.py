@@ -48,8 +48,8 @@ Dedup and the shared cache
 --------------------------
 
 Each request gets a request-scoped :class:`~repro.jit.compiler.Compiler`
-holding the restored profile and the observed queue depth; it derives
-the request's content-addressed compilation key, and the worker later
+holding the restored profile; it derives the request's
+content-addressed compilation key, and the worker later
 compiles with that same compiler, so the artifact is stored under the
 key the request was deduplicated on.  A request whose key is already
 being compiled *joins* the in-flight job (one compilation, many
@@ -238,8 +238,8 @@ class _Job:
 
     key: str
     #: The request-scoped compiler that derived *key*: it holds the
-    #: restored profile and the queue depth observed at keying, so the
-    #: worker compiling with it stores the artifact under *key*.
+    #: restored profile, so the worker compiling with it stores the
+    #: artifact under *key*.
     compiler: Compiler
     method: JMethod
     entry_bci: Any
@@ -429,7 +429,6 @@ class CompileService:
                     profile = Profile()
                     profile.restore(program, snapshot)
                 compiler = Compiler(program, config, profile, self.cache)
-                compiler.service_queue_depth = self._queue.qsize()
                 __, key = compiler.resolve(method, entry_bci)
             except Exception as exc:  # noqa: BLE001 - bad request
                 conn.send(("compile-error", rid,

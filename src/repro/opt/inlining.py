@@ -52,17 +52,12 @@ class InliningPhase(Phase):
                  policy: Optional[InliningPolicy] = None,
                  profile: Optional[Profile] = None,
                  speculate_branches: bool = False,
-                 speculation_min_samples: int = 50,
-                 speculate_types: bool = True):
+                 speculation_min_samples: int = 50):
         self.program = program
         self.policy = policy or InliningPolicy()
         self.profile = profile
         self.speculate_branches = speculate_branches
         self.speculation_min_samples = speculation_min_samples
-        #: Profile-guided devirtualization: a CHA-polymorphic call whose
-        #: profile is monomorphic to a *leaf* class is inlined behind a
-        #: type-speculation guard (deopt re-dispatches honestly).
-        self.speculate_types = speculate_types
         #: (caller qualified name, count) of decisions, for diagnostics.
         self.inlined: List[str] = []
 
@@ -80,8 +75,9 @@ class InliningPhase(Phase):
 
     def _speculative_target(self, invoke: InvokeNode):
         """CHA says polymorphic; the profile may still be monomorphic
-        to a leaf class -> inline behind a type guard."""
-        if not (self.speculate_types and self.profile is not None
+        to a leaf class -> inline behind a type guard (profile-guided
+        devirtualization; a deopt re-dispatches honestly)."""
+        if not (self.profile is not None
                 and invoke.source_method is not None
                 and invoke.state_before is not None):
             return None

@@ -13,7 +13,7 @@ counted separately (``HeapStats.stack_allocations``), never enter the
 simulated GC nursery (:mod:`repro.runtime.gcsim`), and are charged the
 much cheaper non-GC allocation cost.
 
-Who runs this phase is owned by the escape-tier policy
+Who runs this phase is owned by the escape tier
 (``CompilerConfig.escape_tier``): the ``conngraph`` tier runs it as its
 *primary* optimization, ``+cgstack`` runs it after PEA, a PEA tier with
 escape summaries runs it in summary-marginal mode, and the

@@ -48,7 +48,8 @@ class PartialEscapePhase(Phase):
         #: Graal applies PEA multiple times; later rounds pick up
         #: opportunities exposed by the previous round's simplifications.
         self.iterations = iterations
-        #: Ablation knobs (see benchmarks/bench_ablation.py).
+        #: Ablation knobs (measured by ``table1 --json``'s
+        #: ``ablation_ab``).
         self.virtualize_arrays = virtualize_arrays
         self.fold_virtual_checks = fold_virtual_checks
         #: Interprocedural escape summaries (a

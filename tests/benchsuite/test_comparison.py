@@ -30,6 +30,14 @@ def test_equi_arm_is_pinned_and_below_pea(name):
     # The paper's ordering: flow-insensitive EA gains less than PEA.
     assert comparison.speedup_pct(measured, "equi") < \
         comparison.speedup_pct(measured, "pea")
+    # PEA removes at least the allocations the baseline EA removes,
+    # and never adds monitor operations.
+    allocations = {arm: m.allocations_per_iteration
+                   for arm, m in measured.items()}
+    assert allocations["pea"] <= allocations["equi"] <= \
+        allocations["no_ea"]
+    assert measured["pea"].monitor_ops_per_iteration <= \
+        measured["no_ea"].monitor_ops_per_iteration
 
 
 def _stub_run_workload(calls):

@@ -50,9 +50,8 @@ class Outbox:
 
 @pytest.fixture(scope="module")
 def warmed():
-    """A hot profile of ``Main.step`` (past the auto policy's
-    ``hot_invocations``) and its three kinds of entry: the method
-    entry, an OSR entry and a deoptless continuation."""
+    """A hot profile of ``Main.step`` and its three kinds of entry: the
+    method entry, an OSR entry and a deoptless continuation."""
     program = compile_source(FLIP_SOURCE)
     vm = VM(program, CONFIG)
     for _ in range(8):
@@ -65,7 +64,6 @@ def warmed():
     [osr] = [e for e in entries
              if e is not None and not is_continuation_entry(e)]
     [continuation] = [e for e in entries if is_continuation_entry(e)]
-    assert vm.profile.invocation_count(method) >= 40
     return program, vm.profile.snapshot(), (None, osr, continuation)
 
 
@@ -83,8 +81,7 @@ def service_for(program) -> CompileService:
 
 @pytest.mark.parametrize("escape_tier,busy,tier", [
     ("pea", False, "pea"),
-    ("auto", False, "pea+summaries"),
-    ("auto", True, "conngraph"),
+    ("pea+summaries", True, "pea+summaries"),
 ])
 @pytest.mark.parametrize("kind", ["method", "osr", "continuation"])
 def test_service_dedups_on_the_key_its_worker_stores_under(
@@ -94,8 +91,7 @@ def test_service_dedups_on_the_key_its_worker_stores_under(
     config = replace(CONFIG, escape_tier=escape_tier)
     service = service_for(program)
     if busy:
-        # Queued work the request sees: at the auto policy's
-        # busy_queue_depth it degrades hot methods to the cheap tier.
+        # Queued work the request sees must not change its tier or key.
         for _ in range(4):
             service._queue.put(None)
     outbox = Outbox()
@@ -103,8 +99,10 @@ def test_service_dedups_on_the_key_its_worker_stores_under(
                                program.content_fingerprint(),
                                "Main.step", entry, config, snapshot))
     [job] = service._inflight.values()
+    method = program.method("Main.step")
+    assert job.compiler.resolve(method, entry)[0].token() == tier
     assert job.key == CompilationCache.compilation_key(
-        program, program.method("Main.step"), config, True, entry, tier)
+        program, method, config, True, entry)
 
     service._compile_job(job)
     [reply] = outbox.sent

@@ -91,16 +91,6 @@ def test_polymorphic_profile_not_speculated():
     assert not guards
 
 
-def test_speculation_disabled_by_config():
-    program = compile_source(SOURCE)
-    vm = VM(program, CompilerConfig.partial_escape(
-        speculate_types=False))
-    for _ in range(40):
-        vm.call("Main.run", 0, 20)
-    compiled = vm.compiled[program.method("Main.run")]
-    assert list(compiled.graph.nodes_of(N.InvokeNode))
-
-
 def test_speculative_inlining_enables_pea():
     """With the call inlined, a receiver allocated at the call site can
     be scalar-replaced across the (formerly opaque) polymorphic call."""

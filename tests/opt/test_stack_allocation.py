@@ -89,7 +89,7 @@ def test_escaping_objects_stay_on_heap():
 
 def test_off_by_default():
     config = CompilerConfig.partial_escape()
-    assert config.static_tier_spec().stack is False
+    assert config.tier_spec().stack is False
 
 
 def test_equi_stack_token_is_rejected():
@@ -97,4 +97,4 @@ def test_equi_stack_token_is_rejected():
     # spelled ``+cgstack``; ``+stack`` is not a tier flag.
     config = CompilerConfig.partial_escape(escape_tier="pea+stack")
     with pytest.raises(ValueError, match="'stack'"):
-        config.static_tier_spec()
+        config.tier_spec()
