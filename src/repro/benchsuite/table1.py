@@ -544,15 +544,9 @@ def main(argv=None):
     parser.add_argument("--profile", action="store_true",
                         help="cProfile top-20 + per-node-kind execution "
                              "histogram (forces --jobs 1)")
-    parser.add_argument("--cache", dest="cache", action="store_true",
-                        default=True,
-                        help="share compiled graphs across VMs "
-                             "(default)")
-    parser.add_argument("--no-cache", dest="cache", action="store_false",
-                        help="compile every method from scratch")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persist the compilation cache here so "
-                             "later runs start warm (implies --cache)")
+                             "later runs start warm")
     parser.add_argument("--no-osr", dest="osr", action="store_false",
                         default=True,
                         help="disable on-stack replacement (hot loops "
@@ -567,9 +561,7 @@ def main(argv=None):
                              "--fleet (default 16)")
     args = parser.parse_args(argv)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
-    cache = None
-    if args.cache or args.cache_dir:
-        cache = CompilationCache(args.cache_dir)
+    cache = CompilationCache(args.cache_dir) if args.cache_dir else None
     fleet_payload = None
     if args.fleet:
         from .fleet import run_fleet

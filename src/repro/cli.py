@@ -19,9 +19,10 @@ or directories (searched recursively for both) and share one exit-code
 contract: 0 = clean, 1 = findings, 2 = error (unreadable input, parse
 failure).
 
-``run`` and ``fuzz`` accept ``--cache/--no-cache`` (share compiled
-graphs across VMs; on by default for fuzz) and ``--cache-dir DIR``
-(persist the cache on disk so later runs start warm).
+``fuzz`` shares one in-memory compilation cache across its engines
+(``--no-cache`` turns it off); ``run`` and ``fuzz`` accept
+``--cache-dir DIR`` (persist the cache on disk so later runs start
+warm).
 
 ``serve`` starts a compile service; ``run --service HOST:PORT``
 tiers up through it in the background, and ``fuzz --service`` routes
@@ -61,22 +62,16 @@ def _load(path: str):
         return compile_source(handle.read())
 
 
-def _add_cache_flags(parser, default: bool) -> None:
-    parser.add_argument("--cache", dest="cache", action="store_true",
-                        default=default,
-                        help="share compiled graphs across VMs"
-                             + (" (default)" if default else ""))
-    parser.add_argument("--no-cache", dest="cache", action="store_false",
-                        help="disable the compilation cache")
+def _add_cache_dir_flag(parser) -> None:
     parser.add_argument("--cache-dir",
-                        help="persist the cache under this directory "
-                             "(implies --cache)")
+                        help="persist the compilation cache under this "
+                             "directory so later runs start warm")
 
 
 def _make_cache(args):
-    """A CompilationCache per the --cache/--no-cache/--cache-dir flags,
-    or None when caching is off."""
-    if getattr(args, "cache_dir", None):
+    """A CompilationCache per the --cache-dir flag (and fuzz's
+    --cache/--no-cache), or None when caching is off."""
+    if args.cache_dir:
         return CompilationCache(args.cache_dir)
     if getattr(args, "cache", False):
         return CompilationCache()
@@ -366,7 +361,7 @@ def main(argv=None) -> int:
                             help="tier up through this compile service "
                                  "(background compilation; falls back "
                                  "in-process if unreachable)")
-    _add_cache_flags(run_parser, default=False)
+    _add_cache_dir_flag(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
     compile_parser = subparsers.add_parser(
@@ -426,7 +421,14 @@ def main(argv=None) -> int:
                                   "through one shared compile service "
                                   "(started in-process when no "
                                   "address is given)")
-    _add_cache_flags(fuzz_parser, default=True)
+    fuzz_parser.add_argument("--cache", dest="cache", action="store_true",
+                             default=True,
+                             help="share compiled graphs across the "
+                                  "engines (default)")
+    fuzz_parser.add_argument("--no-cache", dest="cache",
+                             action="store_false",
+                             help="disable the compilation cache")
+    _add_cache_dir_flag(fuzz_parser)
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
     cache_parser = subparsers.add_parser(

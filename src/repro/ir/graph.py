@@ -7,8 +7,8 @@ from typing import Any, Dict, Iterator, List, Optional
 from .node import (FixedNode, FixedWithNextNode, IRError, Node,
                    NodeInputList)
 from .nodes.control import (BeginNode, DeoptimizeNode, EndNode, IfNode,
-                            LoopBeginNode, LoopEndNode, LoopExitNode,
-                            MergeNode, ReturnNode, StartNode)
+                            LoopBeginNode, LoopEndNode, MergeNode,
+                            ReturnNode, StartNode)
 from .nodes.framestate import FrameStateNode
 from .nodes.values import ConstantNode, ParameterNode, PhiNode
 

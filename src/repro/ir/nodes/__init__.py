@@ -2,8 +2,8 @@
 
 from .calls import InvokeNode
 from .control import (BeginNode, DeoptimizeNode, EndNode, IfNode,
-                      LoopBeginNode, LoopEndNode, LoopExitNode, MergeNode,
-                      ReturnNode, StartNode)
+                      LoopBeginNode, LoopEndNode, MergeNode, ReturnNode,
+                      StartNode)
 from .framestate import FrameStateNode
 from .guards import FixedGuardNode
 from .memory import (AccessFieldNode, ArrayLengthNode, LoadFieldNode,
@@ -13,16 +13,16 @@ from .objects import (InstanceOfNode, IsNullNode, NewArrayNode,
                       NewInstanceNode, RefEqualsNode)
 from .sync import MonitorEnterNode, MonitorExitNode
 from .values import (ARITHMETIC_EVAL, COMMUTATIVE_OPS, COMPARE_EVAL,
-                     MIRRORED_COMPARE, NEGATED_COMPARE,
-                     BinaryArithmeticNode, ConditionalNode, ConstantNode,
-                     IntCompareNode, NegNode, ParameterNode, PhiNode)
+                     INTERIOR, MIRRORED_COMPARE, NEGATED_COMPARE,
+                     BinaryArithmeticNode, ConstantNode, IntCompareNode,
+                     NegNode, ParameterNode, PhiNode, expr_children)
 from .virtual import (EscapeObjectStateNode, VirtualArrayNode,
                       VirtualInstanceNode, VirtualObjectNode)
 
 __all__ = [
     "InvokeNode",
     "BeginNode", "DeoptimizeNode", "EndNode", "IfNode", "LoopBeginNode",
-    "LoopEndNode", "LoopExitNode", "MergeNode", "ReturnNode", "StartNode",
+    "LoopEndNode", "MergeNode", "ReturnNode", "StartNode",
     "FrameStateNode", "FixedGuardNode",
     "AccessFieldNode", "ArrayLengthNode", "LoadFieldNode",
     "LoadIndexedNode", "LoadStaticNode", "StateSplitMixin",
@@ -30,10 +30,10 @@ __all__ = [
     "InstanceOfNode", "IsNullNode", "NewArrayNode", "NewInstanceNode",
     "RefEqualsNode",
     "MonitorEnterNode", "MonitorExitNode",
-    "ARITHMETIC_EVAL", "COMMUTATIVE_OPS", "COMPARE_EVAL",
+    "ARITHMETIC_EVAL", "COMMUTATIVE_OPS", "COMPARE_EVAL", "INTERIOR",
     "MIRRORED_COMPARE", "NEGATED_COMPARE", "BinaryArithmeticNode",
-    "ConditionalNode", "ConstantNode", "IntCompareNode", "NegNode",
-    "ParameterNode", "PhiNode",
+    "ConstantNode", "IntCompareNode", "NegNode", "ParameterNode",
+    "PhiNode", "expr_children",
     "EscapeObjectStateNode", "VirtualArrayNode", "VirtualInstanceNode",
     "VirtualObjectNode",
 ]

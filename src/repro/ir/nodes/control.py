@@ -13,7 +13,8 @@ class StartNode(FixedWithNextNode):
 
 
 class BeginNode(FixedWithNextNode):
-    """Marks the entry of a basic block after a control split."""
+    """Marks the entry of a basic block after a control split (a path
+    that leaves a loop starts with one too)."""
 
 
 class EndNode(FixedNode):
@@ -88,12 +89,6 @@ class LoopBeginNode(MergeNode):
 
 class LoopEndNode(FixedNode):
     """A back edge: jumps to its loop's LoopBeginNode."""
-
-    _input_slots = ("loop_begin",)
-
-
-class LoopExitNode(FixedWithNextNode):
-    """Marks control flow leaving a loop."""
 
     _input_slots = ("loop_begin",)
 

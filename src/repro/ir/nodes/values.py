@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Tuple
 
 from ...bytecode.interpreter import (java_div, java_rem, java_shl, java_shr,
                                      wrap_int)
-from ..node import FloatingNode, IRError
+from ..node import FloatingNode, IRError, Node
 
 
 class ConstantNode(FloatingNode):
@@ -146,7 +146,13 @@ class IntCompareNode(FloatingNode):
         return self.op
 
 
-class ConditionalNode(FloatingNode):
-    """``condition ? true_value : false_value`` (select)."""
+#: Floating kinds every backend evaluates on demand from their operands;
+#: anything else that appears as an operand already holds a value.
+INTERIOR = (BinaryArithmeticNode, IntCompareNode, NegNode)
 
-    _input_slots = ("condition", "true_value", "false_value")
+
+def expr_children(node: FloatingNode) -> Tuple[Node, ...]:
+    """The operands of an :data:`INTERIOR` node, in evaluation order."""
+    if isinstance(node, NegNode):
+        return (node.value,)
+    return (node.x, node.y)

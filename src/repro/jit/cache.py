@@ -119,8 +119,7 @@ def _digest(description: Any) -> str:
 #: graph — excluding them is what lets the legacy and plan engines share
 #: entries), ``compile_threshold`` / ``deopt_invalidate_threshold``
 #: (when to compile, not what; their effect on the profile is captured
-#: by the speculation facts), ``verify_ir`` and ``compile_bailout``
-#: (observability only).
+#: by the speculation facts) and ``verify_ir`` (observability only).
 _PIPELINE_FIELDS = (
     "inline", "speculate_branches", "speculation_min_samples",
     "pea_iterations", "read_elimination", "pea_virtualize_arrays",
@@ -160,7 +159,6 @@ def full_config_fingerprint(config: CompilerConfig) -> str:
                    ("deoptless", config.deoptless),
                    ("deoptless_max_variants",
                     config.deoptless_max_variants),
-                   ("compile_bailout", config.compile_bailout),
                    ("cost_model",
                     tuple((f.name, getattr(config.cost_model, f.name))
                           for f in fields(config.cost_model)))]
@@ -342,7 +340,8 @@ class CacheStats:
     #: Entries rejected as unusable: disk files that do not unpickle,
     #: carry another format or echo another key; entries whose blob
     #: digest does not match; variants whose facts hold but whose
-    #: payload does not load.  A missing file is not a drop.
+    #: payload does not load; warm-up record files that do not unpickle
+    #: or carry another format.  A missing file is not a drop.
     dropped: int = 0
     lookup_seconds: float = 0.0
     store_seconds: float = 0.0
@@ -591,6 +590,9 @@ class CompilationCache:
         return os.path.join(self.cache_dir, "harness", f"{key}.pkl")
 
     def load_harness_record(self, key: str) -> Optional[Dict[str, Any]]:
+        """The warm-up record stored under *key*, or ``None``.  A
+        missing file is a plain miss; a rejected one counts as
+        dropped, like a graph file."""
         record = self._harness.get(key)
         if record is not None:
             return record
@@ -600,12 +602,15 @@ class CompilationCache:
             with open(self._harness_path(key), "rb") as handle:
                 stored = pickle.load(handle)
             if stored.get("format") != CACHE_FORMAT:
-                return None
+                raise ValueError("another format")
             record = stored["record"]
-            self._harness[key] = record
-            return record
-        except Exception:
+        except FileNotFoundError:
             return None
+        except Exception:  # noqa: BLE001 - unreadable record
+            self.stats.dropped += 1
+            return None
+        self._harness[key] = record
+        return record
 
     def store_harness_record(self, key: str,
                              record: Dict[str, Any]) -> None:

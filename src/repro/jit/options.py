@@ -138,10 +138,6 @@ class CompilerConfig:
     #: evicted), so pathological polymorphism degrades to plain deopt
     #: behavior instead of accumulating code.
     deoptless_max_variants: int = 4
-    #: On a compiler error: True = bail out and stay interpreted (what a
-    #: production VM does); False = raise (surfaces compiler bugs, the
-    #: right default for a research codebase).
-    compile_bailout: bool = False
     #: PEA application count (Graal applies it more than once).
     pea_iterations: int = 2
     #: Block-local load/store forwarding after escape analysis.

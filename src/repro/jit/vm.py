@@ -340,11 +340,10 @@ class VM:
             table[key] = f"{type(exc).__name__}: {exc}"
             # An un-enterable loop header or deopt site (e.g. the
             # header of an inner loop reached from an OSR entry) is
-            # normal: that entry keeps interpreting.
-            if self.config.compile_bailout or (
-                    entry is not None
-                    and isinstance(exc, GraphBuildError)):
-                return None  # stay interpreted, like a production VM
+            # normal: that entry keeps interpreting.  Any other failure
+            # is a compiler bug and surfaces.
+            if entry is not None and isinstance(exc, GraphBuildError):
+                return None
             raise
         return self._install(method, entry, result)
 
@@ -587,11 +586,9 @@ class VM:
             table, failure_key = self._failures(method, entry)
             table[failure_key] = f"service: {reply.error}"
             # GraphBuildError at an un-enterable loop header or deopt
-            # site is normal (mirrors _compile); anything else honors
-            # compile_bailout.
-            if not self.config.compile_bailout and (
-                    entry is None
-                    or not reply.error.startswith("GraphBuildError")):
+            # site is normal (mirrors _compile); anything else raises.
+            if entry is None or \
+                    not reply.error.startswith("GraphBuildError"):
                 raise RuntimeError(
                     f"{method.qualified_name} failed to compile via "
                     f"service: {reply.error}")

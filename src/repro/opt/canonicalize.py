@@ -14,11 +14,11 @@ from typing import Optional
 from ..bytecode.heap import ArithmeticTrap
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..ir.nodes import (BeginNode, BinaryArithmeticNode, ConditionalNode,
-                        ConstantNode, DeoptimizeNode, FixedGuardNode,
-                        IfNode, InstanceOfNode, IntCompareNode, IsNullNode,
-                        LoopBeginNode, MergeNode, NegNode, NewArrayNode,
-                        NewInstanceNode, PhiNode, RefEqualsNode)
+from ..ir.nodes import (BinaryArithmeticNode, ConstantNode,
+                        DeoptimizeNode, FixedGuardNode, IfNode,
+                        IntCompareNode, IsNullNode, LoopBeginNode,
+                        MergeNode, NegNode, NewArrayNode, NewInstanceNode,
+                        PhiNode, RefEqualsNode)
 from .phase import Phase
 from .util import kill_branch, simplify_merge, sweep_floating
 
@@ -63,16 +63,6 @@ class CanonicalizerPhase(Phase):
             if value is not _MISS:
                 from ..bytecode.interpreter import wrap_int
                 node.replace_at_usages(graph.constant(wrap_int(-value)))
-                node.clear_inputs()
-                node.safe_delete()
-                return True
-            return False
-        if isinstance(node, ConditionalNode):
-            condition = _const(node.condition)
-            if condition is not _MISS:
-                result = (node.true_value if condition
-                          else node.false_value)
-                node.replace_at_usages(result)
                 node.clear_inputs()
                 node.safe_delete()
                 return True

@@ -16,7 +16,7 @@ from typing import Dict, Tuple
 
 from ..ir.graph import Graph
 from ..ir.nodes import (COMMUTATIVE_OPS, BinaryArithmeticNode,
-                        ConditionalNode, IntCompareNode, NegNode)
+                        IntCompareNode, NegNode)
 from .phase import Phase
 
 
@@ -63,10 +63,4 @@ class GlobalValueNumberingPhase(Phase):
             if node.value is None:
                 return None
             return ("neg", node.value.id)
-        if isinstance(node, ConditionalNode):
-            if None in (node.condition, node.true_value,
-                        node.false_value):
-                return None
-            return ("cond", node.condition.id, node.true_value.id,
-                    node.false_value.id)
         return None

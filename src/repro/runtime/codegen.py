@@ -15,10 +15,13 @@ Lowering rules (see docs/internals.md §13):
   shared :class:`~repro.bytecode.heap.Heap` (so Table 1's allocation and
   monitor metrics are measured identically in every backend);
 - the reducible CFG is emitted structurally: the explicit
-  LoopBegin/LoopEnd/LoopExit nodes become ``while True:`` loops with
-  ``continue``/``break``, If joins are discovered by probing both arms
-  for the merge they reconverge on, and phi moves are plain (tuple)
-  assignments with parallel-move semantics;
+  LoopBegin/LoopEnd nodes become ``while True:`` loops with
+  ``continue``/``break`` (a path that leaves a loop starts with a plain
+  Begin and is emitted inside the ``while`` until it reaches an outer
+  loop's LoopEnd or a merge the loop does not own, where it
+  ``break``s), If joins are discovered by probing both arms for the
+  merge they reconverge on, and phi moves are plain (tuple) assignments
+  with parallel-move semantics;
 - floating expressions are inlined (64-bit wrapping arithmetic as
   walrus-assignment mask formulas, comparisons as native operators);
   subexpressions shared within one tree are hoisted into temporaries,
@@ -57,17 +60,17 @@ from ..bytecode.heap import Heap
 from ..bytecode.interpreter import java_div, java_rem, java_shl, java_shr
 from ..ir.graph import Graph
 from ..ir.node import Node
-from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
-                        ConditionalNode, ConstantNode, DeoptimizeNode,
+from ..ir.nodes import (INTERIOR, ArrayLengthNode, BeginNode,
+                        BinaryArithmeticNode, ConstantNode, DeoptimizeNode,
                         EndNode, FixedGuardNode, FrameStateNode, IfNode,
                         InstanceOfNode, IntCompareNode, InvokeNode,
                         IsNullNode, LoadFieldNode, LoadIndexedNode,
                         LoadStaticNode, LoopBeginNode, LoopEndNode,
-                        LoopExitNode, MergeNode, MonitorEnterNode,
-                        MonitorExitNode, NegNode, NewArrayNode,
-                        NewInstanceNode, ParameterNode, PhiNode,
-                        RefEqualsNode, ReturnNode, StartNode,
-                        StoreFieldNode, StoreIndexedNode, StoreStaticNode)
+                        MergeNode, MonitorEnterNode, MonitorExitNode,
+                        NegNode, NewArrayNode, NewInstanceNode,
+                        ParameterNode, PhiNode, RefEqualsNode, ReturnNode,
+                        StartNode, StoreFieldNode, StoreIndexedNode,
+                        StoreStaticNode, expr_children)
 from ..scheduler.cfg import ControlFlowGraph
 from .costmodel import CostModel, ExecutionStats
 from .deopt import MISSING, Deoptimizer
@@ -79,10 +82,6 @@ class CodegenError(Exception):
     unsupported node kind or an unstructured join).  The method runs on
     the GraphInterpreter instead."""
 
-
-#: Floating node kinds evaluated on demand (mirrors plan._INTERIOR).
-_INTERIOR = (BinaryArithmeticNode, IntCompareNode, NegNode,
-             ConditionalNode)
 
 #: Arithmetic ops inlined as native operators under the wrap formula.
 _PY_ARITH = {"add": "+", "sub": "-", "mul": "*", "and": "&", "or": "|",
@@ -96,12 +95,10 @@ _MASK = (1 << 64) - 1
 _SIGN = 1 << 63
 _SPAN = 1 << 64
 
-#: Subtree render depth above which always-evaluated nodes are hoisted
-#: into temporaries (keeps generated lines inside CPython's nesting
-#: limits); trees that stay deeper (conditional arms cannot be hoisted
-#: without changing trap laziness) bail out to the GraphInterpreter.
+#: Subtree render depth above which interior nodes are hoisted into
+#: temporaries, keeping generated lines inside CPython's nesting limits:
+#: after hoisting, no tree renders deeper than ``_HOIST_DEPTH + 1``.
 _HOIST_DEPTH = 12
-_MAX_DEPTH = 60
 
 #: Emitted-line ceiling: tail duplication (non-tree merge DAGs) can in
 #: principle blow up exponentially; past this the method bails out to
@@ -123,14 +120,6 @@ _HELPERS = (
 
 def _raise_budget():
     raise GraphExecutionError("control step budget exceeded")
-
-
-def _expr_children(node: Node) -> Tuple[Node, ...]:
-    if isinstance(node, (BinaryArithmeticNode, IntCompareNode)):
-        return (node.x, node.y)
-    if isinstance(node, NegNode):
-        return (node.value,)
-    return (node.condition, node.true_value, node.false_value)
 
 
 def _sanitize(label: str) -> str:
@@ -285,7 +274,7 @@ class _Emitter:
             return self._const_literal(root)
         if self._is_leaf(root):
             return self._name(root)
-        if not isinstance(root, _INTERIOR):
+        if not isinstance(root, INTERIOR):
             raise CodegenError(f"cannot evaluate {root!r}")
         temps = self._prepare_tree(root)
         if as_test and isinstance(root, IntCompareNode) \
@@ -300,34 +289,20 @@ class _Emitter:
     def _prepare_tree(self, root: Node) -> Dict[Node, str]:
         """Charge the tree's interior costs (each unique node once, like
         the interpreter's per-evaluation memo) and hoist shared or deep
-        always-evaluated subtrees into temporaries."""
+        subtrees into temporaries."""
         counts: Dict[Node, int] = {}
         stack = [root]
         while stack:
             node = stack.pop()
-            if not isinstance(node, _INTERIOR):
+            if not isinstance(node, INTERIOR):
                 continue
             seen = counts.get(node, 0) + 1
             counts[node] = seen
             if seen == 1:
-                stack.extend(_expr_children(node))
+                stack.extend(expr_children(node))
         for node in counts:
             self.pending_cycles += self.cost_model.node_cost(node)
         shared = {node for node, count in counts.items() if count > 1}
-        # Nodes evaluated on every execution of the statement: reachable
-        # without entering a conditional's value arms.  Only these may
-        # be hoisted (hoisting an arm would break trap laziness).
-        always: set = set()
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            if not isinstance(node, _INTERIOR) or node in always:
-                continue
-            always.add(node)
-            if isinstance(node, ConditionalNode):
-                stack.append(node.condition)
-            else:
-                stack.extend(_expr_children(node))
         # Postorder over the interior DAG (children before parents).
         post: List[Node] = []
         state: List[Tuple[Node, int]] = [(root, 0)]
@@ -335,8 +310,8 @@ class _Emitter:
         visited: set = set()
         while state:
             node, child_index = state.pop()
-            children = [child for child in _expr_children(node)
-                        if isinstance(child, _INTERIOR)
+            children = [child for child in expr_children(node)
+                        if isinstance(child, INTERIOR)
                         and child not in visited]
             if child_index < len(children):
                 state.append((node, child_index + 1))
@@ -348,25 +323,16 @@ class _Emitter:
                 if node not in visited:
                     visited.add(node)
                     post.append(node)
+        # Render depth per node; a hoisted node renders as its name.
         hoist: List[Node] = []
         depth: Dict[Node, int] = {}
-        hoisted: set = set()
         for node in post:
-            child_depth = max(
-                (depth.get(child, 0)
-                 for child in _expr_children(node)
-                 if isinstance(child, _INTERIOR)
-                 and child not in hoisted), default=0)
-            own = child_depth + 1
-            wants_hoist = (node in shared
-                           or own > _HOIST_DEPTH) and node is not root
-            if wants_hoist and node in always:
+            own = 1 + max((depth.get(child, 0)
+                           for child in expr_children(node)), default=0)
+            if (node in shared or own > _HOIST_DEPTH) and node is not root:
                 hoist.append(node)
-                hoisted.add(node)
                 own = 0
             depth[node] = own
-        if depth.get(root, 0) > _MAX_DEPTH:
-            raise CodegenError("expression tree too deep to inline")
         temps: Dict[Node, str] = {}
         for node in hoist:
             text = self._render(node, temps)
@@ -403,12 +369,6 @@ class _Emitter:
         if isinstance(node, NegNode):
             value = self._render(node.value, temps)
             return self._wrap(f"-({value})")
-        if isinstance(node, ConditionalNode):
-            condition = self._render(node.condition, temps)
-            true_value = self._render(node.true_value, temps)
-            false_value = self._render(node.false_value, temps)
-            return (f"(({true_value}) if ({condition}) "
-                    f"else ({false_value}))")
         raise CodegenError(f"cannot evaluate {node!r}")
 
     # -- deopt/const tables ------------------------------------------------
@@ -468,9 +428,8 @@ class _Emitter:
         """The out-edge targets emitting *begin*'s body will discover,
         in discovery order, without emitting anything — what
         :meth:`_probe` needs to walk *past* a nested loop.  Targets are
-        the nodes the body cannot consume at its own level: LoopExits
-        (of any loop), LoopEnds of other loops, and Ends feeding merges
-        outside the body."""
+        the nodes the body cannot consume at its own level: LoopEnds of
+        other loops and Ends feeding merges outside the body."""
         cached = self._out_cache.get(begin)
         if cached is not None:
             return cached
@@ -494,9 +453,6 @@ class _Emitter:
                     if node.loop_begin is not begin:
                         collect(node)
                     return
-                if isinstance(node, LoopExitNode):
-                    collect(node)
-                    return
                 if isinstance(node, IfNode):
                     walk(node.true_successor)
                     walk(node.false_successor)
@@ -507,11 +463,7 @@ class _Emitter:
                         raise CodegenError(f"{node} feeds no merge")
                     if isinstance(merge, LoopBeginNode):
                         for inner in self._collect_out_targets(merge):
-                            if isinstance(inner, LoopExitNode) and \
-                                    inner.loop_begin is merge:
-                                walk(inner.next)
-                            else:
-                                walk(inner)
+                            walk(inner)
                         return
                     if self._merge_loop.get(merge) is begin:
                         walk(merge.next)
@@ -543,10 +495,6 @@ class _Emitter:
                 if ctx.loop is None:
                     raise CodegenError("loop end outside any loop")
                 return chain  # a continue or an out-edge: terminal here
-            if isinstance(node, LoopExitNode):
-                if ctx.loop is None:
-                    raise CodegenError("loop exit outside any loop")
-                return chain  # always an out-edge of the current loop
             if isinstance(node, EndNode):
                 merge = node.merge()
                 if merge is None:
@@ -556,24 +504,13 @@ class _Emitter:
                     if not inner_targets:
                         return chain
                     if len(inner_targets) == 1:
-                        target = inner_targets[0]
                         # Mirrors _emit_loop's single-target return:
                         # the continuation is re-dispatched at ctx.
-                        if isinstance(target, LoopExitNode) and \
-                                target.loop_begin is merge:
-                            node = target.next
-                        else:
-                            node = target
+                        node = inner_targets[0]
                         continue
-                    arm_chains = []
-                    for target in inner_targets:
-                        if isinstance(target, LoopExitNode) and \
-                                target.loop_begin is merge:
-                            arm_chains.append(
-                                self._probe(target.next, ctx))
-                        else:
-                            arm_chains.append(self._probe(target, ctx))
-                    join = self._common_join(arm_chains)
+                    join = self._common_join([
+                        self._probe(target, ctx)
+                        for target in inner_targets])
                     if join is None:
                         return chain
                     chain.append(join)
@@ -655,22 +592,11 @@ class _Emitter:
         if not targets:
             return None
         if len(targets) == 1:
-            target = targets[0]
-            if isinstance(target, LoopExitNode) and \
-                    target.loop_begin is begin:
-                self._count(target)
-                return target.next
-            return target  # re-dispatched by the caller's region loop
+            return targets[0]  # re-dispatched by the caller's region loop
         # Multiple targets: an N-way dispatch on the selector, shaped
         # like an If (probe each continuation for the common join).
-        chains = []
-        for target in targets:
-            if isinstance(target, LoopExitNode) and \
-                    target.loop_begin is begin:
-                chains.append(self._probe(target.next, ctx))
-            else:
-                chains.append(self._probe(target, ctx))
-        join = self._common_join(chains)
+        join = self._common_join([self._probe(target, ctx)
+                                  for target in targets])
         nested = join is not None and join is not ctx.join
         arm_ctx = ctx.with_join(join) if nested else ctx
         for index, target in enumerate(targets):
@@ -682,12 +608,7 @@ class _Emitter:
                 self._line(f"elif {selector} == {index}:")
             mark = len(self.lines)
             self.indent += 1
-            if isinstance(target, LoopExitNode) and \
-                    target.loop_begin is begin:
-                self._count(target)
-                self._emit_region(target.next, arm_ctx)
-            else:
-                self._emit_region(target, arm_ctx)
+            self._emit_region(target, arm_ctx)
             if len(self.lines) == mark:
                 self._line("pass")
             self.indent -= 1
@@ -748,12 +669,6 @@ class _Emitter:
                 self._emit_phi_moves(loop.begin, node)
                 self._flush()
                 self._line("continue")
-                return
-
-            elif isinstance(node, LoopExitNode):
-                if ctx.loop is None:
-                    raise CodegenError("loop exit outside any loop")
-                self._out_edge(ctx.loop, node)
                 return
 
             elif isinstance(node, IfNode):

@@ -21,16 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..ir.node import Node
-from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
-                        ConditionalNode, ConstantNode, DeoptimizeNode,
-                        EndNode, FixedGuardNode, IfNode, InstanceOfNode,
-                        IntCompareNode, InvokeNode, IsNullNode,
-                        LoadFieldNode, LoadIndexedNode, LoadStaticNode,
-                        LoopBeginNode, LoopEndNode, LoopExitNode,
-                        MergeNode, MonitorEnterNode, MonitorExitNode,
+from ..ir.nodes import (ArrayLengthNode, BinaryArithmeticNode,
+                        DeoptimizeNode, FixedGuardNode, IfNode,
+                        InstanceOfNode, IntCompareNode, InvokeNode,
+                        IsNullNode, LoadFieldNode, LoadIndexedNode,
+                        LoadStaticNode, MonitorEnterNode, MonitorExitNode,
                         NegNode, NewArrayNode, NewInstanceNode,
-                        ParameterNode, PhiNode, RefEqualsNode, ReturnNode,
-                        StartNode, StoreFieldNode, StoreIndexedNode,
+                        RefEqualsNode, StoreFieldNode, StoreIndexedNode,
                         StoreStaticNode)
 
 
@@ -82,8 +79,7 @@ class CostModel:
     def node_cost(self, node: Node) -> int:
         """Execution cost of one IR node (allocation byte costs are added
         separately by the graph interpreter, which knows the sizes)."""
-        if isinstance(node, (BinaryArithmeticNode, NegNode,
-                             ConditionalNode)):
+        if isinstance(node, (BinaryArithmeticNode, NegNode)):
             return self.arithmetic
         if isinstance(node, (IntCompareNode, RefEqualsNode, IsNullNode,
                              InstanceOfNode)):

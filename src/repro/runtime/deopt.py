@@ -19,9 +19,9 @@ from ..bytecode.classfile import Program
 from ..bytecode.heap import Heap, VMError
 from ..bytecode.interpreter import Interpreter, wrap_int
 from ..bytecode.opcodes import INVOKES
-from ..ir.nodes import (BinaryArithmeticNode, ConditionalNode,
-                        ConstantNode, FrameStateNode, IntCompareNode,
-                        NegNode, VirtualArrayNode, VirtualInstanceNode,
+from ..ir.nodes import (BinaryArithmeticNode, ConstantNode,
+                        FrameStateNode, IntCompareNode, NegNode,
+                        VirtualArrayNode, VirtualInstanceNode,
                         VirtualObjectNode)
 from .costmodel import CostModel, ExecutionStats
 
@@ -196,7 +196,7 @@ def _evaluator(lookup: Callable[[Any], Any], stats: ExecutionStats,
                cost_model: CostModel) -> Callable[[Any], Any]:
     """The value of an IR node at one deopt: what *lookup* finds in the
     compiled frame, else a constant, else a floating arithmetic,
-    compare, negate or conditional node recomputed from its inputs —
+    compare or negate node recomputed from its inputs —
     once per deopt, charged its node cost when computed."""
     node_cost = cost_model.node_cost
     memo: Dict[Any, Any] = {}
@@ -213,9 +213,6 @@ def _evaluator(lookup: Callable[[Any], Any], stats: ExecutionStats,
             value = node.evaluate(evaluate(node.x), evaluate(node.y))
         elif isinstance(node, NegNode):
             value = wrap_int(-evaluate(node.value))
-        elif isinstance(node, ConditionalNode):
-            value = evaluate(node.true_value if evaluate(node.condition)
-                             else node.false_value)
         else:
             raise DeoptError(
                 f"cannot evaluate {node!r} (not in environment)")

@@ -21,16 +21,15 @@ from ..bytecode.heap import Heap, VMError
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
-                        ConditionalNode, ConstantNode, DeoptimizeNode,
-                        EndNode, FixedGuardNode, FrameStateNode, IfNode,
+                        ConstantNode, DeoptimizeNode, EndNode,
+                        FixedGuardNode, FrameStateNode, IfNode,
                         InstanceOfNode, IntCompareNode, InvokeNode,
                         IsNullNode, LoadFieldNode, LoadIndexedNode,
-                        LoadStaticNode, LoopBeginNode, LoopEndNode,
-                        LoopExitNode, MergeNode, MonitorEnterNode,
-                        MonitorExitNode, NegNode, NewArrayNode,
-                        NewInstanceNode, ParameterNode, PhiNode,
-                        RefEqualsNode, ReturnNode, StartNode,
-                        StoreFieldNode, StoreIndexedNode, StoreStaticNode)
+                        LoadStaticNode, LoopEndNode, MergeNode,
+                        MonitorEnterNode, MonitorExitNode, NegNode,
+                        NewArrayNode, NewInstanceNode, RefEqualsNode,
+                        ReturnNode, StartNode, StoreFieldNode,
+                        StoreIndexedNode, StoreStaticNode)
 from .costmodel import DEFAULT_COST_MODEL, CostModel, ExecutionStats
 from .deopt import MISSING, Deoptimizer
 
@@ -103,11 +102,6 @@ class GraphInterpreter:
         elif isinstance(node, NegNode):
             from ..bytecode.interpreter import wrap_int
             value = wrap_int(-self._evaluate(node.value, env, memo))
-        elif isinstance(node, ConditionalNode):
-            condition = self._evaluate(node.condition, env, memo)
-            value = self._evaluate(
-                node.true_value if condition else node.false_value,
-                env, memo)
         else:
             raise GraphExecutionError(
                 f"cannot evaluate {node!r} (not in environment)")
@@ -138,8 +132,7 @@ class GraphInterpreter:
                 kind = type(current).__name__
                 histogram[kind] = histogram.get(kind, 0) + 1
 
-            if isinstance(current, (StartNode, BeginNode, LoopExitNode,
-                                    MergeNode)):
+            if isinstance(current, (StartNode, BeginNode, MergeNode)):
                 current = current.next
 
             elif isinstance(current, (EndNode, LoopEndNode)):

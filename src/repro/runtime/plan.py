@@ -47,18 +47,18 @@ from ..bytecode.heap import Heap
 from ..bytecode.interpreter import wrap_int
 from ..ir.graph import Graph
 from ..ir.node import IRError, Node
-from ..ir.nodes import (ARITHMETIC_EVAL, COMPARE_EVAL, ArrayLengthNode,
-                        BeginNode, BinaryArithmeticNode, ConditionalNode,
+from ..ir.nodes import (ARITHMETIC_EVAL, COMPARE_EVAL, INTERIOR,
+                        ArrayLengthNode, BeginNode, BinaryArithmeticNode,
                         ConstantNode, DeoptimizeNode, EndNode,
                         FixedGuardNode, IfNode, InstanceOfNode,
                         IntCompareNode, InvokeNode, IsNullNode,
                         LoadFieldNode, LoadIndexedNode, LoadStaticNode,
-                        LoopBeginNode, LoopEndNode, LoopExitNode,
-                        MergeNode, MonitorEnterNode, MonitorExitNode,
-                        NegNode, NewArrayNode, NewInstanceNode,
-                        ParameterNode, PhiNode, RefEqualsNode, ReturnNode,
-                        StartNode, StoreFieldNode, StoreIndexedNode,
-                        StoreStaticNode)
+                        LoopEndNode, MergeNode, MonitorEnterNode,
+                        MonitorExitNode, NegNode, NewArrayNode,
+                        NewInstanceNode, ParameterNode, PhiNode,
+                        RefEqualsNode, ReturnNode, StartNode,
+                        StoreFieldNode, StoreIndexedNode, StoreStaticNode,
+                        expr_children)
 from ..scheduler.cfg import control_successors
 from .costmodel import CostModel, ExecutionStats
 from .deopt import MISSING, Deoptimizer
@@ -78,25 +78,12 @@ _UNSET = MISSING
 _RESULT_SLOT = 0
 
 #: Node kinds that simply fall through to ``next`` at zero cost.
-_PASSTHROUGH = (StartNode, BeginNode, LoopExitNode, MergeNode)
-
-#: Floating node kinds evaluated on demand (everything else that can
-#: appear as an operand must already live in a slot).
-_INTERIOR = (BinaryArithmeticNode, IntCompareNode, NegNode,
-             ConditionalNode)
+_PASSTHROUGH = (StartNode, BeginNode, MergeNode)
 
 
 def _raise_unset(node: Node):
     raise GraphExecutionError(
         f"cannot evaluate {node!r} (not in environment)")
-
-
-def _expr_children(node: Node) -> Tuple[Node, ...]:
-    if isinstance(node, (BinaryArithmeticNode, IntCompareNode)):
-        return (node.x, node.y)
-    if isinstance(node, NegNode):
-        return (node.value,)
-    return (node.condition, node.true_value, node.false_value)
 
 
 class ExecutionPlan:
@@ -283,12 +270,12 @@ class _PlanBinder:
         stack = [root]
         while stack:
             node = stack.pop()
-            if not isinstance(node, _INTERIOR):
+            if not isinstance(node, INTERIOR):
                 continue
             seen = counts.get(node, 0) + 1
             counts[node] = seen
             if seen == 1:
-                stack.extend(_expr_children(node))
+                stack.extend(expr_children(node))
         return {node for node, count in counts.items() if count > 1}
 
     def _compile_value(self, root: Node) -> Callable[[List[Any]], Any]:
@@ -413,20 +400,6 @@ class _PlanBinder:
                 return value
 
             return evaluate
-        if isinstance(node, ConditionalNode):
-            condition = self._compile_expr_nomemo(node.condition)
-            true_value = self._compile_expr_nomemo(node.true_value)
-            false_value = self._compile_expr_nomemo(node.false_value)
-            cost = self.plan.cost_model.node_cost(node)
-
-            def evaluate(slots, _condition=condition, _true=true_value,
-                         _false=false_value, _cost=cost, _stats=stats):
-                value = (_true(slots) if _condition(slots)
-                         else _false(slots))
-                _stats.cycles += _cost
-                return value
-
-            return evaluate
 
         def evaluate(slots, _node=node):
             raise GraphExecutionError(
@@ -487,23 +460,6 @@ class _PlanBinder:
             def evaluate(slots, memo, _operand=operand, _cost=cost,
                          _stats=stats):
                 value = wrap_int(-_operand(slots, memo))
-                _stats.cycles += _cost
-                return value
-
-        elif isinstance(node, ConditionalNode):
-            condition = self._compile_expr(node.condition, shared,
-                                           compiled)
-            true_value = self._compile_expr(node.true_value, shared,
-                                            compiled)
-            false_value = self._compile_expr(node.false_value, shared,
-                                             compiled)
-            cost = self.plan.cost_model.node_cost(node)
-
-            def evaluate(slots, memo, _condition=condition,
-                         _true=true_value, _false=false_value, _cost=cost,
-                         _stats=stats):
-                value = (_true(slots, memo) if _condition(slots, memo)
-                         else _false(slots, memo))
                 _stats.cycles += _cost
                 return value
 

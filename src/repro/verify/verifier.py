@@ -34,11 +34,11 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ir.graph import Graph
 from ..ir.node import (ControlSinkNode, ControlSplitNode, FixedNode,
                        FixedWithNextNode, IRError, Node)
-from ..ir.nodes import (BeginNode, ConstantNode, DeoptimizeNode, EndNode,
+from ..ir.nodes import (ConstantNode, DeoptimizeNode, EndNode,
                         EscapeObjectStateNode, FixedGuardNode,
                         FrameStateNode, IfNode, LoopBeginNode, LoopEndNode,
-                        LoopExitNode, MergeNode, ParameterNode, PhiNode,
-                        StartNode, VirtualObjectNode)
+                        MergeNode, ParameterNode, PhiNode, StartNode,
+                        VirtualObjectNode)
 from ..scheduler.cfg import ControlFlowGraph, IRBlock
 from ..scheduler.controlflow import dominates
 
@@ -167,10 +167,6 @@ class GraphVerifier:
                 elif node not in begin.loop_ends.snapshot():
                     self._report(f"{node} missing from "
                                  f"{begin}.loop_ends")
-            if isinstance(node, LoopExitNode):
-                if not isinstance(node.loop_begin, LoopBeginNode):
-                    self._report(f"{node} loop_begin is "
-                                 f"{node.loop_begin!r}, not a LoopBegin")
             if isinstance(node, ControlSplitNode):
                 succs = list(node.successors())
                 expected = len(node._edges.successor_slots)

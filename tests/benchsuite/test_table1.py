@@ -1,10 +1,11 @@
-"""Table 1's A/B sections: the GC A/B's no-EA arm, the PEA ablations
-and the cache line."""
+"""Table 1's A/B sections: the GC A/B's no-EA arm, the PEA ablations,
+the cache line and rejected warm-up records."""
 
 import io
 import json
 import re
 
+from repro.api import compile_source
 from repro.benchsuite import harness, table1
 from repro.benchsuite.harness import compare_workload
 from repro.benchsuite.workloads import by_name, quick_copy
@@ -88,3 +89,37 @@ def test_json_cache_line_counts_every_run(tmp_path):
     serial, pooled = lines
     assert pooled.group(0) == serial.group(0)
     assert int(serial.group(2)) > 0
+
+
+def test_truncated_warmup_record_is_dropped(tmp_path):
+    """A warm-up record that does not load counts as a dropped cache
+    entry: its workload runs the full warm-up, and no Table 1 row
+    changes."""
+    cache_dir = str(tmp_path / "cache")
+
+    def run():
+        cache = CompilationCache(cache_dir)
+        [comparison] = table1.generate(["specjbb"], quick=True,
+                                       out=io.StringIO(),
+                                       cache=cache)["specjbb"]
+        rows = {arm: {name: getattr(m, name)
+                      for name in ("checksum",) + table1._SUITE_FIELDS}
+                for arm, m in comparison.arms.items()}
+        return comparison, rows, cache.stats.dropped
+
+    cold, cold_rows, cold_dropped = run()
+    workload = cold.workload
+    program = compile_source(workload.source,
+                             natives=workload.natives or None)
+    key = harness._harness_key(workload, program,
+                               CompilerConfig.partial_escape())
+    record = tmp_path / "cache" / "harness" / f"{key}.pkl"
+    data = record.read_bytes()
+    record.write_bytes(data[:len(data) // 2])
+    warm, warm_rows, warm_dropped = run()
+    assert (cold_dropped, warm_dropped) == (0, 1)
+    assert warm_rows == cold_rows
+    assert warm.with_pea.warmup_iterations_elided == 0
+    assert warm.with_pea.warmup_iterations_run == \
+        cold.with_pea.warmup_iterations_run
+    assert warm.without.warmup_iterations_elided > 0

@@ -152,22 +152,6 @@ def test_three_configs_agree_and_pea_wins(run_shape=None):
     assert results["no_ea"][1] == 1000
 
 
-def test_compile_bailout_falls_back_to_interpreter(monkeypatch):
-    from repro.jit.compiler import Compiler
-    program = compile_source(FIB)
-    vm = VM(program, CompilerConfig.partial_escape(
-        compile_threshold=3, compile_bailout=True))
-
-    def broken_compile(method, osr_bci=None):
-        raise RuntimeError("injected compiler bug")
-
-    monkeypatch.setattr(vm.compiler, "compile", broken_compile)
-    # Execution keeps working, interpreted.
-    assert vm.call("C.fib", 12) == 144
-    assert not vm.compiled
-    assert vm._uncompilable  # the failure was recorded
-
-
 def test_compile_error_raises_by_default(monkeypatch):
     program = compile_source(FIB)
     vm = VM(program, CompilerConfig.partial_escape(compile_threshold=3))

@@ -40,15 +40,6 @@ def test_floating_expression_evaluation():
     assert gi.execute(graph, [4]) == 50
 
 
-def test_conditional_node_select():
-    program, heap, gi = make_interp()
-    graph = simple_graph(lambda g, p: g.add(N.ConditionalNode(
-        condition=g.add(N.IntCompareNode("gt", x=p, y=g.constant(0))),
-        true_value=g.constant(111), false_value=g.constant(222))))
-    assert gi.execute(graph, [5]) == 111
-    assert gi.execute(graph, [-5]) == 222
-
-
 def test_unevaluable_node_raises():
     program, heap, gi = make_interp()
     detached_param = N.ParameterNode(7)  # never bound into env

@@ -99,7 +99,7 @@ def test_loop_end_pairing_violation():
     loop.add_loop_end(loop_end)
     if_node = graph.add(N.IfNode(condition=graph.constant(1)))
     loop.next = if_node
-    exit_begin = graph.add(N.LoopExitNode(loop_begin=loop))
+    exit_begin = graph.add(N.BeginNode())
     if_node.true_successor = exit_begin
     body = graph.add(N.BeginNode())
     if_node.false_successor = body
