@@ -24,7 +24,7 @@ exactly one sweep).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional
+from typing import Any, Callable, Dict, Hashable, List
 
 Block = Hashable
 

@@ -36,8 +36,8 @@ speculation facts (see :mod:`repro.jit.cache`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..bytecode.classfile import JMethod, Program
 from ..bytecode.instructions import MethodRef

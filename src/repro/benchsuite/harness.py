@@ -15,9 +15,11 @@ further amortizations, neither of which can change a reported metric:
 - **warm-up elision**: a cold run records, per (workload, program,
   full configuration), a snapshot of the profiling state one iteration
   before the end of warm-up, plus the VM state the final warm-up
-  iteration reached (compiled-method set, deoptimization and
-  invalidation counts, checksum) — stored only if the VM then stayed
-  quiescent through the whole *measured* window.  A warm run installs
+  iteration reached (its method and OSR entries, each installed one
+  by cache key and speculation facts, and those that failed to
+  compile; deoptimization and invalidation counts; checksum) — stored
+  only if the VM then stayed quiescent through the whole *measured*
+  window.  A warm run installs
   the snapshot into a fresh VM, replays just the final warm-up
   iteration (every hot method's invocation count is already past the
   compile threshold, so compilation — served from the cache — happens
@@ -34,12 +36,14 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .. import api
 from ..api import VM, CompilerConfig, compile_source
 from ..jit.cache import CompilationCache, full_config_fingerprint
+from ..jit.deoptless import is_continuation_entry
 from .workloads import Workload
 
 #: The simulated machine's clock: cycles per minute (a 2 MHz toy CPU —
@@ -67,8 +71,8 @@ class Measurement:
     #: compile_seconds covers everything inside Compiler.compile,
     #: including cache lookups/stores.
     compile_seconds: float = field(default=0.0, compare=False)
-    #: Per-phase breakdown of non-cached compilations
-    #: (phase name -> seconds), aggregated over every compile.
+    #: compile_seconds split into named spans (phases, verify, key,
+    #: cache lookup and store, graph building, summaries, lowering).
     compile_phase_seconds: Dict[str, float] = field(
         default_factory=dict, compare=False)
     compile_count: int = field(default=0, compare=False)
@@ -141,48 +145,61 @@ def percentile(samples: Sequence[float], q: float) -> float:
     return ordered[max(0, min(len(ordered), rank) - 1)]
 
 
+#: Keys a record by its signature's layout: other layouts are never read.
+_RECORD_LAYOUT = "cache key and facts"
+
+
 def _harness_key(workload: Workload, program, config: CompilerConfig
                  ) -> str:
     """Key for one workload's warm-up record: everything that shapes
     the replayed iteration sequence."""
-    description = (workload.name, workload.entry, workload.iteration_size,
-                   workload.warmup_iterations, workload.measure_iterations,
+    description = (_RECORD_LAYOUT, workload.name, workload.entry,
+                   workload.iteration_size, workload.warmup_iterations,
+                   workload.measure_iterations,
                    program.content_fingerprint(),
                    full_config_fingerprint(config))
     return hashlib.sha256(repr(description).encode()).hexdigest()
 
 
+def _vm_code(vm: VM) -> List[Tuple[str, object, object]]:
+    """One pass over the VM's variant and failure tables: its method
+    (entry ``None``) and OSR entries as sorted ``(qualified name, entry,
+    result)`` rows, *result* ``None`` for a failed compile.
+    Continuations are left out: no harness configuration enables
+    deoptless."""
+    rows = []
+    for table, installed in ((vm._variants, True), (vm._failed, False)):
+        for method, entries in table.items():
+            for entry, value in entries.items():
+                if not is_continuation_entry(entry):
+                    rows.append((method.qualified_name, entry,
+                                 value.result if installed else None))
+    rows.sort(key=lambda row: (row[0], -1 if row[1] is None else row[1],
+                               row[2] is None))
+    return rows
+
+
 def _vm_signature(vm: VM, checksum: int) -> Optional[list]:
     """The VM state a warm-up record certifies (pickle friendly).
 
-    Compiled methods are identified by their cache-entry payload hash,
-    not just by name: a VM can legitimately hold code its *current*
-    profile would no longer produce (a speculation that deoptimized
-    fewer times than the invalidation threshold stays installed), and a
-    replay from the recorded profile would compile different graphs for
-    those methods.  ``None`` (uncertifiable) when any compiled method
-    has no cache entry."""
-    compiled = []
-    for method in sorted(vm.compiled, key=lambda m: m.qualified_name):
-        entry = vm.compiled[method].cache_entry
-        if entry is None:
+    Installed code is identified by its cache entry's key and
+    speculation facts, not just by name: a VM can legitimately hold
+    code its *current* profile would no longer produce (a speculation
+    that deoptimized fewer times than the invalidation threshold stays
+    installed).  A key whose facts hold is the same compilation (the
+    cache's premise, backed by ``tests/jit/test_reproducible.py``), so
+    no payload bytes are read.  ``None`` (uncertifiable) when any
+    installed entry has no cache entry."""
+    code = []
+    for qualified, entry, result in _vm_code(vm):
+        if result is None:
+            code.append([qualified, entry])
+        elif result.cache_entry is None:
             return None
-        compiled.append([method.qualified_name,
-                         hashlib.sha256(entry.blob).hexdigest()])
-    osr = []
-    for method, bci in sorted(vm.osr_compiled,
-                              key=lambda k: (k[0].qualified_name, k[1])):
-        entry = vm.osr_compiled[(method, bci)].cache_entry
-        if entry is None:
-            return None
-        osr.append([method.qualified_name, bci,
-                    hashlib.sha256(entry.blob).hexdigest()])
-    return [compiled,
-            sorted(m.qualified_name for m in vm._uncompilable),
-            osr,
-            sorted([m.qualified_name, bci]
-                   for m, bci in vm._osr_uncompilable),
-            vm.exec_stats.deopts, vm.invalidations, checksum]
+        else:
+            code.append([qualified, entry, result.cache_entry.key,
+                         result.cache_entry.facts])
+    return [code, vm.exec_stats.deopts, vm.invalidations, checksum]
 
 
 def _progress_cycles(vm: VM) -> float:
@@ -197,29 +214,23 @@ def _progress_cycles(vm: VM) -> float:
         pending * vm.config.cost_model.interpreter_step
 
 
-def _vm_tick(vm: VM) -> Tuple[int, ...]:
-    """Cheap per-iteration progress probe for steady-state detection."""
-    return (len(vm.compiled), len(vm._uncompilable),
-            len(vm.osr_compiled), len(vm._osr_uncompilable),
-            vm.exec_stats.deopts, vm.invalidations)
+def _vm_tick(vm: VM) -> tuple:
+    """Cheap per-iteration progress probe for steady-state detection:
+    how many method and OSR entries are installed and how many failed,
+    and the deopt and invalidation counts."""
+    kinds = Counter((entry is None, result is None)
+                    for __, entry, result in _vm_code(vm))
+    return kinds, vm.exec_stats.deopts, vm.invalidations
 
 
-def _code_sizes(vm: VM) -> Dict[str, dict]:
-    """Per compiled method (and OSR variant): which lowering the VM
-    executes and how big it is (:attr:`Measurement.code_sizes`)."""
-    def describe(result) -> dict:
-        if result.codegen is not None:
-            return {"backend": "codegen",
-                    "size": result.codegen.code_size}
-        if result.plan is not None:
-            return {"backend": "plan", "size": len(result.plan.nodes)}
-        return {"backend": "interpreter", "size": result.node_count}
-
-    rows = {method.qualified_name: describe(result)
-            for method, result in vm.compiled.items()}
-    for (method, bci), result in vm.osr_compiled.items():
-        rows[f"{method.qualified_name}@osr{bci}"] = describe(result)
-    return rows
+def _describe(result) -> dict:
+    """Which lowering the VM executes for *result* and how big it is
+    (:attr:`Measurement.code_sizes`)."""
+    if result.codegen is not None:
+        return {"backend": "codegen", "size": result.codegen.code_size}
+    if result.plan is not None:
+        return {"backend": "plan", "size": len(result.plan.nodes)}
+    return {"backend": "interpreter", "size": result.node_count}
 
 
 def _profile_snapshot(vm: VM) -> dict:
@@ -287,24 +298,15 @@ def run_workload(workload: Workload, config: CompilerConfig,
             try:
                 # Methods the cold run compiled while the entry was
                 # still interpreted can be unreachable once their
-                # callers compile them inline; materialize them (cache
-                # hits) so the compiled set — and the compiled_nodes
+                # callers compile them inline, and the replayed
+                # iteration may run a loop compiled from the start,
+                # never hitting the backedge that triggered its OSR
+                # compilation (or failure) in the cold run.  Replay
+                # every recorded entry the VM does not hold yet (cache
+                # hits), so the compiled set — and the compiled_nodes
                 # metric — matches the cold run exactly.
-                for qualified, __ in record["signature"][0]:
-                    if program.method(qualified) not in vm.compiled:
-                        vm.compile_now(qualified)
-                # Same for OSR variants (and loops the cold run found
-                # un-OSR-able): the replayed iteration may run them
-                # compiled from the start, never hitting the backedge
-                # that triggered OSR compilation in the cold run.
-                for qualified, bci, __ in record["signature"][2]:
-                    m = program.method(qualified)
-                    if (m, bci) not in vm.osr_compiled:
-                        vm._compile(m, bci)
-                for qualified, bci in record["signature"][3]:
-                    m = program.method(qualified)
-                    if (m, bci) not in vm._osr_uncompilable:
-                        vm._compile(m, bci)
+                for qualified, entry, *__ in record["signature"][0]:
+                    vm.compile_now(qualified, entry)
             except Exception:
                 vm = None
             if vm is not None and \
@@ -387,9 +389,11 @@ def run_workload(workload: Workload, config: CompilerConfig,
             histogram[kind] = histogram.get(kind, 0) + count
 
     iterations = workload.measure_iterations
-    compiled_nodes = sum(r.node_count for r in vm.compiled.values())
-    ea_results = [r.ea_result for r in vm.compiled.values()
-                  if r.ea_result is not None]
+    installed = [(qualified, entry, result)
+                 for qualified, entry, result in _vm_code(vm)
+                 if result is not None]
+    methods = [result for __, entry, result in installed if entry is None]
+    ea_results = [r.ea_result for r in methods if r.ea_result is not None]
     return Measurement(
         workload=workload.name,
         config=config.label(),
@@ -399,7 +403,7 @@ def run_workload(workload: Workload, config: CompilerConfig,
         monitor_ops_per_iteration=(heap_delta.monitor_operations
                                    / iterations),
         cycles_per_iteration=cycles / iterations,
-        compiled_nodes=compiled_nodes,
+        compiled_nodes=sum(r.node_count for r in methods),
         deopts=vm.exec_stats.deopts,
         compile_seconds=vm.compiler.compile_seconds_total,
         compile_phase_seconds=dict(vm.compiler.phase_seconds),
@@ -407,7 +411,7 @@ def run_workload(workload: Workload, config: CompilerConfig,
         cache_hits=vm.compiler.cache_hit_count,
         warmup_iterations_run=warmup_run,
         warmup_iterations_elided=elided,
-        osr_compilations=len(vm.osr_compiled),
+        osr_compilations=len(installed) - len(methods),
         osr_entries=vm.osr_entries,
         backend_fallbacks=vm.backend_fallbacks,
         virtualized_allocations=sum(r.virtualized_allocations
@@ -419,7 +423,9 @@ def run_workload(workload: Workload, config: CompilerConfig,
         gc_minor_collections=gc_delta.minor_collections / iterations,
         gc_pause_cycles=gc_delta.pause_cycles / iterations,
         gc_promoted_kb=gc_delta.promoted_bytes / iterations / 1024.0,
-        code_sizes=_code_sizes(vm),
+        code_sizes={qualified if entry is None
+                    else f"{qualified}@osr{entry}": _describe(result)
+                    for qualified, entry, result in installed},
     )
 
 

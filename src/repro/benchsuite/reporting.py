@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 
 def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],

@@ -29,8 +29,7 @@ from .harness import Comparison, mismatched, run_suite, run_workload
 from .jitdiff import run_jitdiff
 from .profiling import print_profile, profiled
 from .reporting import num, pct, render_table
-from .workloads import (DACAPO, DACAPO_SHOWN, SCALADACAPO, SPECJBB_ALL,
-                        SUITES, Workload, by_name, quick_copy)
+from .workloads import DACAPO_SHOWN, SUITES, Workload, by_name, quick_copy
 
 
 def _average(values: Sequence[float]) -> float:

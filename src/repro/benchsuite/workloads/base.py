@@ -29,7 +29,7 @@ Patterns and what they exercise:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 
 #: Escaping/computational ballast shared by all workloads.  Real

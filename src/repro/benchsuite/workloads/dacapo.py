@@ -6,8 +6,7 @@ no-significant-change benchmarks that enter the "average" row.
 
 from __future__ import annotations
 
-from .base import (BOXING_PATTERN, BUILDER_PATTERN, CACHE_PATTERN,
-                   DISPATCH_PATTERN, MESSAGE_PATTERN, PaperRow,
+from .base import (BUILDER_PATTERN, CACHE_PATTERN, DISPATCH_PATTERN, PaperRow,
                    TUPLE_PATTERN, VECTOR_PATTERN, Workload)
 
 FOP = Workload(

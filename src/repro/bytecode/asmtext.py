@@ -34,7 +34,7 @@ Field references are written ``Class.field``, method references
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .assembler import BytecodeBuilder
 from .classfile import JClass, JField, JMethod, Program

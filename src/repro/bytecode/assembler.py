@@ -8,7 +8,7 @@ instruction indices when the method is finished.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, List, Optional
 
 from .classfile import JMethod
 from .instructions import FieldRef, Instruction, MethodRef

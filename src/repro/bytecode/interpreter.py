@@ -10,13 +10,11 @@ exactly what a deoptimizing compiled frame needs (Section 5.5 of the paper).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from .classfile import JMethod, Program
-from .heap import (ArithmeticTrap, Heap, IllegalMonitorState,
-                   NullPointerError, VMError)
-from .instructions import Instruction
+from .heap import ArithmeticTrap, Heap, NullPointerError, VMError
 from .opcodes import Op
 
 _INT_MASK = (1 << 64) - 1

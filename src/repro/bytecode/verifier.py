@@ -10,7 +10,7 @@ merge points, which is what lets it create one Phi per slot).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from .classfile import JMethod, Program, ResolutionError
 from .opcodes import Op, OperandKind, info

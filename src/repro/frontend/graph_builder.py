@@ -28,7 +28,7 @@ from ..bytecode.interpreter import Profile
 from ..bytecode.opcodes import (INT_COMPARE_BRANCHES, NULL_BRANCHES,
                                 REF_COMPARE_BRANCHES, Op)
 from ..ir.graph import Graph
-from ..ir.node import FixedWithNextNode, IRError, Node
+from ..ir.node import FixedWithNextNode, Node
 from ..ir.nodes import (ArrayLengthNode, BeginNode, BinaryArithmeticNode,
                         ConstantNode, DeoptimizeNode, EndNode,
                         FixedGuardNode, FrameStateNode, IfNode,

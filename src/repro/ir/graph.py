@@ -4,12 +4,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List, Optional
 
-from .node import (FixedNode, FixedWithNextNode, IRError, Node,
-                   NodeInputList)
-from .nodes.control import (BeginNode, DeoptimizeNode, EndNode, IfNode,
-                            LoopBeginNode, LoopEndNode, MergeNode,
-                            ReturnNode, StartNode)
-from .nodes.framestate import FrameStateNode
+from .node import FixedNode, FixedWithNextNode, IRError, Node
+from .nodes.control import EndNode, LoopEndNode, MergeNode, StartNode
 from .nodes.values import ConstantNode, ParameterNode, PhiNode
 
 

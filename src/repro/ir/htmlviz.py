@@ -15,15 +15,13 @@ Usage::
 from __future__ import annotations
 
 import html
-import json
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .graph import Graph
 from .node import Node
-from .nodes import (BeginNode, DeoptimizeNode, EndNode, FixedGuardNode,
-                    FrameStateNode, IfNode, LoopBeginNode, LoopEndNode,
-                    MergeNode, MonitorEnterNode, MonitorExitNode,
-                    NewArrayNode, NewInstanceNode, ReturnNode, StartNode,
+from .nodes import (DeoptimizeNode, EndNode, FixedGuardNode, FrameStateNode,
+                    LoopEndNode, MonitorEnterNode, MonitorExitNode,
+                    NewArrayNode, NewInstanceNode, ReturnNode,
                     VirtualObjectNode)
 
 _NODE_W = 190

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from ..node import (ControlSinkNode, ControlSplitNode, FixedNode,
-                    FixedWithNextNode, IRError)
+                    FixedWithNextNode)
 
 
 class StartNode(FixedWithNextNode):

@@ -7,8 +7,7 @@ from typing import List, Set
 
 from .graph import Graph
 from .node import Node
-from .nodes.control import (EndNode, IfNode, LoopBeginNode, LoopEndNode,
-                            MergeNode)
+from .nodes.control import EndNode, IfNode, LoopEndNode, MergeNode
 
 
 def format_node(node: Node) -> str:

@@ -117,9 +117,9 @@ def _digest(description: Any) -> str:
 #: Deliberately excluded: ``execution_backend``, ``cost_model`` and
 #: ``collect_node_histogram`` (they shape execution, not the optimized
 #: graph — excluding them is what lets the legacy and plan engines share
-#: entries), ``compile_threshold`` / ``deopt_invalidate_threshold``
-#: (when to compile, not what; their effect on the profile is captured
-#: by the speculation facts) and ``verify_ir`` (observability only).
+#: entries), ``compile_threshold`` (when to compile, not what; its
+#: effect on the profile is captured by the speculation facts) and
+#: ``verify_ir`` (observability only).
 _PIPELINE_FIELDS = (
     "inline", "speculate_branches", "speculation_min_samples",
     "pea_iterations", "read_elimination", "pea_virtualize_arrays",
@@ -147,6 +147,7 @@ def full_config_fingerprint(config: CompilerConfig) -> str:
     """Hash of the *entire* configuration, execution knobs included —
     used by the benchmark harness's warm-up records, where compile
     trigger points and simulated costs all matter."""
+    from . import vm
     description = [("pipeline", pipeline_fingerprint(config)),
                    ("execution_backend", config.execution_backend),
                    ("compile_service", config.compile_service),
@@ -154,11 +155,12 @@ def full_config_fingerprint(config: CompilerConfig) -> str:
                    ("compile_threshold", config.compile_threshold),
                    ("osr", config.osr),
                    ("osr_threshold", config.osr_threshold),
+                   # The VM's deopt constants are hashed so that
+                   # editing them still invalidates warm-up records.
                    ("deopt_invalidate_threshold",
-                    config.deopt_invalidate_threshold),
+                    vm.DEOPT_INVALIDATE_THRESHOLD),
                    ("deoptless", config.deoptless),
-                   ("deoptless_max_variants",
-                    config.deoptless_max_variants),
+                   ("deoptless_max_variants", vm.DEOPTLESS_MAX_VARIANTS),
                    ("cost_model",
                     tuple((f.name, getattr(config.cost_model, f.name))
                           for f in fields(config.cost_model)))]

@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .cache import CacheEntry
 from .server import DEFAULT_AUTHKEY, dump_program, parse_address

@@ -17,8 +17,10 @@ graph when the recorded facts still hold against their own profile.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from ..bytecode.classfile import JMethod, Program
 from ..bytecode.interpreter import Profile
@@ -95,12 +97,23 @@ class Compiler:
         self.cache = cache
         #: PhaseTiming list from the most recent non-cached compile().
         self.last_timings = []
-        #: Aggregates across this compiler's lifetime (satellite 2: the
-        #: harness reports these instead of dropping per-compile data).
+        #: Aggregates across this compiler's lifetime, which the
+        #: harness reports.  ``phase_seconds`` splits
+        #: ``compile_seconds_total`` into named spans: the phases,
+        #: ``verify``, ``key``, ``cache-lookup``, ``build-graph``,
+        #: ``summaries``, ``lower`` and ``cache-store``.
         self.compile_count = 0
         self.cache_hit_count = 0
         self.compile_seconds_total = 0.0
-        self.phase_seconds: Dict[str, float] = {}
+        self.phase_seconds: Dict[str, float] = defaultdict(float)
+
+    @contextmanager
+    def _span(self, name: str) -> Iterator[None]:
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phase_seconds[name] += time.perf_counter() - started
 
     def resolve(self, method: JMethod,
                 osr_bci=None) -> Tuple[TierSpec, Optional[str]]:
@@ -124,8 +137,10 @@ class Compiler:
         an entry at an arbitrary deopt bci specialized against the
         descriptor's dispatch context."""
         started = time.perf_counter()
-        result = self._compile(method, osr_bci)
-        self.compile_seconds_total += time.perf_counter() - started
+        try:
+            result = self._compile(method, osr_bci)
+        finally:
+            self.compile_seconds_total += time.perf_counter() - started
         self.compile_count += 1
         if result.cache_hit:
             self.cache_hit_count += 1
@@ -134,11 +149,14 @@ class Compiler:
     def _compile(self, method: JMethod,
                  osr_bci=None) -> CompilationResult:
         config = self.config
-        tier, key = self.resolve(method, osr_bci)
+        with self._span("key"):
+            tier, key = self.resolve(method, osr_bci)
         if key is not None:
-            hit = self.cache.lookup(key, self.program, self.profile)
+            with self._span("cache-lookup"):
+                hit = self.cache.lookup(key, self.program, self.profile)
             if hit is not None:
-                return self._relink(*hit, method, osr_bci)
+                with self._span("lower"):
+                    return self._relink(*hit, method, osr_bci)
         # Record consumed facts even without a cache: the VM uses them
         # to re-validate installed code against the live profile.
         profile = RecordingProfile(self.profile) \
@@ -148,12 +166,13 @@ class Compiler:
         if is_continuation_entry(osr_bci):
             continuation = tuple(osr_bci[1:])  # (bci, stack_depth, ctx)
 
-        graph = build_graph(self.program, method, profile,
-                            config.speculate_branches,
-                            config.speculation_min_samples,
-                            osr_bci=None if continuation is not None
-                            else osr_bci,
-                            continuation=continuation)
+        with self._span("build-graph"):
+            graph = build_graph(self.program, method, profile,
+                                config.speculate_branches,
+                                config.speculation_min_samples,
+                                osr_bci=None if continuation is not None
+                                else osr_bci,
+                                continuation=continuation)
 
         plan = PhasePlan(verify_ir=config.verify_ir)
         # OSR graphs are warm-up bridges and skip inlining: calls from
@@ -177,7 +196,8 @@ class Compiler:
         summary_view = None
         if tier.summaries:
             from ..analysis.summaries import SummaryView, summaries_for
-            summary_view = SummaryView(summaries_for(self.program))
+            with self._span("summaries"):
+                summary_view = SummaryView(summaries_for(self.program))
 
         ea_phase = None
         if tier.base == "pea":
@@ -217,13 +237,12 @@ class Compiler:
         plan.run(graph)
         self.last_timings = plan.timings
         for timing in plan.timings:
-            self.phase_seconds[timing.phase] = \
-                self.phase_seconds.get(timing.phase, 0.0) + timing.seconds
-        self.phase_seconds["verify"] = \
-            self.phase_seconds.get("verify", 0.0) + plan.verify_seconds
+            self.phase_seconds[timing.phase] += timing.seconds
+        self.phase_seconds["verify"] += plan.verify_seconds
         ea_result = (ea_phase.last_result if ea_phase is not None
                      and ea_phase.last_result is not None else PEAResult())
-        lowering, stored = self._lower(graph, method, osr_bci)
+        with self._span("lower"):
+            lowering, stored = self._lower(graph, method, osr_bci)
 
         facts = tuple(profile.facts) if profile is not None else ()
         if summary_view is not None:
@@ -234,11 +253,12 @@ class Compiler:
         node_count = graph.node_count()
         entry = None
         if key is not None:
-            entry = self.cache.store(
-                key, self.program, method, facts,
-                {"graph": graph, "ea_result": ea_result,
-                 "node_count": node_count, "lowering": stored},
-                entry_bci=osr_bci)
+            with self._span("cache-store"):
+                entry = self.cache.store(
+                    key, self.program, method, facts,
+                    {"graph": graph, "ea_result": ea_result,
+                     "node_count": node_count, "lowering": stored},
+                    entry_bci=osr_bci)
         return CompilationResult(graph, ea_result, node_count, lowering,
                                  cache_entry=entry, facts=facts)
 

@@ -53,6 +53,15 @@ def is_continuation_entry(entry_bci) -> bool:
             and entry_bci[0] == CONT_TAG)
 
 
+def failure_entry(entry):
+    """The key a failed compile of *entry* is recorded under: a
+    continuation fails for structural reasons, so for its whole deopt
+    site (every stack depth and context)."""
+    if is_continuation_entry(entry):
+        return (CONT_TAG, entry[1], None, None)
+    return entry
+
+
 def derive_context(method: JMethod, bci: int, locals_: List[Any],
                    stack: List[Any]) -> Optional[Context]:
     """The dispatch context of a deopt landing at *bci* with the given

@@ -119,25 +119,20 @@ class CompilerConfig:
     #: deopt + invalidation + recompile.
     speculate_branches: bool = True
     speculation_min_samples: int = 16
-    #: Deoptimizations of one method before its code is thrown away and
-    #: recompiled without the failed assumption.
-    deopt_invalidate_threshold: int = 3
     #: Deoptless dispatched OSR (Flückiger & Krynski 2022): a deopt at
     #: a specializable site (conditional branch / invokevirtual) does
     #: not fall back to the interpreter — the VM derives a dispatch
     #: context from the failing runtime state, compiles a continuation
     #: entering at the deopt bci specialized against that context, and
     #: dispatches among live variants on every later deopt there.
-    #: Deopts still count toward ``deopt_invalidate_threshold``, so the
-    #: method entry converges to unspeculated code exactly as without
+    #: Deopts still count toward
+    #: :data:`repro.jit.vm.DEOPT_INVALIDATE_THRESHOLD`, so the method
+    #: entry converges to unspeculated code exactly as without
     #: deoptless; the continuations only bridge the re-tiering window
-    #: in compiled code instead of the interpreter.
+    #: in compiled code instead of the interpreter.  At most
+    #: :data:`repro.jit.vm.DEOPTLESS_MAX_VARIANTS` continuations live
+    #: per deopt site.
     deoptless: bool = False
-    #: Variant cap per (method, deopt bci): beyond this many contexts
-    #: the least-recently-dispatched variant is retired (cache entry
-    #: evicted), so pathological polymorphism degrades to plain deopt
-    #: behavior instead of accumulating code.
-    deoptless_max_variants: int = 4
     #: PEA application count (Graal applies it more than once).
     pea_iterations: int = 2
     #: Block-local load/store forwarding after escape analysis.

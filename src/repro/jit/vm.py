@@ -18,7 +18,9 @@ descriptor — and goes through the same steps: :meth:`VM._compile` (or
 the compile service, ending in :meth:`VM._service_install`) produces a
 result, :meth:`VM._install` binds and publishes it,
 :meth:`VM._revalidated` re-checks OSR and continuation code after a
-deopt, and :meth:`VM._retire` drops it.
+deopt, and :meth:`VM._retire` drops it.  The variant table is the one
+record of installed code, and one failure table keyed the same way
+records failed compiles (:meth:`VM._compile_failed`).
 
 Every engine shares one :class:`~repro.bytecode.heap.Heap`, so the
 allocation/monitor statistics of Table 1 are configuration-comparable.
@@ -36,7 +38,6 @@ from ..bytecode.classfile import JMethod, Program
 from ..bytecode.heap import Heap, HeapStats
 from ..bytecode.instructions import MethodRef
 from ..bytecode.interpreter import NO_OSR, Interpreter, Profile
-from ..frontend.graph_builder import GraphBuildError
 from ..runtime.codegen import CodegenError
 from ..runtime.costmodel import ExecutionStats
 from ..runtime.deopt import Deoptimizer
@@ -45,12 +46,20 @@ from ..runtime.plan import PlanError
 from .cache import CompilationCache, validate_facts
 from .compiler import CompilationResult, Compiler
 from .deoptless import (DeoptlessStats, Variant, VariantTable,
-                        continuation_entry, derive_context,
+                        continuation_entry, derive_context, failure_entry,
                         is_continuation_entry)
 from .listeners import VMListener
 from .options import CompilerConfig
 
 _MIN_RECURSION_LIMIT = 40_000
+
+#: Deoptimizations of one method before its code is thrown away and
+#: recompiled without the failed assumption.
+DEOPT_INVALIDATE_THRESHOLD = 3
+
+#: Deoptless continuations per deopt site; an install past it retires
+#: the least recently dispatched one.
+DEOPTLESS_MAX_VARIANTS = 4
 
 #: Ceiling on nested deoptless dispatches (a continuation deopting into
 #: a continuation into ...): past it the interpreter bridges, so a
@@ -96,19 +105,12 @@ class VM:
         self.compiler = Compiler(program, config, self.profile, cache)
         #: Every installed code variant with its bound entry point,
         #: ``method -> {entry: Variant}``; continuations are LRU-capped
-        #: per deopt site.
-        self._variants = VariantTable(config.deoptless_max_variants)
-        #: The installed method entries' and OSR entries' results (a
-        #: view of the variant table kept for callers).
-        self.compiled: Dict[JMethod, CompilationResult] = {}
-        self.osr_compiled: Dict[Tuple[JMethod, int],
-                                CompilationResult] = {}
-        #: Failed compiles: methods (stay interpreted), loop headers
-        #: (keep interpreting the loop) and deopt sites (plain deopt).
-        self._uncompilable: Dict[JMethod, str] = {}
-        self._osr_uncompilable: Dict[Tuple[JMethod, int], str] = {}
-        self._continuation_uncompilable: Dict[Tuple[JMethod, int],
-                                              str] = {}
+        #: per deopt site.  The one record of installed code.
+        self._variants = VariantTable(DEOPTLESS_MAX_VARIANTS)
+        #: Failed compiles, ``method -> {failure_entry(entry): reason}``:
+        #: a method entry stays interpreted, a loop header keeps
+        #: interpreting its loop, a deopt site takes the plain deopt.
+        self._failed: Dict[JMethod, Dict[Any, str]] = {}
         #: Installs that could not bind the configured backend's own
         #: lowering and run on the GraphInterpreter instead.
         self.backend_fallbacks = 0
@@ -206,23 +208,26 @@ class VM:
             return variant.entry(args)
         return self._execute_interpreted(method, args)
 
-    def warm_up(self, qualified: str, args_list) -> None:
-        """Run the method repeatedly so it gets profiled and compiled."""
-        for args in args_list:
-            self.call(qualified, *args)
+    @property
+    def compiled(self) -> Dict[JMethod, CompilationResult]:
+        """The installed method entries' results, derived from the
+        variant table (a fresh dict; writing it changes nothing)."""
+        return {method: variants[None].result
+                for method, variants in self._variants.items()
+                if None in variants}
 
-    def compile_now(self, qualified: str) -> CompilationResult:
-        """Force compilation of a method (tests/benchmarks)."""
+    def compile_now(self, qualified: str,
+                    entry=None) -> Optional[CompilationResult]:
+        """The code for *qualified* at *entry* (``None``: the method
+        entry, else an OSR loop header), compiled now unless installed
+        (tests, the harness's warm-up replay); ``None`` when the entry
+        failed to compile (:meth:`_compile_failed`)."""
         method = self.program.method(qualified)
-        result = self.compiled.get(method)
-        if result is None:
-            variant = self._compile(method)
-            if variant is None:
-                raise RuntimeError(
-                    f"{qualified} failed to compile: "
-                    f"{self._uncompilable.get(method)}")
-            result = variant.result
-        return result
+        variants = self._variants.get(method)
+        variant = variants.get(entry) if variants else None
+        if variant is None and not self._has_failed(method, entry):
+            variant = self._compile(method, entry)
+        return variant.result if variant is not None else None
 
     def heap_snapshot(self) -> HeapStats:
         return self.heap.stats.copy()
@@ -239,7 +244,7 @@ class VM:
     # -- tiers -------------------------------------------------------------------
 
     def _should_compile(self, method: JMethod) -> bool:
-        if method in self._uncompilable or not method.code:
+        if not method.code or None in self._failed.get(method, ()):
             return False
         return (self.profile.invocation_count(method)
                 >= self.config.compile_threshold)
@@ -255,15 +260,10 @@ class VM:
         variant = variants.get(bci) if variants else None
         if variant is not None:
             variant = self._revalidated(method, bci, variant)
-        if variant is None and self._service is not None and \
-                (method, bci) in self._service_pending:
-            # A reply may have arrived since the last backedge.
-            self._service_drain()
-            variant = self._variants.lookup(method, bci)
         if variant is None:
             if count < self.config.osr_threshold or \
-                    (method, bci) in self._osr_uncompilable or \
-                    method.is_synchronized:
+                    method.is_synchronized or \
+                    bci in self._failed.get(method, ()):
                 return NO_OSR
             variant = self._tier_up(method, bci)
             if variant is None:
@@ -304,8 +304,7 @@ class VM:
         variant = self._variants.lookup(method, entry)
         if variant is not None:
             variant = self._revalidated(method, entry, variant)
-        if variant is None and \
-                (method, bci) not in self._continuation_uncompilable:
+        if variant is None and not self._has_failed(method, entry):
             variant = self._tier_up(method, entry)
         if variant is None:
             self.deoptless.dispatch_misses += 1
@@ -336,26 +335,28 @@ class VM:
         try:
             result = self.compiler.compile(method, osr_bci=entry)
         except Exception as exc:  # noqa: BLE001 - compile bailout
-            table, key = self._failures(method, entry)
-            table[key] = f"{type(exc).__name__}: {exc}"
-            # An un-enterable loop header or deopt site (e.g. the
-            # header of an inner loop reached from an OSR entry) is
-            # normal: that entry keeps interpreting.  Any other failure
-            # is a compiler bug and surfaces.
-            if entry is not None and isinstance(exc, GraphBuildError):
-                return None
-            raise
+            self._compile_failed(method, entry,
+                                 f"{type(exc).__name__}: {exc}", exc)
+            return None
         return self._install(method, entry, result)
 
-    def _failures(self, method: JMethod,
-                  entry) -> Tuple[Dict[Any, str], Any]:
-        """Where a failed compile of ``(method, entry)`` is recorded: a
-        structural failure at a deopt site holds for every context."""
-        if entry is None:
-            return self._uncompilable, method
-        if is_continuation_entry(entry):
-            return self._continuation_uncompilable, (method, entry[1])
-        return self._osr_uncompilable, (method, entry)
+    def _compile_failed(self, method: JMethod, entry, reason: str,
+                        error: Optional[Exception] = None) -> None:
+        """Record a failed compile of ``(method, entry)``: in-process
+        (*error*) or a compile-service reply.  A ``GraphBuildError`` at
+        an OSR or continuation entry means "not enterable here" (e.g.
+        an inner loop's header): it keeps interpreting.  Anything else
+        is a compiler bug and raises."""
+        self._failed.setdefault(method, {})[failure_entry(entry)] = reason
+        if entry is not None and reason.startswith("GraphBuildError"):
+            return
+        if error is not None:
+            raise error
+        raise RuntimeError(
+            f"{method.qualified_name} failed to compile: {reason}")
+
+    def _has_failed(self, method: JMethod, entry) -> bool:
+        return failure_entry(entry) in self._failed.get(method, ())
 
     def _install(self, method: JMethod, entry,
                  result: CompilationResult) -> Variant:
@@ -367,7 +368,6 @@ class VM:
                           self._deopt_epoch.get(method, 0))
         pushed_out = self._variants.install(method, entry, variant)
         if entry is None:
-            self.compiled[method] = result
             event = ("on_compile", method, result)
         elif is_continuation_entry(entry):
             if pushed_out is not None:
@@ -376,7 +376,6 @@ class VM:
             event = ("on_continuation_compile", method, entry[1],
                      entry[3], result)
         else:
-            self.osr_compiled[(method, entry)] = result
             event = ("on_osr_compile", method, entry, result)
         if result.cache_hit:
             self._emit("on_cache_hit", method, result.cache_entry)
@@ -430,12 +429,8 @@ class VM:
         """Uninstall ``(method, entry)`` and evict its cache entry, so
         the dropped code cannot be re-served (locally or fleet-wide)."""
         variant = self._variants.remove(method, entry)
-        if entry is None:
-            self.compiled.pop(method, None)
-        elif is_continuation_entry(entry):
+        if is_continuation_entry(entry):
             self.deoptless.retirements += 1
-        else:
-            self.osr_compiled.pop((method, entry), None)
         record = variant.result.cache_entry
         if record is None:
             return
@@ -484,8 +479,7 @@ class VM:
         variant = self._variants.lookup(method, entry)
         if variant is not None:  # the drain just installed it
             return variant
-        table, failure_key = self._failures(method, entry)
-        if failure_key in table:
+        if self._has_failed(method, entry):
             return None
         if self._service is None:  # lost during drain
             return self._compile(method, entry)
@@ -544,9 +538,8 @@ class VM:
             for reply in replies:
                 self._service_install(reply)
         for method, entry in keys:
-            table, failure_key = self._failures(method, entry)
             if self._variants.lookup(method, entry) is None and \
-                    failure_key not in table:
+                    not self._has_failed(method, entry):
                 self.service_fallbacks += 1
                 self._compile(method, entry)
 
@@ -583,15 +576,7 @@ class VM:
         if reply.error is not None and \
                 reply.error != "compilation not cacheable":
             self._service_retried.discard(key)
-            table, failure_key = self._failures(method, entry)
-            table[failure_key] = f"service: {reply.error}"
-            # GraphBuildError at an un-enterable loop header or deopt
-            # site is normal (mirrors _compile); anything else raises.
-            if entry is None or \
-                    not reply.error.startswith("GraphBuildError"):
-                raise RuntimeError(
-                    f"{method.qualified_name} failed to compile via "
-                    f"service: {reply.error}")
+            self._compile_failed(method, entry, reply.error)
             return
         result = None
         if reply.error is None:
@@ -678,7 +663,7 @@ class VM:
             self._deopt_epoch.get(root_method, 0) + 1
         count = self.deopt_counts.get(root_method, 0) + 1
         self.deopt_counts[root_method] = count
-        if count >= self.config.deopt_invalidate_threshold and any(
+        if count >= DEOPT_INVALIDATE_THRESHOLD and any(
                 not is_continuation_entry(entry)
                 for entry in self._variants.get(root_method, ())):
             self._invalidate(root_method, "deopt-threshold")

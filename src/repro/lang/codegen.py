@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..bytecode import (BytecodeBuilder, JClass, JField, JMethod, Label, Op,
-                        Program)
+from ..bytecode import BytecodeBuilder, JField, JMethod, Label, Op, Program
 from . import ast_nodes as ast
-from .errors import TypeError_
 from .typechecker import TypeChecker, is_reference, same_type
 
 _SWAPPED_COMPARE = {"<": Op.IF_LT, "<=": Op.IF_LE, ">": Op.IF_GT,

@@ -18,14 +18,14 @@ Mechanics worth noting:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..bytecode.classfile import JMethod, Program
 from ..bytecode.interpreter import Profile
 from ..ir.graph import Graph
 from ..ir.node import Node
 from ..ir.nodes import (EndNode, FrameStateNode, InvokeNode, MergeNode,
-                        ParameterNode, PhiNode, ReturnNode, StartNode)
+                        PhiNode, ReturnNode)
 from .phase import Phase
 
 

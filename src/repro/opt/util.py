@@ -5,10 +5,9 @@ from __future__ import annotations
 from typing import List, Set
 
 from ..ir.graph import Graph
-from ..ir.node import FloatingNode, IRError, Node
-from ..ir.nodes import (ConstantNode, EndNode, FrameStateNode,
-                        LoopBeginNode, LoopEndNode, MergeNode,
-                        ParameterNode, PhiNode)
+from ..ir.node import Node
+from ..ir.nodes import (EndNode, LoopBeginNode, LoopEndNode, MergeNode,
+                        ParameterNode)
 
 
 def sweep_floating(graph: Graph) -> int:

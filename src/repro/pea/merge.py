@@ -21,7 +21,7 @@ The whole process repeats until no further materializations happen.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..ir.node import Node
 from ..ir.nodes import MergeNode, PhiNode, VirtualObjectNode

@@ -17,15 +17,14 @@ from ..analysis.diagnostics import MaterializationEvent
 from ..bytecode.classfile import Program
 from ..bytecode.disassembler import format_position
 from ..ir.node import Node
-from ..ir.nodes import (ArrayLengthNode, ConstantNode, DeoptimizeNode,
-                        EndNode, EscapeObjectStateNode, FixedGuardNode,
-                        FrameStateNode, InstanceOfNode, InvokeNode,
-                        IsNullNode, LoadFieldNode, LoadIndexedNode,
+from ..ir.nodes import (ArrayLengthNode, ConstantNode, EndNode,
+                        EscapeObjectStateNode, FrameStateNode, InstanceOfNode,
+                        InvokeNode, IsNullNode, LoadFieldNode, LoadIndexedNode,
                         LoopEndNode, MonitorEnterNode, MonitorExitNode,
                         NewArrayNode, NewInstanceNode, RefEqualsNode,
                         ReturnNode, StoreFieldNode, StoreIndexedNode,
-                        StoreStaticNode, VirtualArrayNode,
-                        VirtualInstanceNode, VirtualObjectNode)
+                        StoreStaticNode, VirtualArrayNode, VirtualInstanceNode,
+                        VirtualObjectNode)
 from .effects import Effects
 from .materialize import borrow_materialized, ensure_materialized
 from .state import ObjectState, PEAState

@@ -34,7 +34,7 @@ pause cycles with a plausible generational shape (fewer allocated bytes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 

@@ -506,7 +506,3 @@ class ProgramGenerator:
             "entry": self.statements(self._int(4, 10), 0, ["h1", "h2"]),
         }
         return GeneratedProgram(bodies)
-
-    def generate(self) -> str:
-        """Back-compat helper: generate and render to MJ source."""
-        return self.generate_program().source()

@@ -29,11 +29,10 @@ of findings, so a broken phase reports everything it broke at once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..ir.graph import Graph
-from ..ir.node import (ControlSinkNode, ControlSplitNode, FixedNode,
-                       FixedWithNextNode, IRError, Node)
+from ..ir.node import ControlSplitNode, FixedNode, IRError, Node
 from ..ir.nodes import (ConstantNode, DeoptimizeNode, EndNode,
                         EscapeObjectStateNode, FixedGuardNode,
                         FrameStateNode, IfNode, LoopBeginNode, LoopEndNode,

@@ -307,7 +307,8 @@ def test_phi_escape_taints_all_members():
 
 def _generated_graphs(draw):
     """Build the three compiled methods of one generated program."""
-    source = ProgramGenerator.from_hypothesis(draw).generate()
+    source = ProgramGenerator.from_hypothesis(
+        draw).generate_program().source()
     program = compile_source(source)
     prepared = []
     for name in ("entry", "h1", "h2"):
@@ -414,7 +415,8 @@ def test_conngraph_tier_behavioral_differential(data, a, b):
     from repro.bytecode import Interpreter
     from repro.jit import VM, CompilerConfig
 
-    source = ProgramGenerator.from_hypothesis(data.draw).generate()
+    source = ProgramGenerator.from_hypothesis(
+        data.draw).generate_program().source()
     program = compile_source(source)
     interp = Interpreter(program)
     before = interp.heap.stats.copy()

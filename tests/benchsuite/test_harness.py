@@ -1,12 +1,15 @@
-"""The A/B runner's identity check."""
+"""The A/B runner's identity check, and the compile-time breakdown it
+reports."""
 
 import dataclasses
+import gc
 
 import pytest
 
 from repro.benchsuite.harness import (Measurement, mismatched,
-                                      verify_checksums)
-from repro.benchsuite.workloads import by_name
+                                      run_workload, verify_checksums)
+from repro.benchsuite.workloads import by_name, quick_copy
+from repro.jit import CompilationCache, CompilerConfig
 
 
 def _measurement(**changes) -> Measurement:
@@ -35,3 +38,24 @@ def test_checksum_mismatch_raises():
     with pytest.raises(AssertionError, match="fop: checksum mismatch 7 vs 8"):
         verify_checksums(by_name("fop"), {"no_ea": _measurement(),
                                           "pea": _measurement(checksum=8)})
+
+
+def test_compile_spans_account_for_compile_time():
+    """The named entries of ``Compiler.phase_seconds`` cover at least
+    95% of ``compile_seconds_total`` over one quick workload's
+    compiles: the phases and ``verify``, key derivation, the cache
+    lookup and store, graph building, summaries and lowering.  The
+    cyclic collector is off, so that none of its pauses lands between
+    two spans."""
+    gc.disable()
+    try:
+        measured = run_workload(
+            quick_copy(by_name("fop")),
+            CompilerConfig.partial_escape(escape_tier="pea+summaries"),
+            cache=CompilationCache())
+    finally:
+        gc.enable()
+    spans = measured.compile_phase_seconds
+    assert {"key", "cache-lookup", "cache-store", "build-graph",
+            "summaries", "lower", "verify"} <= set(spans)
+    assert sum(spans.values()) >= 0.95 * measured.compile_seconds

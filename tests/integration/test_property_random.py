@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, given, settings
 from repro.bytecode import Interpreter
 from repro.jit import VM, CompilerConfig
 from repro.lang import compile_source
+from repro.verify.generator import ProgramGenerator
 
 from fuzz_seed import hypothesis_seed
-from program_generator import ProgramGenerator
 
 CONFIGS = (
     ("no_ea", CompilerConfig.no_ea),
@@ -57,7 +57,8 @@ def run_all(source, args):
        a=st.integers(min_value=-20, max_value=20),
        b=st.integers(min_value=-20, max_value=20))
 def test_differential_semantics(data, a, b):
-    source = ProgramGenerator.from_hypothesis(data.draw).generate()
+    source = ProgramGenerator.from_hypothesis(
+        data.draw).generate_program().source()
     outcomes = run_all(source, (a, b))
     reference_result = outcomes["interp"][0]
     for name, (result, heap) in outcomes.items():
@@ -73,7 +74,8 @@ def test_differential_semantics(data, a, b):
 @_SETTINGS
 @given(data=st.data())
 def test_compilation_never_crashes_and_graph_verifies(data):
-    source = ProgramGenerator.from_hypothesis(data.draw).generate()
+    source = ProgramGenerator.from_hypothesis(
+        data.draw).generate_program().source()
     program = compile_source(source)
     from repro.jit import Compiler
     from repro.verify import verify_graph
@@ -90,7 +92,8 @@ def test_compilation_never_crashes_and_graph_verifies(data):
 def test_equi_escape_never_beats_pea_on_allocations(data, a):
     """Flow-sensitivity strictly refines the flow-insensitive analysis:
     PEA removes at least the allocations equi-escape removes."""
-    source = ProgramGenerator.from_hypothesis(data.draw).generate()
+    source = ProgramGenerator.from_hypothesis(
+        data.draw).generate_program().source()
     outcomes = run_all(source, (a, 1 - a))
     assert outcomes["pea"][1].allocations <= \
         outcomes["equi"][1].allocations, source

@@ -11,6 +11,7 @@ import pytest
 from repro.benchsuite import by_name
 from repro.benchsuite.harness import run_workload
 from repro.jit import VM, CompilationCache, CompilerConfig
+from repro.jit import vm as vm_module
 from repro.verify.fuzz import replay_corpus_entry
 
 from vm_harness import compile_source
@@ -189,11 +190,11 @@ def test_changed_branch_profile_invalidates_entry():
 # -- deopt invalidation --------------------------------------------------------
 
 
-def test_deopt_invalidation_evicts_and_recompiles():
+def test_deopt_invalidation_evicts_and_recompiles(monkeypatch):
+    monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 2)
     cache = CompilationCache()
     program = compile_source(ESCAPE_SOURCE)
-    config = CompilerConfig.partial_escape(deopt_invalidate_threshold=2)
-    vm = VM(program, config, cache=cache)
+    vm = VM(program, CompilerConfig.partial_escape(), cache=cache)
     for _ in range(30):
         vm.call("Main.run", 0, 40)
         program.reset_statics()
@@ -391,3 +392,38 @@ def test_harness_warm_run_elides_warmup(tmp_path):
     assert warm == cold
     assert warm.warmup_iterations_elided > 0
     assert warm.warmup_iterations_run < cold.warmup_iterations_run
+
+
+class SealedEntry:
+    """A stored cache entry that refuses to hand out its payload
+    bytes."""
+
+    def __init__(self, entry):
+        self.key, self.facts, self.meta = entry.key, entry.facts, entry.meta
+
+    @property
+    def blob(self):
+        raise AssertionError("payload bytes read")
+
+
+def test_certification_reads_no_payload_bytes(tmp_path, monkeypatch):
+    """A warm-up record identifies installed code by cache key and
+    speculation facts: a cold run whose stored entries raise when their
+    bytes are read still records, and the warm run elides."""
+    store = CompilationCache.store
+
+    def sealed_store(self, *args, **kwargs):
+        entry = store(self, *args, **kwargs)
+        return entry and SealedEntry(entry)
+
+    workload = quick_workload()
+    config = CompilerConfig.partial_escape()
+    cache_dir = str(tmp_path / "cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(CompilationCache, "store", sealed_store)
+        cold = run_workload(workload, config,
+                            cache=CompilationCache(cache_dir))
+    warm = run_workload(workload, config,
+                        cache=CompilationCache(cache_dir))
+    assert warm == cold
+    assert warm.warmup_iterations_elided > 0

@@ -10,6 +10,7 @@ import pytest
 
 from repro.bytecode.interpreter import Profile
 from repro.jit import VM, CompilationCache, CompilerConfig, Compiler
+from repro.jit import vm as vm_module
 from repro.jit.cache import (CACHE_FORMAT, RECORDED_QUERIES, CacheEntry,
                              RecordingProfile, validate_facts)
 from repro.jit.deoptless import is_continuation_entry
@@ -34,7 +35,7 @@ FLIP_SOURCE = """
 
 CONFIG = CompilerConfig.partial_escape(
     deoptless=True, compile_threshold=5, speculation_min_samples=3,
-    deopt_invalidate_threshold=100, osr_threshold=25)
+    osr_threshold=25)
 
 
 class Outbox:
@@ -53,12 +54,14 @@ def warmed():
     """A hot profile of ``Main.step`` and its three kinds of entry: the
     method entry, an OSR entry and a deoptless continuation."""
     program = compile_source(FLIP_SOURCE)
-    vm = VM(program, CONFIG)
-    for _ in range(8):
-        vm.call("Main.step", 0, 40)
-    vm.call("Main.step", 1, 40)
-    for _ in range(40):
-        vm.call("Main.step", 0, 40)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 100)
+        vm = VM(program, CONFIG)
+        for _ in range(8):
+            vm.call("Main.step", 0, 40)
+        vm.call("Main.step", 1, 40)
+        for _ in range(40):
+            vm.call("Main.step", 0, 40)
     method = program.method("Main.step")
     entries = list(vm._variants.get(method))
     [osr] = [e for e in entries

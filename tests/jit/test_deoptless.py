@@ -16,6 +16,7 @@ import pytest
 
 from repro.bytecode import Interpreter
 from repro.jit import VM, CompilationCache, CompilerConfig, VMListener
+from repro.jit import vm as vm_module
 from repro.jit.deoptless import is_continuation_entry
 
 from vm_harness import compile_source
@@ -100,14 +101,19 @@ MEGA_SOURCE = """
 BACKENDS = ["legacy", "plan", "codegen"]
 
 
+@pytest.fixture(autouse=True)
+def no_invalidation(monkeypatch):
+    """Invalidation stays out of the way: the dispatch behavior under
+    test is the pre-invalidation transition window."""
+    monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 100)
+
+
 def fresh_vm(source, backend="plan", cache=None, service=None, **kwargs):
-    """A deoptless VM tuned so speculation forms during a short warm-up
-    and invalidation stays out of the way (the dispatch behavior under
-    test is the pre-invalidation transition window)."""
+    """A deoptless VM tuned so speculation forms during a short
+    warm-up."""
     program = compile_source(source)
     kwargs.setdefault("compile_threshold", 5)
     kwargs.setdefault("speculation_min_samples", 3)
-    kwargs.setdefault("deopt_invalidate_threshold", 100)
     kwargs.setdefault("osr_threshold", 100_000)
     config = CompilerConfig.partial_escape(
         deoptless=True, execution_backend=backend, **kwargs)
@@ -190,8 +196,8 @@ def test_midloop_deopt_site_misses_and_bridges(backend):
     assert listener.dispatches and \
         not any(hit for (*_, hit) in listener.dispatches)
     method = program.method("Main.run")
-    assert any(m is method
-               for (m, __) in vm._continuation_uncompilable)
+    assert any(is_continuation_entry(entry)
+               for entry in vm._failed.get(method, ()))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -217,11 +223,12 @@ def test_cyclic_virtual_pair_rematerializes_at_entry(backend):
     assert vm.call("Main.check") == 5 * 1000 + 9 * 10 + 1
 
 
-def test_variant_cap_retires_lru():
+def test_variant_cap_retires_lru(monkeypatch):
     """Rotating receivers mint one variant per unseen class; with the
     cap at two, the least recently dispatched variant is retired and
     the site never holds more than the cap."""
-    vm, program = fresh_vm(MEGA_SOURCE, deoptless_max_variants=2)
+    monkeypatch.setattr(vm_module, "DEOPTLESS_MAX_VARIANTS", 2)
+    vm, program = fresh_vm(MEGA_SOURCE)
     listener = Recorder()
     vm.add_listener(listener)
 

@@ -9,12 +9,17 @@ in-process and by a blocking compile service."""
 
 import pytest
 
+from repro.benchsuite.harness import run_workload
+from repro.benchsuite.workloads import Workload
 from repro.bytecode import Interpreter
-from repro.jit import VM, CompilationCache, CompilerConfig, VMListener
+from repro.frontend.graph_builder import GraphBuildError
+from repro.jit import (VM, CompilationCache, Compiler, CompilerConfig,
+                       VMListener)
+from repro.jit import vm as vm_module
 from repro.jit.client import ServiceClient
 from repro.jit.server import CompileService
 
-from vm_harness import compile_source
+from vm_harness import compile_source, osr_variants
 
 #: Speculated branch in a small method: warm-up never takes it.
 METHOD_SOURCE = """
@@ -65,12 +70,23 @@ CONTINUATION_SOURCE = """
     }
 """
 
+#: A loop in a method that compiles late: its first call requests an
+#: OSR entry at the loop header.
+LOOP_SOURCE = """
+    class Main {
+        static int run(int n) {
+            int acc = 0;
+            for (int i = 0; i < n; i = i + 1) { acc = acc + i * 3; }
+            return acc;
+        }
+    }
+"""
+
 #: kind -> (source, entry point, config options, calls).  The calls
 #: tier up, deopt on a falsified fact, then run again.
 SCENARIOS = {
     "method": (METHOD_SOURCE, "Main.pick",
-               dict(compile_threshold=3, speculation_min_samples=3,
-                    deopt_invalidate_threshold=1),
+               dict(compile_threshold=3, speculation_min_samples=3),
                [(5,)] * 6 + [(150,), (5,), (150,)]),
     "osr": (OSR_SOURCE, "Main.run",
             dict(compile_threshold=10 ** 9, osr_threshold=60),
@@ -78,12 +94,14 @@ SCENARIOS = {
     "continuation": (CONTINUATION_SOURCE, "Main.step",
                      dict(deoptless=True, compile_threshold=5,
                           speculation_min_samples=3,
-                          deopt_invalidate_threshold=100,
                           osr_threshold=100_000),
                      [(0, 0, 10)] * 8
                      + [(1, 0, 10), (0, 1, 10), (1, 0, 10)]),
 }
 KINDS = list(SCENARIOS)
+#: kind -> deopts of one method before its code is invalidated, where
+#: the scenario needs other than the VM's default.
+INVALIDATE_AFTER = {"method": 1, "continuation": 100}
 PRODUCERS = ["in-process", "service"]
 
 #: Listener event name -> the entry kind whose install it reports.
@@ -143,8 +161,11 @@ def producer(request):
         service.shutdown()
 
 
-def make_vm(kind, service, cache=None):
+def make_vm(kind, service, monkeypatch, cache=None):
     source, __, options, __ = SCENARIOS[kind]
+    if kind in INVALIDATE_AFTER:
+        monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD",
+                            INVALIDATE_AFTER[kind])
     program = compile_source(source)
     config = CompilerConfig.partial_escape(
         compile_service_wait=service is not None, **options)
@@ -185,14 +206,15 @@ def assert_installs_well_formed(recorder, kind, compiles):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_install_events(kind, producer, tmp_path):
+def test_install_events(kind, producer, tmp_path, monkeypatch):
     """Two VMs over one cache directory: the first compiles (through
     the service, every install is a cache hit on the reply), the
     second is served from the cache."""
     hits = []
     for round_ in range(2):
         cache = CompilationCache(cache_dir=str(tmp_path))
-        vm, program, recorder = make_vm(kind, producer, cache)
+        vm, program, recorder = make_vm(kind, producer, monkeypatch,
+                                        cache)
         drive(kind, vm)
         assert_installs_well_formed(recorder, kind,
                                     vm.compiler.compile_count)
@@ -203,8 +225,9 @@ def test_install_events(kind, producer, tmp_path):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_stale_code_retired_before_next_entry(kind, producer):
-    vm, program, recorder = make_vm(kind, producer)
+def test_stale_code_retired_before_next_entry(kind, producer,
+                                              monkeypatch):
+    vm, program, recorder = make_vm(kind, producer, monkeypatch)
     drive(kind, vm)
     events = recorder.events
     names = recorder.names()
@@ -226,7 +249,7 @@ def test_stale_code_retired_before_next_entry(kind, producer):
         assert compiles[1][2] == deopt[2], \
             "stale OSR code was entered before its rebuild"
         assert vm.invalidations == 0
-        assert list(vm.osr_compiled.values()) == [compiles[1][1][2]]
+        assert list(osr_variants(vm).values()) == [compiles[1][1][2]]
     else:
         # The deopt at the second branch falsifies a fact of the
         # continuation at the first; the next dispatch there retires it
@@ -269,3 +292,65 @@ def test_backend_fallback_is_counted(backend, monkeypatch):
         assert vm.call("Main.pick", 5) == 6
     assert program.method("Main.pick") in vm.compiled
     assert vm.backend_fallbacks == (1 if backend == "codegen" else 0)
+
+
+def refuse_osr(monkeypatch):
+    """Every compiler — the VM's and an in-process service's — fails
+    OSR entries with a ``GraphBuildError``; returns the list of
+    refused ``(method, bci)`` requests."""
+    refused = []
+    compile_ = Compiler.compile
+
+    def compile(self, method, osr_bci=None):
+        if isinstance(osr_bci, int):
+            refused.append((method.qualified_name, osr_bci))
+            raise GraphBuildError("injected: loop header not enterable")
+        return compile_(self, method, osr_bci)
+
+    monkeypatch.setattr(Compiler, "compile", compile)
+    return refused
+
+
+def test_osr_build_failure_is_recorded_once(producer, monkeypatch):
+    """In-process or through the service, a loop header the graph
+    builder refuses lands in the one failure table, keeps
+    interpreting, and is never requested again."""
+    refused = refuse_osr(monkeypatch)
+    program = compile_source(LOOP_SOURCE)
+    config = CompilerConfig.partial_escape(
+        compile_threshold=10 ** 9,
+        compile_service_wait=producer is not None)
+    client = ServiceClient(producer.address) if producer is not None \
+        else None
+    vm = VM(program, config, service=client)
+    for _ in range(3):
+        assert vm.call("Main.run", 200) == sum(i * 3 for i in range(200))
+    method = program.method("Main.run")
+    [(__, bci)] = refused
+    assert list(vm._failed) == [method]
+    assert list(vm._failed[method]) == [bci]
+    assert vm._failed[method][bci].startswith("GraphBuildError")
+    assert not vm._variants.get(method)
+    assert vm.osr_entries == 0
+
+
+def test_harness_replays_a_failed_osr_entry(producer, monkeypatch,
+                                            tmp_path):
+    """The warm-up record lists the refused loop header, and the warm
+    run, whose replayed iteration runs the method compiled, re-fails
+    it in its replay before certifying."""
+    refused = refuse_osr(monkeypatch)
+    workload = Workload("loop", "dacapo", LOOP_SOURCE, entry="Main.run",
+                        iteration_size=200, warmup_iterations=6,
+                        measure_iterations=2)
+    config = CompilerConfig.partial_escape(
+        compile_threshold=3,
+        compile_service=producer.address if producer else None,
+        compile_service_wait=producer is not None)
+    cold = run_workload(workload, config,
+                        cache=CompilationCache(str(tmp_path)))
+    assert len(refused) == 1 and cold.warmup_iterations_elided == 0
+    warm = run_workload(workload, config,
+                        cache=CompilationCache(str(tmp_path)))
+    assert warm == cold and warm.warmup_iterations_elided == 5
+    assert len(refused) == 2 and refused[1] == refused[0]

@@ -10,7 +10,7 @@ import pytest
 from repro.jit import (CompilationCache, CompilerConfig, VM, VMListener)
 from repro.jit.cache import CompilationCache as Cache
 
-from vm_harness import compile_source, run_interpreted
+from vm_harness import compile_source, osr_variants, run_interpreted
 
 HOT_LOOP_SOURCE = """
     class Main {
@@ -101,10 +101,10 @@ def test_hot_loop_in_cold_method_tiers_up_mid_call(backend):
     expected = run_interpreted(HOT_LOOP_SOURCE, "Main.run", (n,)).result
     assert vm.call("Main.run", n) == expected
     assert vm.osr_entries == 1
-    assert len(vm.osr_compiled) == 1
+    assert len(osr_variants(vm)) == 1
     assert not vm.compiled, "invocation count 1 must not compile entry"
     assert listener.osr_compiles == [
-        ("Main.run", bci) for (__, bci) in vm.osr_compiled]
+        ("Main.run", bci) for (__, bci) in osr_variants(vm)]
 
 
 def test_osr_threshold_boundary():
@@ -154,7 +154,7 @@ def test_osr_and_entry_variants_do_not_collide(tmp_path):
 
     # Populate the cache with the OSR variant only ...
     vm.call("Main.run", 2_000)
-    [(_, osr_bci)] = list(vm.osr_compiled)
+    [(_, osr_bci)] = list(osr_variants(vm))
     __, osr_key = vm.compiler.resolve(method, osr_bci)
     assert cache.lookup(osr_key, program, vm.profile) is not None
     # ... and the normal-entry lookup must still miss.
@@ -186,7 +186,7 @@ def test_synchronized_method_never_osr():
                                (500,)).result
     assert vm.call("Main.run", 500) == expected
     assert vm.osr_entries == 0
-    assert not vm.osr_compiled
+    assert not osr_variants(vm)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -209,7 +209,7 @@ def test_stale_osr_variant_does_not_deopt_cycle(backend):
     # Original speculated variant + the post-deopt unspeculated rebuild.
     assert len(listener.osr_compiles) == 2
     # The retired variant is gone; the rebuilt one is installed.
-    assert len(vm.osr_compiled) == 1
+    assert len(osr_variants(vm)) == 1
 
 
 def test_invalidation_drops_osr_variants():
@@ -218,6 +218,6 @@ def test_invalidation_drops_osr_variants():
     vm, program = fresh_vm(ESCAPE_LOOP_SOURCE)
     vm.call("Main.run", 2_000)
     method = program.method("Main.run")
-    assert any(m is method for (m, __) in vm.osr_compiled)
+    assert any(m is method for (m, __) in osr_variants(vm))
     vm._invalidate(method, "test")
-    assert not any(m is method for (m, __) in vm.osr_compiled)
+    assert not any(m is method for (m, __) in osr_variants(vm))

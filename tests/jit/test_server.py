@@ -13,6 +13,7 @@ import traceback
 import pytest
 
 from repro.jit import VM, CompilationCache, CompilerConfig
+from repro.jit import vm as vm_module
 from repro.jit.client import ServiceClient
 from repro.jit.server import CompileService, dump_program, load_program
 
@@ -129,16 +130,19 @@ def test_background_tier_up_installs_service_replies(service, backend):
 
 
 @pytest.mark.parametrize("backend", ["plan", "codegen"])
-def test_metrics_identical_service_vs_in_process(service, backend):
+def test_metrics_identical_service_vs_in_process(service, backend,
+                                                monkeypatch):
     """The deterministic Table-1 metrics — results, allocations,
     monitors, deopts, invalidations — are bit-identical whether methods
     compile in-process or through the service (blocking mode, so the
     compile points line up call-for-call)."""
+    monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 2)
+
     def run(client):
         program = compile_source(ESCAPE_SOURCE)
         config = CompilerConfig.partial_escape(
-            compile_threshold=3, deopt_invalidate_threshold=2,
-            execution_backend=backend, compile_service_wait=True)
+            compile_threshold=3, execution_backend=backend,
+            compile_service_wait=True)
         vm = VM(program, config, service=client)
         for _ in range(10):
             vm.call("Main.run", 0, 40)          # speculative warm-up
@@ -340,16 +344,16 @@ def test_stale_reply_revalidates_and_resubmits(service, backend):
 
 
 @pytest.mark.parametrize("backend", ["plan", "codegen"])
-def test_deopt_while_compile_in_flight(service, backend):
+def test_deopt_while_compile_in_flight(service, backend, monkeypatch):
     """A deopt (and the invalidation it triggers) arriving while
     another compile request is in flight: the eviction is broadcast to
     the shared service cache, the in-flight request still resolves, and
     every subsequent result is correct."""
+    monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 1)
     program = compile_source(ESCAPE_SOURCE)
     config = CompilerConfig.partial_escape(
-        compile_threshold=3, deopt_invalidate_threshold=1,
-        speculation_min_samples=2, execution_backend=backend,
-        compile_service_wait=True)
+        compile_threshold=3, speculation_min_samples=2,
+        execution_backend=backend, compile_service_wait=True)
     client = connect(service)
     vm = VM(program, config, service=client)
     work = program.method("Main.work")

@@ -24,6 +24,15 @@ class ConfigRun:
     vm: Optional[VM] = None
 
 
+def osr_variants(vm: VM) -> Dict[Tuple[Any, int], Any]:
+    """The OSR entries installed in *vm*, ``(method, loop-header bci) ->
+    CompilationResult``, read from its variant table."""
+    return {(method, entry): variant.result
+            for method, variants in vm._variants.items()
+            for entry, variant in variants.items()
+            if isinstance(entry, int)}
+
+
 def run_interpreted(source: str, entry: str, args: Tuple,
                     natives: Optional[Dict[str, Callable]] = None
                     ) -> ConfigRun:
