@@ -27,9 +27,9 @@ from repro.benchsuite.workloads.specjbb import SPECJBB_ALL
 
 ALL_WORKLOADS = DACAPO + SCALADACAPO + SPECJBB_ALL
 
-#: Cost-model constants (mirrors CostModel defaults).
+#: Heap bytes of the ballast objects (``Program.instance_size`` and
+#: ``array_size``): a ``Mini`` is an object header plus one field.
 MINI_BYTES = 24.0
-MINI_ALLOC_CYCLES = 24 + MINI_BYTES
 RETAINED_FIXED_BYTES = 48.0  # holder object + array header
 
 

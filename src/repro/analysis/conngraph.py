@@ -25,8 +25,7 @@ The graph has two modes:
 Both are strictly cheaper than :class:`repro.pea.PartialEscapePhase` —
 flow-insensitive, no virtual-object state, no materialization, a
 single linear pass plus one walk from the roots — which makes the
-directed mode the right tier for cold code and for the compile
-service's latency budget.
+directed mode the right tier for cold code.
 
 References from frame states and deoptimize nodes do **not** escape
 (they are rematerialized on deopt — Kotzmann & Mössenböck's insight,

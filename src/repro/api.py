@@ -32,16 +32,15 @@ from typing import Any, Optional, Union
 
 from .bytecode.classfile import Program
 from .bytecode.heap import HeapStats
-from .jit import (CompilationCache, CompilationResult, CompileService,
-                  CompilerConfig, ServiceClient, TierSpec, VM, VMListener,
-                  default_cache_dir)
+from .jit import (CompilationCache, CompilationResult, CompilerConfig,
+                  TierSpec, VM, VMListener, default_cache_dir)
 from .lang import compile_source
 from .runtime.gcsim import GCSim, GCStats
 
-__all__ = ["CompilationCache", "CompilationResult", "CompileService",
-           "CompiledProgram", "CompilerConfig", "GCSim", "GCStats",
-           "ServiceClient", "TierSpec", "VM", "VMListener", "compile",
-           "compile_source", "default_cache_dir", "run"]
+__all__ = ["CompilationCache", "CompilationResult", "CompiledProgram",
+           "CompilerConfig", "GCSim", "GCStats", "TierSpec", "VM",
+           "VMListener", "compile", "compile_source", "default_cache_dir",
+           "run"]
 
 
 class CompiledProgram:

@@ -94,16 +94,6 @@ class Measurement:
     #: other observability fields.
     virtualized_allocations: int = field(default=0, compare=False)
     materializations: int = field(default=0, compare=False)
-    #: Deoptimizations inside the measured window only.  ``deopts``
-    #: above is cumulative: with a compile *service*, background
-    #: tier-up legitimately shifts *warm-up* deopt timing (speculative
-    #: code installs a little later, so a doomed speculation may fire
-    #: fewer times before invalidation), while the drain barrier before
-    #: measurement makes the measured window itself deterministic.  The
-    #: fleet identity check therefore compares this field, not the
-    #: warm-up-polluted cumulative count.  compare=False keeps
-    #: Measurement equality semantics unchanged.
-    deopts_measured: int = field(default=0, compare=False)
     #: Tail latency over the measured window: per-iteration simulated
     #: cycles at the 95th/99th percentile (nearest-rank).  The mean
     #: (``cycles_per_iteration``) hides the deopt latency cliff — one
@@ -341,13 +331,7 @@ def run_workload(workload: Workload, config: CompilerConfig,
             if signature is not None:
                 record = {"profile": snapshot, "signature": signature}
 
-    # Background-tier-up barrier: install every in-flight compile
-    # service reply before measuring, so the measured window always
-    # runs the same (fully tiered-up) code whether compiles were
-    # synchronous or asynchronous.  No-op without a service.
-    vm.finish_pending_compiles()
     warmup_tick = _vm_tick(vm)
-    deopts_before_measure = vm.exec_stats.deopts
     # Collector barrier (the simulated System.gc()): drain the nursery
     # so the measured window starts from an empty young generation.
     # Without this, warm-up elision would change *measured* GC timing —
@@ -417,7 +401,6 @@ def run_workload(workload: Workload, config: CompilerConfig,
         virtualized_allocations=sum(r.virtualized_allocations
                                     for r in ea_results),
         materializations=sum(r.materializations for r in ea_results),
-        deopts_measured=vm.exec_stats.deopts - deopts_before_measure,
         latency_p95_cycles=percentile(latencies, 95.0),
         latency_p99_cycles=percentile(latencies, 99.0),
         gc_minor_collections=gc_delta.minor_collections / iterations,

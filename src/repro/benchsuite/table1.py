@@ -79,8 +79,7 @@ def generate(suites: Sequence[str], quick: bool = False,
              backend: str = "plan", json_path: Optional[str] = None,
              profile: bool = False,
              cache: Optional[CompilationCache] = None,
-             osr: bool = True,
-             fleet: Optional[dict] = None) -> dict:
+             osr: bool = True) -> dict:
     """Run the selected suites and print Table 1; returns the raw
     comparisons keyed by suite for programmatic use.  With *json_path*
     the A/B sections run too, all before the cache summary is printed,
@@ -137,8 +136,7 @@ def generate(suites: Sequence[str], quick: bool = False,
         _print_compile_seconds(measurements, out)
     sections = None
     if json_path:
-        sections = _ab_sections(results, backend, quick, jobs, cache, osr,
-                                fleet)
+        sections = _ab_sections(results, backend, quick, jobs, cache, osr)
     print(file=out)
     if cache is not None:
         stats = cache.stats
@@ -158,8 +156,7 @@ def generate(suites: Sequence[str], quick: bool = False,
 
 
 def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
-                 cache: Optional[CompilationCache], osr: bool,
-                 fleet: Optional[dict]) -> dict:
+                 cache: Optional[CompilationCache], osr: bool) -> dict:
     """Every A/B the ``--json`` payload records: ``analysis_ab`` and
     ``ablation_ab`` at the top level, the rest under ``timing``."""
     comparisons = [c for cs in results.values() for c in cs]
@@ -176,12 +173,6 @@ def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
         "gc_ab": _gc_ab(comparisons, backend=backend, jobs=jobs,
                         cache=cache, osr=osr),
     }
-    if fleet is not None:
-        # Compile-service fleet benchmark (see benchsuite.fleet):
-        # wall-clock/latency numbers are machine-dependent, but
-        # dedup_or_hit_rate, checksums_consistent and
-        # identity.all_identical are acceptance-gated invariants.
-        timing["fleet"] = fleet
     if osr:
         # OSR's gain is real wall-clock, not a simulated metric: one
         # loop-heavy workload warmed with and without OSR.
@@ -550,26 +541,12 @@ def main(argv=None):
                         default=True,
                         help="disable on-stack replacement (hot loops "
                              "wait for the invocation threshold)")
-    parser.add_argument("--fleet", action="store_true",
-                        help="also run the compile-service fleet "
-                             "benchmark and record it under "
-                             "timing.fleet in the --json payload")
-    parser.add_argument("--fleet-workers", type=int, default=16,
-                        metavar="N",
-                        help="concurrent VM client processes for "
-                             "--fleet (default 16)")
     args = parser.parse_args(argv)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     cache = CompilationCache(args.cache_dir) if args.cache_dir else None
-    fleet_payload = None
-    if args.fleet:
-        from .fleet import run_fleet
-        fleet_payload = run_fleet(workers=args.fleet_workers,
-                                  quick=args.quick)
     generate(suites, quick=args.quick, locks=args.locks, jobs=args.jobs,
              backend=args.backend, json_path=args.json,
-             profile=args.profile, cache=cache, osr=args.osr,
-             fleet=fleet_payload)
+             profile=args.profile, cache=cache, osr=args.osr)
 
 
 if __name__ == "__main__":

@@ -188,9 +188,9 @@ class Profile:
     def snapshot(self) -> dict:
         """A process-portable copy of the profiling state, keyed by
         qualified method names instead of :class:`JMethod` objects.
-        Used to ship profiles to the compile service and by the
-        benchmark harness's warm-up records; restored against any
-        program with the same declarations by :meth:`restore`."""
+        Used by the benchmark harness's warm-up records; restored
+        against any program with the same declarations by
+        :meth:`restore`."""
         return {
             "invocations": {m.qualified_name: n
                             for m, n in self.invocations.items()},

@@ -8,7 +8,6 @@ Subcommands::
     python -m repro analyze PATH... [--json]   (lint + escape report)
     python -m repro lint PATH... [--json]      (lint passes only)
     python -m repro fuzz --programs 200 --seed 1234 [--corpus-dir D]
-    python -m repro serve [--address HOST:PORT] [--cache-dir D]
     python -m repro cache stats|clear [--cache-dir D]
     python -m repro table1 [...]        (delegates to benchsuite.table1)
     python -m repro comparison [...]    (delegates to .comparison)
@@ -23,11 +22,6 @@ failure).
 (``--no-cache`` turns it off); ``run`` and ``fuzz`` accept
 ``--cache-dir DIR`` (persist the cache on disk so later runs start
 warm).
-
-``serve`` starts a compile service; ``run --service HOST:PORT``
-tiers up through it in the background, and ``fuzz --service`` routes
-every differential engine through one shared service (started
-in-process when no address is given).
 """
 
 from __future__ import annotations
@@ -92,8 +86,6 @@ def cmd_run(args) -> int:
     else:
         cache = _make_cache(args)
         config_kwargs = {}
-        if getattr(args, "service", None):
-            config_kwargs["compile_service"] = args.service
         if getattr(args, "deoptless", False):
             config_kwargs["deoptless"] = True
         prog = api.compile(program,
@@ -257,32 +249,9 @@ def cmd_fuzz(args) -> int:
     os.environ["REPRO_VERIFY_IR"] = "1"
     from .verify.fuzz import fuzz
     cache = _make_cache(args)
-    service = None
-    service_address = None
-    if args.service == "auto":
-        # Own a service for this run: every differential engine routes
-        # through it, exercising transport + service-side compilation.
-        from .jit.server import CompileService, format_address
-        service = CompileService(workers=2)
-        service.start(("127.0.0.1", 0))
-        service_address = format_address(service.address)
-        print(f"compile service started on {service_address}")
-    elif args.service:
-        service_address = args.service
-    try:
-        report = fuzz(programs=args.programs, seed=args.seed,
-                      corpus_dir=args.corpus_dir,
-                      shrink=not args.no_shrink, log=print,
-                      cache=cache, service_address=service_address)
-    finally:
-        if service is not None:
-            stats = service.stats.snapshot()
-            print(f"service: {stats['requests']} requests "
-                  f"({stats['continuation_requests']} continuations), "
-                  f"{stats['compiles']} compiles, "
-                  f"{stats['cache_hits']} cache hits, "
-                  f"{stats['dedup_joined']} deduped")
-            service.shutdown()
+    report = fuzz(programs=args.programs, seed=args.seed,
+                  corpus_dir=args.corpus_dir, shrink=not args.no_shrink,
+                  log=print, cache=cache)
     print(f"ran {report.programs_run} programs, "
           f"{len(report.coverage)} coverage keys "
           f"({report.coverage_adds} coverage-adding programs), "
@@ -329,9 +298,6 @@ def main(argv=None) -> int:
         module = importlib.import_module(f"repro.benchsuite.{argv[0]}")
         result = module.main(argv[1:])
         return int(result or 0)
-    if argv and argv[0] == "serve":
-        from .jit.server import main as serve_main
-        return int(serve_main(argv[1:]) or 0)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Partial Escape Analysis reproduction toolchain")
@@ -357,10 +323,6 @@ def main(argv=None) -> int:
                                  "(minor collections, pause cycles, "
                                  "promoted bytes) for the measured "
                                  "call")
-    run_parser.add_argument("--service", metavar="HOST:PORT",
-                            help="tier up through this compile service "
-                                 "(background compilation; falls back "
-                                 "in-process if unreachable)")
     _add_cache_dir_flag(run_parser)
     run_parser.set_defaults(func=cmd_run)
 
@@ -415,12 +377,6 @@ def main(argv=None) -> int:
                                   "(.jasm + .json) here")
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="skip delta-debugging of failures")
-    fuzz_parser.add_argument("--service", nargs="?", const="auto",
-                             metavar="HOST:PORT",
-                             help="route all differential engines "
-                                  "through one shared compile service "
-                                  "(started in-process when no "
-                                  "address is given)")
     fuzz_parser.add_argument("--cache", dest="cache", action="store_true",
                              default=True,
                              help="share compiled graphs across the "
@@ -439,14 +395,6 @@ def main(argv=None) -> int:
                                    "$REPRO_CACHE_DIR or "
                                    "~/.cache/repro-pea)")
     cache_parser.set_defaults(func=cmd_cache)
-
-    # Registered for --help only; main() intercepts "serve" above and
-    # hands its argv to repro.jit.server.main directly.
-    serve_parser = subparsers.add_parser(
-        "serve", help="run a shared compile service "
-                      "(see `repro serve --help`)",
-        add_help=False)
-    serve_parser.add_argument("rest", nargs=argparse.REMAINDER)
 
     for name, module in (("table1", "table1"),
                          ("comparison", "comparison"),

@@ -75,9 +75,9 @@ from .options import CompilerConfig
 #: digest + node-id link tables) of the codegen backend, re-``exec``-ed
 #: on warm load.
 #: 5: disk files echo their key and carry per-entry SHA-256 blob
-#: digests, so the sharded store can be written by many processes
-#: (compile-service fleet) and a torn, corrupted or cross-shard file is
-#: detected at read time instead of deserializing garbage.
+#: digests, so the sharded store can be written by many processes and
+#: a torn, corrupted or cross-shard file is detected at read time
+#: instead of deserializing garbage.
 #: 6: the ``entry_bci`` key dimension may be a deoptless continuation
 #: descriptor ``("cont", bci, stack_depth, context)`` — specialized
 #: continuation variants are cached per dispatch context — and Graph
@@ -150,8 +150,6 @@ def full_config_fingerprint(config: CompilerConfig) -> str:
     from . import vm
     description = [("pipeline", pipeline_fingerprint(config)),
                    ("execution_backend", config.execution_backend),
-                   ("compile_service", config.compile_service),
-                   ("compile_service_wait", config.compile_service_wait),
                    ("compile_threshold", config.compile_threshold),
                    ("osr", config.osr),
                    ("osr_threshold", config.osr_threshold),
@@ -377,13 +375,13 @@ class CompilationCache:
     Safe to share across VMs and programs: keys are content hashes,
     hits are validated against the requesting VM's live profile, and
     every hit materializes a private graph copy.  Also safe to share
-    across *threads* (the compile service's workers) — every mutation
-    of the in-memory level runs under one lock — and across *processes*
-    through the disk level: the on-disk store is sharded by key prefix,
-    every write is a lockfile-free atomic rename, and every read
-    re-verifies the file's key echo and per-entry blob digests, so a
-    concurrent writer can never make a reader observe a torn,
-    corrupted or cross-shard payload."""
+    across *threads* — every mutation of the in-memory level runs under
+    one lock — and across *processes* through the disk level: the
+    on-disk store is sharded by key prefix, every write is a
+    lockfile-free atomic rename, and every read re-verifies the file's
+    key echo and per-entry blob digests, so a concurrent writer can
+    never make a reader observe a torn, corrupted or cross-shard
+    payload."""
 
     def __init__(self, cache_dir: Optional[str] = None):
         self.cache_dir = cache_dir
@@ -447,17 +445,6 @@ class CompilationCache:
         finally:
             self.stats.lookup_seconds += time.perf_counter() - started
 
-    def peek(self, key: str, program: Program,
-             profile: Optional[Profile]) -> Optional[CacheEntry]:
-        """The first variant under *key* whose facts hold against
-        *profile*, without loading its payload (the compile service
-        answers with it; its client loads it)."""
-        with self._lock:
-            for entry in self._entries(key):
-                if validate_facts(entry.facts, program, profile):
-                    return entry
-        return None
-
     def store(self, key: str, program: Program, method: JMethod,
               facts: Tuple[tuple, ...], payload: Dict[str, Any],
               entry_bci=None) -> Optional[CacheEntry]:
@@ -481,8 +468,8 @@ class CompilationCache:
             self.stats.store_seconds += time.perf_counter() - started
 
     def adopt_entry(self, entry: CacheEntry) -> None:
-        """Install an externally produced entry (a compile-service
-        reply) under its key, replacing any variant with equal facts."""
+        """Install *entry* under its key, replacing any variant with
+        equal facts (:meth:`store`'s last step)."""
         with self._lock:
             entries = self._entries(entry.key)
             entries[:] = [e for e in entries if e.facts != entry.facts]
@@ -493,8 +480,7 @@ class CompilationCache:
     def evict(self, key: str, facts: Tuple[tuple, ...]) -> None:
         """Drop the variant of *key* whose speculation facts are
         *facts* — deopt invalidation proved them wrong, so the entry
-        could never validate again.  Serves a VM retiring its code and
-        the compile service's ``evict`` message alike."""
+        could never validate again (a VM retiring its code)."""
         facts = tuple(map(tuple, facts))
         with self._lock:
             entries = self._entries(key)
@@ -519,7 +505,7 @@ class CompilationCache:
     # -- level 2 ------------------------------------------------------------
     #
     # The disk store is sharded by the first two hex digits of the key
-    # (256 shard directories) so a fleet of writers spreads its
+    # (256 shard directories) so concurrent writers spread their
     # directory traffic, and is written lockfile-free: each write goes
     # to a uniquely named temporary file in the same shard and is
     # published with one atomic ``os.replace``.  Readers re-verify the

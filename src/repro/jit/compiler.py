@@ -10,8 +10,8 @@ once (:meth:`Compiler.resolve`), records every profile fact the
 pipeline consumes (through a :class:`~repro.jit.cache.RecordingProfile`)
 and stores the optimized graph under that key; later compilations of
 the same method under the same configuration — from this compiler or
-any other sharing the cache, or the compile service — reuse the stored
-graph when the recorded facts still hold against their own profile.
+any other sharing the cache — reuse the stored graph when the recorded
+facts still hold against their own profile.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from ..pea.equi_escape import EquiEscapePhase
 from ..pea.partial_escape import PartialEscapePhase, PEAResult
 from ..runtime.codegen import CodegenError, CodegenPlan
 from ..runtime.plan import ExecutionPlan, PlanError
-from .cache import (CacheEntry, CompilationCache, RecordingProfile,
-                    load_graph_payload)
+from .cache import CacheEntry, CompilationCache, RecordingProfile
 from .deoptless import is_continuation_entry
 from .options import CompilerConfig, TierSpec
 
@@ -119,8 +118,7 @@ class Compiler:
                 osr_bci=None) -> Tuple[TierSpec, Optional[str]]:
         """The escape tier ``(method, osr_bci)`` compiles at and, with a
         cache attached, the key its artifact is cached under.  Each
-        compile derives them once; the compile service dedups requests
-        on the same key before handing this compiler to its worker."""
+        compile derives them once."""
         tier = self.config.tier_spec()
         if self.cache is None:
             return tier, None
@@ -262,28 +260,10 @@ class Compiler:
         return CompilationResult(graph, ea_result, node_count, lowering,
                                  cache_entry=entry, facts=facts)
 
-    def result_from_service(self, method: JMethod, entry: CacheEntry,
-                            osr_bci=None) -> CompilationResult:
-        """Materialize a compile-service reply exactly like a cache
-        hit: load the entry's payload into *this* program, re-link it,
-        and adopt the entry into the local cache so deopt invalidation
-        can evict it (and later lookups hit without a round trip).  The
-        caller has already validated the entry's facts against its
-        live profile."""
-        result = self._relink(entry,
-                              load_graph_payload(entry.blob, self.program),
-                              method, osr_bci)
-        if self.cache is not None:
-            self.cache.adopt_entry(entry)
-        self.compile_count += 1
-        self.cache_hit_count += 1
-        return result
-
     def _relink(self, entry: CacheEntry, payload: Dict[str, Any],
                 method: JMethod, osr_bci) -> CompilationResult:
-        """The result of a validated cache entry and its loaded payload
-        (a cache hit or a compile-service reply), re-linking the
-        stored lowering."""
+        """The result of a validated cache entry and its loaded payload,
+        re-linking the stored lowering."""
         graph = payload["graph"]
         lowering, __ = self._lower(graph, method, osr_bci,
                                    payload["lowering"])
@@ -298,12 +278,12 @@ class Compiler:
         ``(backend, "unsupported")`` when the graph cannot be lowered,
         or ``None`` under the legacy backend.
 
-        One path for a compile and for a cache hit or compile-service
-        reply, which pass the entry's *stored* value: this backend's
-        payload is re-linked, and its ``"unsupported"`` marker is
-        trusted (same graph, same failure).  Anything else — a legacy
-        or other-backend store, a corrupted or stale payload — lowers
-        from the graph.
+        One path for a compile and for a cache hit, which passes the
+        entry's *stored* value: this backend's payload is re-linked, and
+        its ``"unsupported"`` marker is trusted (same graph, same
+        failure).  Anything else — a legacy or other-backend store, a
+        corrupted or stale payload, a codegen payload emitted under
+        another cost model — lowers from the graph.
         """
         backend = self.config.execution_backend
         if backend == "legacy":

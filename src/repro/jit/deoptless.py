@@ -16,7 +16,7 @@ deopt-to-interpreter behavior, never below it.
 
 This module owns the parts that need no VM: the continuation cache-key
 descriptor (it rides the existing ``entry_bci`` dimension of the
-compilation cache and the compile-service wire protocol), dispatch
+compilation cache), dispatch
 context derivation (mirroring the interpreter's branch/receiver
 evaluation exactly), and the VM's variant table, which keys every
 installed piece of code — method entry, OSR entry or continuation —
@@ -32,7 +32,7 @@ from ..bytecode.classfile import JMethod
 from ..bytecode.interpreter import _COMPARE_FNS
 from ..bytecode.opcodes import Op
 
-#: Tag marking a continuation descriptor in the cache/service
+#: Tag marking a continuation descriptor in the cache's
 #: ``entry_bci`` slot (a plain loop-header int means classic OSR).
 CONT_TAG = "cont"
 
@@ -43,8 +43,8 @@ Context = Tuple[str, int, Any]
 
 def continuation_entry(bci: int, stack_depth: int,
                        context: Optional[Context]) -> tuple:
-    """The cache-key / wire-protocol descriptor for one continuation
-    variant.  Hashable and picklable; rides the ``entry_bci`` field."""
+    """The cache-key descriptor for one continuation variant.
+    Hashable and picklable; rides the ``entry_bci`` field."""
     return (CONT_TAG, bci, stack_depth, context)
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..runtime.costmodel import CostModel
 
@@ -158,22 +157,6 @@ class CompilerConfig:
     #: cannot lower (or bind) runs on the GraphInterpreter for that
     #: method, counted in ``VM.backend_fallbacks``.
     execution_backend: str = "plan"
-    #: Address of a shared compile service (``"host:port"`` or a Unix
-    #: socket path, see :mod:`repro.jit.server`).  When set, the VM
-    #: does not compile in-process at the tier-up threshold: it submits
-    #: an asynchronous compile request and *keeps interpreting* until
-    #: the reply arrives, then atomically installs the compiled code
-    #: (background tier-up).  If the service dies or the connection
-    #: fails, the VM logs once and falls back to in-process
-    #: compilation.  Not part of the pipeline fingerprint — the service
-    #: produces byte-identical cache payloads to a local compile.
-    compile_service: Optional[str] = None
-    #: Block on each service compile instead of tiering up in the
-    #: background.  Keeps tier-up timing identical to in-process
-    #: compilation, which is what the differential fuzzer needs to keep
-    #: its engines bit-comparable while still exercising the
-    #: client/server path.
-    compile_service_wait: bool = False
     #: Record a per-node-kind execution histogram in
     #: :attr:`ExecutionStats.node_kind_executions` (used by ``--profile``).
     collect_node_histogram: bool = False

@@ -14,13 +14,12 @@ deoptimize back to the interpreter through
 All compiled code shares one lifecycle.  Every installed variant is
 keyed by ``(method, entry)`` — ``entry`` is ``None`` for the method
 entry, a loop-header bci for an OSR entry, or a deoptless continuation
-descriptor — and goes through the same steps: :meth:`VM._compile` (or
-the compile service, ending in :meth:`VM._service_install`) produces a
-result, :meth:`VM._install` binds and publishes it,
+descriptor — and goes through the same steps: :meth:`VM._compile`
+produces a result, :meth:`VM._install` binds and publishes it,
 :meth:`VM._revalidated` re-checks OSR and continuation code after a
 deopt, and :meth:`VM._retire` drops it.  The variant table is the one
 record of installed code, and one failure table keyed the same way
-records failed compiles (:meth:`VM._compile_failed`).
+records failed compiles.
 
 Every engine shares one :class:`~repro.bytecode.heap.Heap`, so the
 allocation/monitor statistics of Table 1 are configuration-comparable.
@@ -28,16 +27,14 @@ allocation/monitor statistics of Table 1 are configuration-comparable.
 
 from __future__ import annotations
 
-import logging
-import sys
-import time
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bytecode.classfile import JMethod, Program
 from ..bytecode.heap import Heap, HeapStats
 from ..bytecode.instructions import MethodRef
 from ..bytecode.interpreter import NO_OSR, Interpreter, Profile
+from ..frontend.graph_builder import GraphBuildError
 from ..runtime.codegen import CodegenError
 from ..runtime.costmodel import ExecutionStats
 from ..runtime.deopt import Deoptimizer
@@ -50,8 +47,6 @@ from .deoptless import (DeoptlessStats, Variant, VariantTable,
                         is_continuation_entry)
 from .listeners import VMListener
 from .options import CompilerConfig
-
-_MIN_RECURSION_LIMIT = 40_000
 
 #: Deoptimizations of one method before its code is thrown away and
 #: recompiled without the failed assumption.
@@ -66,24 +61,12 @@ DEOPTLESS_MAX_VARIANTS = 4
 #: pathological guard chain cannot grow the Python stack unboundedly.
 _MAX_DISPATCH_DEPTH = 8
 
-_log = logging.getLogger("repro.jit.service")
-
-#: Ceiling on one blocking wait for a compile-service reply; past it
-#: the service is declared lost and the VM compiles in-process.
-_SERVICE_WAIT_TIMEOUT = 120.0
-
-#: ``(method, entry)``: the key of one piece of installed code.
-VariantKey = Tuple[JMethod, Any]
-
 
 class VM:
     """One program + one configuration, ready to run."""
 
     def __init__(self, program: Program, config: CompilerConfig,
-                 cache: Optional[CompilationCache] = None,
-                 service=None):
-        if sys.getrecursionlimit() < _MIN_RECURSION_LIMIT:
-            sys.setrecursionlimit(_MIN_RECURSION_LIMIT)
+                 cache: Optional[CompilationCache] = None):
         self.program = program
         self.config = config
         self.cache = cache
@@ -137,31 +120,6 @@ class VM:
             self.interpreter.osr_handler = self._handle_osr
         if config.deoptless:
             self.deoptimizer.dispatch = self._dispatch_deopt
-        #: Compile-service client (background tier-up).  Either injected
-        #: (tests, the fleet benchmark) or constructed from
-        #: ``config.compile_service``; ``None`` means in-process
-        #: compilation — including after a service failure, which is
-        #: logged once and demotes the VM to in-process mode for good.
-        self._service = service
-        #: Compile requests in flight (value: request id).
-        self._service_pending: Dict[VariantKey, int] = {}
-        #: Targets resubmitted after a stale reply (one resubmission
-        #: with a fresh profile snapshot, then in-process fallback).
-        self._service_retried: Set[VariantKey] = set()
-        #: Replies installed / in-process fallbacks (observability).
-        self.service_installs = 0
-        self.service_fallbacks = 0
-        if self._service is None and config.compile_service:
-            from .client import ServiceClient
-            try:
-                self._service = ServiceClient(config.compile_service)
-            except Exception as exc:  # noqa: BLE001 - connect refused
-                self._service_lost(exc)
-        if self._service is not None:
-            try:
-                self._service.register(program)
-            except Exception as exc:  # noqa: BLE001
-                self._service_lost(exc)
 
     # -- listeners --------------------------------------------------------
 
@@ -202,7 +160,7 @@ class VM:
         variants = self._variants.get(method)
         variant = variants.get(None) if variants else None
         if variant is None and self._should_compile(method):
-            variant = self._tier_up(method, None)
+            variant = self._compile(method)
         self.profile.record_invocation(method)
         if variant is not None:
             return variant.entry(args)
@@ -221,7 +179,7 @@ class VM:
         """The code for *qualified* at *entry* (``None``: the method
         entry, else an OSR loop header), compiled now unless installed
         (tests, the harness's warm-up replay); ``None`` when the entry
-        failed to compile (:meth:`_compile_failed`)."""
+        failed to compile (see :meth:`_compile`)."""
         method = self.program.method(qualified)
         variants = self._variants.get(method)
         variant = variants.get(entry) if variants else None
@@ -265,7 +223,7 @@ class VM:
                     method.is_synchronized or \
                     bci in self._failed.get(method, ()):
                 return NO_OSR
-            variant = self._tier_up(method, bci)
+            variant = self._compile(method, bci)
             if variant is None:
                 return NO_OSR
         self.osr_entries += 1
@@ -305,7 +263,7 @@ class VM:
         if variant is not None:
             variant = self._revalidated(method, entry, variant)
         if variant is None and not self._has_failed(method, entry):
-            variant = self._tier_up(method, entry)
+            variant = self._compile(method, entry)
         if variant is None:
             self.deoptless.dispatch_misses += 1
             self._emit("on_dispatch", method, bci, context, False)
@@ -323,45 +281,28 @@ class VM:
 
     # -- the code-variant lifecycle ------------------------------------------
 
-    def _tier_up(self, method: JMethod, entry) -> Optional[Variant]:
-        """Produce code for ``(method, entry)``: through the compile
-        service when one is attached, else in-process."""
-        if self._service is not None:
-            return self._service_compile(method, entry)
-        return self._compile(method, entry)
-
     def _compile(self, method: JMethod, entry=None) -> Optional[Variant]:
-        """Compile ``(method, entry)`` in-process and install it."""
+        """Compile ``(method, entry)`` and install it.  A failed compile
+        is recorded in the failure table.  A ``GraphBuildError`` at an
+        OSR or continuation entry means "not enterable here" (e.g. an
+        inner loop's header): it keeps interpreting.  Anything else is
+        a compiler bug and raises."""
         try:
             result = self.compiler.compile(method, osr_bci=entry)
         except Exception as exc:  # noqa: BLE001 - compile bailout
-            self._compile_failed(method, entry,
-                                 f"{type(exc).__name__}: {exc}", exc)
+            failed = self._failed.setdefault(method, {})
+            failed[failure_entry(entry)] = f"{type(exc).__name__}: {exc}"
+            if entry is None or not isinstance(exc, GraphBuildError):
+                raise
             return None
         return self._install(method, entry, result)
-
-    def _compile_failed(self, method: JMethod, entry, reason: str,
-                        error: Optional[Exception] = None) -> None:
-        """Record a failed compile of ``(method, entry)``: in-process
-        (*error*) or a compile-service reply.  A ``GraphBuildError`` at
-        an OSR or continuation entry means "not enterable here" (e.g.
-        an inner loop's header): it keeps interpreting.  Anything else
-        is a compiler bug and raises."""
-        self._failed.setdefault(method, {})[failure_entry(entry)] = reason
-        if entry is not None and reason.startswith("GraphBuildError"):
-            return
-        if error is not None:
-            raise error
-        raise RuntimeError(
-            f"{method.qualified_name} failed to compile: {reason}")
 
     def _has_failed(self, method: JMethod, entry) -> bool:
         return failure_entry(entry) in self._failed.get(method, ())
 
     def _install(self, method: JMethod, entry,
                  result: CompilationResult) -> Variant:
-        """Atomically adopt a compilation of ``(method, entry)`` — from
-        the local compiler or a compile-service reply: the result and
+        """Adopt a compilation of ``(method, entry)``: the result and
         its bound lowering are published together, so the next call,
         backedge or dispatch runs it."""
         variant = Variant(result, self._bind(result),
@@ -427,7 +368,7 @@ class VM:
 
     def _retire(self, method: JMethod, entry) -> None:
         """Uninstall ``(method, entry)`` and evict its cache entry, so
-        the dropped code cannot be re-served (locally or fleet-wide)."""
+        the dropped code cannot be re-served."""
         variant = self._variants.remove(method, entry)
         if is_continuation_entry(entry):
             self.deoptless.retirements += 1
@@ -440,13 +381,6 @@ class VM:
             # *different* VM whose profile still matches would re-import
             # the failed speculation.  Evict it.
             self.cache.evict(record.key, record.facts)
-        if self._service is not None:
-            # Broadcast the same eviction to the shared service cache,
-            # so the fleet cannot be re-served the failed speculation.
-            try:
-                self._service.evict(record.key, record.facts)
-            except Exception as exc:  # noqa: BLE001
-                self._service_lost(exc)
 
     def _invalidate(self, method: JMethod, reason: str) -> None:
         """Throw away *method*'s compiled code — the method entry and
@@ -464,162 +398,13 @@ class VM:
         self.invalidations += 1
         self._emit("on_invalidate", method, reason)
 
-    # -- compile service (background tier-up) ------------------------------
-
-    def _service_compile(self, method: JMethod,
-                         entry) -> Optional[Variant]:
-        """Tier up through the compile service: install any replies
-        that already arrived, and if ``(method, entry)`` still has no
-        code, make sure a request is in flight — then keep interpreting
-        (or block for the reply under ``compile_service_wait``).  A
-        continuation descriptor rides the ``entry_bci`` wire field
-        (pickle framing keeps it intact) and keys the shared cache, so
-        one fleet member's continuation serves the others."""
-        self._service_drain()
-        variant = self._variants.lookup(method, entry)
-        if variant is not None:  # the drain just installed it
-            return variant
-        if self._has_failed(method, entry):
-            return None
-        if self._service is None:  # lost during drain
-            return self._compile(method, entry)
-        key = (method, entry)
-        if key not in self._service_pending:
-            rid = self._service_submit(method, entry)
-            if rid is None:  # lost at submit
-                return self._compile(method, entry)
-            self._service_pending[key] = rid
-        if self.config.compile_service_wait:
-            self._service_wait_for([key])
-            return self._variants.lookup(method, entry)
-        return None
-
-    def _service_submit(self, method: JMethod,
-                        entry_bci) -> Optional[int]:
-        try:
-            return self._service.submit(
-                self.program, method.qualified_name, self.config,
-                self.profile.snapshot(), entry_bci)
-        except Exception as exc:  # noqa: BLE001 - connection failure
-            self._service_lost(exc)
-            return None
-
-    def _service_drain(self) -> None:
-        """Install every service reply that has already arrived."""
-        if self._service is None:
-            return
-        try:
-            replies = self._service.poll()
-        except Exception as exc:  # noqa: BLE001
-            self._service_lost(exc)
-            return
-        for reply in replies:
-            self._service_install(reply)
-
-    def _service_wait_for(self, keys: List[VariantKey],
-                          timeout: float = _SERVICE_WAIT_TIMEOUT) -> None:
-        """Block until the requests for *keys* resolve (installed,
-        marked uncompilable, or the service is lost), then compile
-        whatever is still unresolved in-process, so the caller always
-        makes progress."""
-        deadline = time.monotonic() + timeout
-        while self._service is not None and \
-                any(key in self._service_pending for key in keys):
-            try:
-                replies = self._service.wait_any(
-                    timeout=max(0.05, deadline - time.monotonic()))
-            except Exception as exc:  # noqa: BLE001
-                self._service_lost(exc)
-                break
-            if not replies and time.monotonic() >= deadline:
-                self._service_lost(TimeoutError(
-                    "compile service reply timed out"))
-                break
-            for reply in replies:
-                self._service_install(reply)
-        for method, entry in keys:
-            if self._variants.lookup(method, entry) is None and \
-                    not self._has_failed(method, entry):
-                self.service_fallbacks += 1
-                self._compile(method, entry)
-
-    def finish_pending_compiles(
-            self, timeout: float = _SERVICE_WAIT_TIMEOUT) -> None:
-        """Drain every in-flight compile request and install the
-        replies — the deterministic barrier the benchmark harness puts
-        between warm-up and the measured window, so background tier-up
-        cannot move compile points into (or out of) the measurement.
-        Targets still unresolved after a service loss are compiled
-        in-process.  No-op without a service."""
-        self._service_wait_for(list(self._service_pending), timeout)
-
-    def _service_install(self, reply) -> None:
-        """Atomically install one compile-service reply.
-
-        The reply's speculation facts are re-validated against the
-        *live* profile first: an invalidation that raced the
-        compilation (the deopt changed a branch decision after the
-        snapshot was taken) fails validation here, the stale payload is
-        discarded, and the request is resubmitted once with a fresh
-        snapshot — after which the VM compiles in-process, so progress
-        is guaranteed.  A payload that is not transportable
-        ("compilation not cacheable") or does not decode is compiled
-        in-process too — same policy as a cache that declines to
-        store."""
-        try:
-            method = self.program.method(reply.qualified)
-        except Exception:  # noqa: BLE001 - unknown method in reply
-            return
-        entry = reply.entry_bci
-        key = (method, entry)
-        self._service_pending.pop(key, None)
-        if reply.error is not None and \
-                reply.error != "compilation not cacheable":
-            self._service_retried.discard(key)
-            self._compile_failed(method, entry, reply.error)
-            return
-        result = None
-        if reply.error is None:
-            if not validate_facts(reply.entry.facts, self.program,
-                                  self.profile):
-                if key not in self._service_retried and \
-                        self._service is not None:
-                    self._service_retried.add(key)
-                    rid = self._service_submit(method, entry)
-                    if rid is not None:
-                        self._service_pending[key] = rid
-                        return
-                # Second stale reply (or no service): the profile is
-                # moving faster than the round trip.
-            else:
-                try:
-                    result = self.compiler.result_from_service(
-                        method, reply.entry, osr_bci=entry)
-                except Exception:  # noqa: BLE001 - undecodable payload
-                    pass
-        self._service_retried.discard(key)
-        if result is None:
-            self.service_fallbacks += 1
-            self._compile(method, entry)
-            return
-        self.service_installs += 1
-        self._install(method, entry, result)
-
-    def _service_lost(self, exc: BaseException) -> None:
-        """Demote to in-process compilation, once, with one log line —
-        the service is an accelerator, never a correctness
-        dependency."""
-        service, self._service = self._service, None
-        if service is not None:
-            try:
-                service.close()
-            except Exception:  # noqa: BLE001
-                pass
-        self._service_pending.clear()
-        self._service_retried.clear()
-        _log.warning(
-            "compile service unavailable (%s: %s); falling back to "
-            "in-process compilation", type(exc).__name__, exc)
+    def finish_pending_compiles(self) -> None:
+        """No-op: every compile is synchronous, so nothing is ever in
+        flight.  Kept only because the benchmark's steady workload
+        (``benchmarks/e2e/workloads.py``) calls it before its measured
+        window; it goes together with that call in the benchmark-only
+        change that drops the plan boundaries from
+        ``benchmarks/e2e/trace.py``."""
 
     # -- execution and bookkeeping -----------------------------------------
 

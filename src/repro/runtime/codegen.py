@@ -948,11 +948,14 @@ class CodegenPlan:
 
     def payload(self) -> Dict[str, Any]:
         """Everything the compilation cache persists: the source text
-        with its digest, plus the node-id tables to re-link deopt sites
-        and invoke targets against the cached graph on warm load."""
+        with its digest, the digest of the cost model its cycle
+        literals were emitted under, plus the node-id tables to re-link
+        deopt sites and invoke targets against the cached graph on warm
+        load."""
         return {
             "source": self.source,
             "digest": self.digest,
+            "cost_model": cost_model_digest(self.cost_model),
             "entry": self.entry_name,
             "label": self.label,
             "names": {node.id: name
@@ -968,8 +971,10 @@ class CodegenPlan:
                      payload: Dict[str, Any]) -> "CodegenPlan":
         """Rebuild a plan from a cached graph and a persisted payload,
         skipping the emission pass.  A digest mismatch (corrupted
-        source) or a stale node id raises :class:`CodegenError` — the
-        compiler then regenerates from the graph."""
+        source), source emitted under another cost model (its cycle
+        literals would charge the wrong costs) or a stale node id
+        raises :class:`CodegenError` — the compiler then regenerates
+        from the graph."""
         plan = cls.__new__(cls)
         plan.graph = graph
         plan.program = program
@@ -978,6 +983,9 @@ class CodegenPlan:
             source = payload["source"]
             if source_digest(source) != payload["digest"]:
                 raise CodegenError("codegen payload digest mismatch")
+            if payload.get("cost_model") != cost_model_digest(cost_model):
+                raise CodegenError("codegen payload emitted under another "
+                                   "cost model")
             plan.label = payload["label"]
             plan.source = source
             plan.entry_name = payload["entry"]
@@ -1109,3 +1117,9 @@ class CodegenPlan:
 
 def source_digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
+def cost_model_digest(cost_model: CostModel) -> str:
+    """Digest of every constant of *cost_model* (its dataclass repr
+    names them all): emitted source folds them into literals."""
+    return source_digest(repr(cost_model))

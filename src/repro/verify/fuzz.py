@@ -270,15 +270,11 @@ def run_engine_vm(make_program: Callable[[], object], backend: str,
                   probes=PROBE_CALLS,
                   cache: Optional[CompilationCache] = None,
                   escape_tier: str = "pea",
-                  service_address: Optional[str] = None,
                   deoptless: bool = False) -> EngineOutcome:
     program = make_program()
     # osr_threshold sits below the hot-loop generator shape's trip
     # count so "hot loop in a cold method" programs tier up at the
-    # backedge during the very first call.  With a compile service the
-    # engines block on every reply (compile_service_wait): compile
-    # points then line up call-for-call with in-process compilation,
-    # so the differential oracle stays deterministic.
+    # backedge during the very first call.
     # speculation_min_samples sits at the warm-up call count: straight-
     # line branches then carry exactly enough profile to speculate at
     # the method-entry compile, not just the loop-body branches that
@@ -290,8 +286,6 @@ def run_engine_vm(make_program: Callable[[], object], backend: str,
         speculation_min_samples=3,
         execution_backend=backend,
         escape_tier=escape_tier,
-        compile_service=service_address,
-        compile_service_wait=service_address is not None,
         deoptless=deoptless)
     vm = VM(program, config, cache=cache)
     for _ in range(WARM_CALLS):
@@ -313,14 +307,13 @@ def run_engine_vm(make_program: Callable[[], object], backend: str,
 
 def run_engine(name: str, make_program: Callable[[], object],
                probes=PROBE_CALLS,
-               cache: Optional[CompilationCache] = None,
-               service_address: Optional[str] = None) -> EngineOutcome:
+               cache: Optional[CompilationCache] = None) -> EngineOutcome:
     """Run the probe sequence under engine *name* of :data:`ENGINES`."""
     options = ENGINES[name].options
     if options is None:
         return run_engine_interpreter(make_program, probes)
     return run_engine_vm(make_program, probes=probes, cache=cache,
-                         service_address=service_address, **options)
+                         **options)
 
 
 def compare_outcomes(outcomes: Dict[str, EngineOutcome]
@@ -384,8 +377,7 @@ class CheckResult:
 
 
 def check_source(source: str,
-                 cache: Optional[CompilationCache] = None,
-                 service_address: Optional[str] = None) -> CheckResult:
+                 cache: Optional[CompilationCache] = None) -> CheckResult:
     """Compile (with the verifier always on) and differentially execute
     one program; returns the failure (if any) and its coverage keys.
 
@@ -393,12 +385,7 @@ def check_source(source: str,
     compilations: both warm up identically, so their profiles agree at
     every compile point and the recorded speculation facts validate.
     Each engine still builds its own Program — cached graphs rebind to
-    the requesting program's methods at load.
-
-    With *service_address*, every VM engine routes its compilations
-    through that shared compile service (blocking per compile), so one
-    fuzz run differentially exercises the full service path: program
-    transport, service-side compilation, fact validation at install."""
+    the requesting program's methods at load."""
     from ..jit import Compiler
     from .verifier import GraphVerificationError
 
@@ -433,8 +420,7 @@ def check_source(source: str,
     outcomes: Dict[str, EngineOutcome] = {}
     for name in ENGINES:
         try:
-            outcomes[name] = run_engine(name, make_program, cache=cache,
-                                        service_address=service_address)
+            outcomes[name] = run_engine(name, make_program, cache=cache)
         except GraphVerificationError as error:
             return CheckResult(("verifier", str(error)), coverage)
         except Exception as error:
@@ -454,11 +440,9 @@ def check_source(source: str,
 
 
 def check_program(program: GeneratedProgram,
-                  cache: Optional[CompilationCache] = None,
-                  service_address: Optional[str] = None
+                  cache: Optional[CompilationCache] = None
                   ) -> CheckResult:
-    return check_source(program.source(), cache=cache,
-                        service_address=service_address)
+    return check_source(program.source(), cache=cache)
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -562,18 +546,15 @@ class Fuzzer:
                  check: Optional[Callable[[GeneratedProgram],
                                           CheckResult]] = None,
                  log: Callable[[str], None] = lambda message: None,
-                 cache: Optional[CompilationCache] = None,
-                 service_address: Optional[str] = None):
+                 cache: Optional[CompilationCache] = None):
         self.rng = random.Random(seed)
         self.seed = seed
         self.corpus_dir = corpus_dir
         self.shrink = shrink
         self.cache = cache
-        self.service_address = service_address
         if check is None:
             check = lambda program: check_program(  # noqa: E731
-                program, cache=self.cache,
-                service_address=self.service_address)
+                program, cache=self.cache)
         self.check = check
         self.log = log
         #: Choice sequences that exercised new coverage.
@@ -641,9 +622,7 @@ class Fuzzer:
 def fuzz(programs: int, seed: int, corpus_dir: Optional[str] = None,
          shrink: bool = True,
          log: Callable[[str], None] = lambda message: None,
-         cache: Optional[CompilationCache] = None,
-         service_address: Optional[str] = None) -> FuzzReport:
+         cache: Optional[CompilationCache] = None) -> FuzzReport:
     """Run the coverage-guided differential fuzz loop."""
     return Fuzzer(seed, corpus_dir=corpus_dir, shrink=shrink,
-                  log=log, cache=cache,
-                  service_address=service_address).run(programs)
+                  log=log, cache=cache).run(programs)

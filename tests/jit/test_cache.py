@@ -12,6 +12,7 @@ from repro.benchsuite import by_name
 from repro.benchsuite.harness import run_workload
 from repro.jit import VM, CompilationCache, CompilerConfig
 from repro.jit import vm as vm_module
+from repro.runtime.costmodel import CostModel
 from repro.verify.fuzz import replay_corpus_entry
 
 from vm_harness import compile_source
@@ -75,10 +76,12 @@ ESCAPE_SOURCE = """
 """
 
 
-def run_vm(source, cache=None, calls=30, backend="legacy"):
+def run_vm(source, cache=None, calls=30, backend="legacy",
+           cost_model=None):
     program = compile_source(source)
-    config = CompilerConfig.partial_escape(compile_threshold=3,
-                                           execution_backend=backend)
+    config = CompilerConfig.partial_escape(
+        compile_threshold=3, execution_backend=backend,
+        cost_model=cost_model or CostModel())
     vm = VM(program, config, cache=cache)
     for _ in range(calls):
         vm.call("Main.iterate", 40)
@@ -328,6 +331,33 @@ def test_codegen_payload_digest_guard():
     with pytest.raises(CodegenError):
         CodegenPlan.from_payload(result.graph, program,
                                  config.cost_model, stale)
+
+    with pytest.raises(CodegenError):
+        CodegenPlan.from_payload(result.graph, program,
+                                 CostModel(arithmetic=5), payload)
+
+
+@pytest.mark.parametrize("level", ["memory", "disk"])
+def test_codegen_hit_charges_the_requesting_cost_model(level, tmp_path):
+    """Codegen folds cycle costs into literals of the source it stores,
+    so a hit under another cost model re-emits from the cached graph
+    instead of charging the storing model's costs — whether the entry
+    comes from the same cache or from a second cache on its
+    directory."""
+    costly = CostModel(arithmetic=5, memory_access=7, alloc_base=48)
+    __, r0, uncached = run_vm(LOOP_SOURCE, backend="codegen",
+                              cost_model=costly)
+    cache_dir = str(tmp_path) if level == "disk" else None
+    first = CompilationCache(cache_dir)
+    __, __, default_cycles = run_vm(LOOP_SOURCE, cache=first,
+                                    backend="codegen")
+    assert default_cycles != uncached
+    second = CompilationCache(cache_dir) if level == "disk" else first
+    vm, r1, cached = run_vm(LOOP_SOURCE, cache=second, backend="codegen",
+                            cost_model=costly)
+    assert vm.compiler.cache_hit_count == vm.compiler.compile_count > 0
+    assert vm.backend_fallbacks == 0
+    assert (r1, cached) == (r0, uncached)
 
 
 def test_corrupt_codegen_payload_regenerates():

@@ -1,20 +1,15 @@
-"""The one compilation-cache protocol: the compiler derives each key once
-and the compile service dedups on the key its worker stores under;
-speculation facts replay from one table of recorded profile queries;
-and every rejected cache entry is counted as dropped."""
+"""The one compilation-cache protocol: the compiler derives each key
+once; speculation facts replay from one table of recorded profile
+queries; and every rejected cache entry is counted as dropped."""
 
 import os
-from dataclasses import replace
 
 import pytest
 
 from repro.bytecode.interpreter import Profile
-from repro.jit import VM, CompilationCache, CompilerConfig, Compiler
-from repro.jit import vm as vm_module
+from repro.jit import CompilationCache, CompilerConfig, Compiler
 from repro.jit.cache import (CACHE_FORMAT, RECORDED_QUERIES, CacheEntry,
                              RecordingProfile, validate_facts)
-from repro.jit.deoptless import is_continuation_entry
-from repro.jit.server import CompileService, dump_program
 
 from vm_harness import compile_source
 
@@ -38,79 +33,7 @@ CONFIG = CompilerConfig.partial_escape(
     osr_threshold=25)
 
 
-class Outbox:
-    """A client connection that collects the service's replies."""
-
-    def __init__(self):
-        self.sent = []
-
-    def send(self, message) -> bool:
-        self.sent.append(message)
-        return True
-
-
-@pytest.fixture(scope="module")
-def warmed():
-    """A hot profile of ``Main.step`` and its three kinds of entry: the
-    method entry, an OSR entry and a deoptless continuation."""
-    program = compile_source(FLIP_SOURCE)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 100)
-        vm = VM(program, CONFIG)
-        for _ in range(8):
-            vm.call("Main.step", 0, 40)
-        vm.call("Main.step", 1, 40)
-        for _ in range(40):
-            vm.call("Main.step", 0, 40)
-    method = program.method("Main.step")
-    entries = list(vm._variants.get(method))
-    [osr] = [e for e in entries
-             if e is not None and not is_continuation_entry(e)]
-    [continuation] = [e for e in entries if is_continuation_entry(e)]
-    return program, vm.profile.snapshot(), (None, osr, continuation)
-
-
-def service_for(program) -> CompileService:
-    """A service with no worker threads: the test runs its jobs."""
-    service = CompileService(workers=0)
-    service._dispatch(Outbox(), ("register",
-                                 program.content_fingerprint(),
-                                 dump_program(program)))
-    return service
-
-
-# -- one key per request --------------------------------------------------------
-
-
-@pytest.mark.parametrize("escape_tier,busy,tier", [
-    ("pea", False, "pea"),
-    ("pea+summaries", True, "pea+summaries"),
-])
-@pytest.mark.parametrize("kind", ["method", "osr", "continuation"])
-def test_service_dedups_on_the_key_its_worker_stores_under(
-        warmed, kind, escape_tier, busy, tier):
-    program, snapshot, entries = warmed
-    entry = entries[("method", "osr", "continuation").index(kind)]
-    config = replace(CONFIG, escape_tier=escape_tier)
-    service = service_for(program)
-    if busy:
-        # Queued work the request sees must not change its tier or key.
-        for _ in range(4):
-            service._queue.put(None)
-    outbox = Outbox()
-    service._dispatch(outbox, ("compile", 1,
-                               program.content_fingerprint(),
-                               "Main.step", entry, config, snapshot))
-    [job] = service._inflight.values()
-    method = program.method("Main.step")
-    assert job.compiler.resolve(method, entry)[0].token() == tier
-    assert job.key == CompilationCache.compilation_key(
-        program, method, config, True, entry)
-
-    service._compile_job(job)
-    [reply] = outbox.sent
-    assert reply[:3] == ("compiled", 1, job.key)
-    assert service.stats.compiles_by_key == {job.key: 1}
+# -- one key per compile -------------------------------------------------------
 
 
 def count_key_derivations(monkeypatch):
@@ -135,21 +58,6 @@ def test_in_process_compile_derives_its_key_once(monkeypatch):
     assert not compiler.compile(method).cache_hit
     assert len(calls) == 1
     assert compiler.compile(method).cache_hit
-    assert len(calls) == 2
-
-
-def test_service_request_derives_its_key_twice(warmed, monkeypatch):
-    """Once to key and dedup the request, once in its worker's
-    compile."""
-    program, snapshot, __ = warmed
-    service = service_for(program)
-    calls = count_key_derivations(monkeypatch)
-    service._dispatch(Outbox(), ("compile", 1,
-                                 program.content_fingerprint(),
-                                 "Main.step", None, CONFIG, snapshot))
-    [job] = service._inflight.values()
-    service._compile_job(job)
-    assert service.stats.compiles == 1
     assert len(calls) == 2
 
 

@@ -102,8 +102,8 @@ def test_cross_shard_file_is_rejected_wholesale():
 
 
 def test_concurrent_writers_never_tear_reads():
-    """Several cache instances (stand-ins for fleet service/VM
-    processes) hammer the same key's shard file while readers poll it:
+    """Several cache instances (stand-ins for VM processes sharing a
+    cache directory) hammer the same key's shard file while readers poll it:
     every read is some writer's complete, digest-valid snapshot.  Lost
     updates are allowed (last atomic rename wins); torn or mixed
     payloads are not."""
@@ -204,7 +204,7 @@ def test_threads_sharing_a_cache_publish_whole_harness_records(tmp_path):
 
 
 def test_adopt_entry_publishes_variants_across_instances(tmp_path):
-    """adopt_entry (the service's install path) round-trips through the
+    """adopt_entry (store's install step) round-trips through the
     shard file: a second instance sees every variant, validated."""
     cache_dir = str(tmp_path / "cache")
     key = _key(6)

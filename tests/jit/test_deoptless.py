@@ -8,9 +8,8 @@ entering at the deopt bci specialized against it, and later deopts at
 the same site transfer straight into a matching variant.  Covers:
 continuation-entry rematerialization (including cyclic virtual pairs),
 dispatch hit vs miss on all three execution backends, the per-site
-variant cap with LRU retirement, the cross-process cache round-trip of
-context-keyed variants, and background tier-up through the compile
-service."""
+variant cap with LRU retirement, and the cross-process cache
+round-trip of context-keyed variants."""
 
 import pytest
 
@@ -108,7 +107,7 @@ def no_invalidation(monkeypatch):
     monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD", 100)
 
 
-def fresh_vm(source, backend="plan", cache=None, service=None, **kwargs):
+def fresh_vm(source, backend="plan", cache=None, **kwargs):
     """A deoptless VM tuned so speculation forms during a short
     warm-up."""
     program = compile_source(source)
@@ -117,7 +116,7 @@ def fresh_vm(source, backend="plan", cache=None, service=None, **kwargs):
     kwargs.setdefault("osr_threshold", 100_000)
     config = CompilerConfig.partial_escape(
         deoptless=True, execution_backend=backend, **kwargs)
-    return VM(program, config, cache=cache, service=service), program
+    return VM(program, config, cache=cache), program
 
 
 class Recorder(VMListener):
@@ -282,56 +281,3 @@ def test_continuation_round_trips_through_shared_cache(tmp_path):
             assert vm.cache.stats.continuation_stores == 1
         else:
             assert len(continuation_hits) == 1
-
-
-def test_background_service_misses_then_dispatches():
-    """Through the compile service without blocking, the first flip's
-    dispatch misses (the request is in flight; the interpreter bridges
-    it) and a later flip dispatches into the installed reply."""
-    from repro.jit.client import ServiceClient
-    from repro.jit.server import CompileService
-    service = CompileService(workers=2)
-    service.start(("127.0.0.1", 0))
-    try:
-        vm, _ = fresh_vm(FLIP_SOURCE,
-                         service=ServiceClient(service.address),
-                         compile_service_wait=False)
-        expected_warm = interp_result(FLIP_SOURCE, "Main.step", 0, 40)
-        expected_flip = interp_result(FLIP_SOURCE, "Main.step", 1, 40)
-        for _ in range(8):
-            assert vm.call("Main.step", 0, 40) == expected_warm
-        vm.finish_pending_compiles()
-        assert vm.call("Main.step", 1, 40) == expected_flip
-        assert vm.deoptless.dispatch_misses >= 1
-        vm.finish_pending_compiles()
-        for _ in range(3):
-            assert vm.call("Main.step", 1, 40) == expected_flip
-        assert vm.deoptless.dispatches >= 1
-        assert vm.service_fallbacks == 0
-        stats = service.stats.snapshot()
-        assert stats["continuation_requests"] >= 1
-    finally:
-        service.shutdown()
-
-
-def test_blocking_service_dispatches_first_flip():
-    """With ``compile_service_wait`` the reply is awaited at the miss,
-    so even the first flip transfers into the service-compiled
-    continuation — call-for-call identical to in-process compilation."""
-    from repro.jit.client import ServiceClient
-    from repro.jit.server import CompileService
-    service = CompileService(workers=2)
-    service.start(("127.0.0.1", 0))
-    try:
-        vm, _ = fresh_vm(FLIP_SOURCE,
-                         service=ServiceClient(service.address),
-                         compile_service_wait=True)
-        for _ in range(8):
-            vm.call("Main.step", 0, 40)
-        assert vm.call("Main.step", 1, 40) == \
-            interp_result(FLIP_SOURCE, "Main.step", 1, 40)
-        assert vm.deoptless.dispatches == 1
-        assert vm.deoptless.dispatch_misses == 0
-        assert service.stats.snapshot()["continuation_requests"] >= 1
-    finally:
-        service.shutdown()

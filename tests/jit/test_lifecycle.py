@@ -1,11 +1,10 @@
-"""The code-variant lifecycle, across entry kinds and producers.
+"""The code-variant lifecycle, across entry kinds.
 
 Method entries, OSR entries and deoptless continuations share one
 install path: every install fires ``on_cache_hit`` exactly when its
 code came from the cache, followed by exactly one event for its kind;
 and stale speculative code is retired before it is entered again.
-Each property is checked for every entry kind, with code produced
-in-process and by a blocking compile service."""
+Each property is checked for every entry kind."""
 
 import pytest
 
@@ -16,8 +15,6 @@ from repro.frontend.graph_builder import GraphBuildError
 from repro.jit import (VM, CompilationCache, Compiler, CompilerConfig,
                        VMListener)
 from repro.jit import vm as vm_module
-from repro.jit.client import ServiceClient
-from repro.jit.server import CompileService
 
 from vm_harness import compile_source, osr_variants
 
@@ -102,7 +99,6 @@ KINDS = list(SCENARIOS)
 #: kind -> deopts of one method before its code is invalidated, where
 #: the scenario needs other than the VM's default.
 INVALIDATE_AFTER = {"method": 1, "continuation": 100}
-PRODUCERS = ["in-process", "service"]
 
 #: Listener event name -> the entry kind whose install it reports.
 INSTALL_EVENTS = {"on_compile": "method", "on_osr_compile": "osr",
@@ -147,31 +143,13 @@ class Recorder(VMListener):
         return [name for name, *__ in self.events]
 
 
-@pytest.fixture(params=PRODUCERS)
-def producer(request):
-    """``None`` for in-process compilation, else a live service."""
-    if request.param == "in-process":
-        yield None
-        return
-    service = CompileService(workers=2)
-    service.start(("127.0.0.1", 0))
-    try:
-        yield service
-    finally:
-        service.shutdown()
-
-
-def make_vm(kind, service, monkeypatch, cache=None):
+def make_vm(kind, monkeypatch, cache=None):
     source, __, options, __ = SCENARIOS[kind]
     if kind in INVALIDATE_AFTER:
         monkeypatch.setattr(vm_module, "DEOPT_INVALIDATE_THRESHOLD",
                             INVALIDATE_AFTER[kind])
     program = compile_source(source)
-    config = CompilerConfig.partial_escape(
-        compile_service_wait=service is not None, **options)
-    client = ServiceClient(service.address) if service is not None \
-        else None
-    vm = VM(program, config, cache=cache, service=client)
+    vm = VM(program, CompilerConfig.partial_escape(**options), cache=cache)
     return vm, program, vm.add_listener(Recorder(vm))
 
 
@@ -206,28 +184,24 @@ def assert_installs_well_formed(recorder, kind, compiles):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_install_events(kind, producer, tmp_path, monkeypatch):
-    """Two VMs over one cache directory: the first compiles (through
-    the service, every install is a cache hit on the reply), the
+def test_install_events(kind, tmp_path, monkeypatch):
+    """Two VMs over one cache directory: the first compiles, the
     second is served from the cache."""
     hits = []
-    for round_ in range(2):
+    for __ in range(2):
         cache = CompilationCache(cache_dir=str(tmp_path))
-        vm, program, recorder = make_vm(kind, producer, monkeypatch,
-                                        cache)
+        vm, program, recorder = make_vm(kind, monkeypatch, cache)
         drive(kind, vm)
         assert_installs_well_formed(recorder, kind,
                                     vm.compiler.compile_count)
         hits.append(recorder.names().count("on_cache_hit"))
-        if producer is None and round_ == 0:
-            assert hits[0] == 0, "a cold in-process VM hit the cache"
+    assert hits[0] == 0, "a cold VM hit the cache"
     assert hits[1] >= 1
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_stale_code_retired_before_next_entry(kind, producer,
-                                              monkeypatch):
-    vm, program, recorder = make_vm(kind, producer, monkeypatch)
+def test_stale_code_retired_before_next_entry(kind, monkeypatch):
+    vm, program, recorder = make_vm(kind, monkeypatch)
     drive(kind, vm)
     events = recorder.events
     names = recorder.names()
@@ -295,9 +269,8 @@ def test_backend_fallback_is_counted(backend, monkeypatch):
 
 
 def refuse_osr(monkeypatch):
-    """Every compiler — the VM's and an in-process service's — fails
-    OSR entries with a ``GraphBuildError``; returns the list of
-    refused ``(method, bci)`` requests."""
+    """Every compiler fails OSR entries with a ``GraphBuildError``;
+    returns the list of refused ``(method, bci)`` requests."""
     refused = []
     compile_ = Compiler.compile
 
@@ -311,18 +284,13 @@ def refuse_osr(monkeypatch):
     return refused
 
 
-def test_osr_build_failure_is_recorded_once(producer, monkeypatch):
-    """In-process or through the service, a loop header the graph
-    builder refuses lands in the one failure table, keeps
-    interpreting, and is never requested again."""
+def test_osr_build_failure_is_recorded_once(monkeypatch):
+    """A loop header the graph builder refuses lands in the one failure
+    table, keeps interpreting, and is never requested again."""
     refused = refuse_osr(monkeypatch)
     program = compile_source(LOOP_SOURCE)
-    config = CompilerConfig.partial_escape(
-        compile_threshold=10 ** 9,
-        compile_service_wait=producer is not None)
-    client = ServiceClient(producer.address) if producer is not None \
-        else None
-    vm = VM(program, config, service=client)
+    vm = VM(program, CompilerConfig.partial_escape(
+        compile_threshold=10 ** 9))
     for _ in range(3):
         assert vm.call("Main.run", 200) == sum(i * 3 for i in range(200))
     method = program.method("Main.run")
@@ -334,8 +302,7 @@ def test_osr_build_failure_is_recorded_once(producer, monkeypatch):
     assert vm.osr_entries == 0
 
 
-def test_harness_replays_a_failed_osr_entry(producer, monkeypatch,
-                                            tmp_path):
+def test_harness_replays_a_failed_osr_entry(monkeypatch, tmp_path):
     """The warm-up record lists the refused loop header, and the warm
     run, whose replayed iteration runs the method compiled, re-fails
     it in its replay before certifying."""
@@ -343,10 +310,7 @@ def test_harness_replays_a_failed_osr_entry(producer, monkeypatch,
     workload = Workload("loop", "dacapo", LOOP_SOURCE, entry="Main.run",
                         iteration_size=200, warmup_iterations=6,
                         measure_iterations=2)
-    config = CompilerConfig.partial_escape(
-        compile_threshold=3,
-        compile_service=producer.address if producer else None,
-        compile_service_wait=producer is not None)
+    config = CompilerConfig.partial_escape(compile_threshold=3)
     cold = run_workload(workload, config,
                         cache=CompilationCache(str(tmp_path)))
     assert len(refused) == 1 and cold.warmup_iterations_elided == 0

@@ -1,8 +1,10 @@
 """The tiered VM: compile triggers, dispatch, configuration effects."""
 
+import sys
+
 import pytest
 
-from repro.jit import VM, CompilerConfig
+from repro.jit import VM, CompilationCache, CompilerConfig
 from repro.lang import compile_source
 
 FIB = """
@@ -162,3 +164,22 @@ def test_compile_error_raises_by_default(monkeypatch):
     monkeypatch.setattr(vm.compiler, "compile", broken_compile)
     with pytest.raises(RuntimeError, match="injected"):
         vm.call("C.fib", 12)
+
+
+def test_vm_leaves_the_recursion_limit_alone():
+    """Constructing a VM, compiling, caching and running code changes no
+    process-wide state: the interpreter's recursion limit stays where
+    the embedder set it."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        program = compile_source(FIB)
+        cache = CompilationCache()
+        vm = VM(program, CompilerConfig.partial_escape(compile_threshold=5),
+                cache=cache)
+        assert vm.call("C.fib", 12) == 144
+        assert program.method("C.fib") in vm.compiled
+        assert cache.stats.stores > 0
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(saved)
