@@ -33,14 +33,13 @@ from typing import Any, Optional, Union
 from .bytecode.classfile import Program
 from .bytecode.heap import HeapStats
 from .jit import (CompilationCache, CompilationResult, CompilerConfig,
-                  TierSpec, VM, VMListener, default_cache_dir)
+                  VM, VMListener, default_cache_dir)
 from .lang import compile_source
 from .runtime.gcsim import GCSim, GCStats
 
 __all__ = ["CompilationCache", "CompilationResult", "CompiledProgram",
-           "CompilerConfig", "GCSim", "GCStats", "TierSpec", "VM",
-           "VMListener", "compile", "compile_source", "default_cache_dir",
-           "run"]
+           "CompilerConfig", "GCSim", "GCStats", "VM", "VMListener",
+           "compile", "compile_source", "default_cache_dir", "run"]
 
 
 class CompiledProgram:

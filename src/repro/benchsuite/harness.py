@@ -88,6 +88,10 @@ class Measurement:
     #: and ran on the GraphInterpreter (``VM.backend_fallbacks``).
     #: Excluded from equality: a fallback changes speed, not metrics.
     backend_fallbacks: int = field(default=0, compare=False)
+    #: Method and OSR entries whose compile failed (the VM's failure
+    #: table), which run interpreted.  Excluded from equality like the
+    #: other observability fields.
+    compile_failures: int = field(default=0, compare=False)
     #: Partial Escape Analysis observability, summed over the compiled
     #: set (cached compilations carry their PEAResult, so warm runs
     #: report the same counts).  Excluded from equality alongside the
@@ -373,8 +377,9 @@ def run_workload(workload: Workload, config: CompilerConfig,
             histogram[kind] = histogram.get(kind, 0) + count
 
     iterations = workload.measure_iterations
+    code = _vm_code(vm)
     installed = [(qualified, entry, result)
-                 for qualified, entry, result in _vm_code(vm)
+                 for qualified, entry, result in code
                  if result is not None]
     methods = [result for __, entry, result in installed if entry is None]
     ea_results = [r.ea_result for r in methods if r.ea_result is not None]
@@ -398,6 +403,7 @@ def run_workload(workload: Workload, config: CompilerConfig,
         osr_compilations=len(installed) - len(methods),
         osr_entries=vm.osr_entries,
         backend_fallbacks=vm.backend_fallbacks,
+        compile_failures=len(code) - len(installed),
         virtualized_allocations=sum(r.virtualized_allocations
                                     for r in ea_results),
         materializations=sum(r.materializations for r in ea_results),

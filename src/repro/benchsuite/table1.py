@@ -22,7 +22,7 @@ import io
 import json
 import sys
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..jit import CompilationCache, CompilerConfig
 from .harness import Comparison, mismatched, run_suite, run_workload
@@ -74,6 +74,15 @@ HEADERS = ["benchmark", "KB/it", "KB/it+", "dKB",
            "it/min", "it/min+", "speedup"]
 
 
+def arms(backend: str = "plan", collect_node_histogram: bool = False,
+         osr: bool = True) -> Dict[str, CompilerConfig]:
+    """Table 1's two configurations, baseline first."""
+    options = dict(execution_backend=backend,
+                   collect_node_histogram=collect_node_histogram, osr=osr)
+    return {"no_ea": CompilerConfig.no_ea(**options),
+            "pea": CompilerConfig.partial_escape(**options)}
+
+
 def generate(suites: Sequence[str], quick: bool = False,
              locks: bool = False, out=sys.stdout, jobs: int = 1,
              backend: str = "plan", json_path: Optional[str] = None,
@@ -86,14 +95,7 @@ def generate(suites: Sequence[str], quick: bool = False,
     so that line covers every run the command made."""
     if profile:
         jobs = 1  # cProfile + histogram need everything in-process
-    arms = {
-        "no_ea": CompilerConfig.no_ea(
-            execution_backend=backend, collect_node_histogram=profile,
-            osr=osr),
-        "pea": CompilerConfig.partial_escape(
-            execution_backend=backend, collect_node_histogram=profile,
-            osr=osr),
-    }
+    configs = arms(backend, collect_node_histogram=profile, osr=osr)
     histogram = {} if profile else None
     profiler = cProfile.Profile() if profile else None
     results = {}
@@ -104,7 +106,7 @@ def generate(suites: Sequence[str], quick: bool = False,
             workloads = [quick_copy(w) for w in workloads]
         started = time.perf_counter()
         with profiled(profiler):
-            measured = run_suite(workloads, arms, jobs=jobs,
+            measured = run_suite(workloads, configs, jobs=jobs,
                                  histogram=histogram, cache=cache)
         wall_clock[suite_name] = time.perf_counter() - started
         comparisons = [Comparison.of(w, m)
@@ -149,6 +151,9 @@ def generate(suites: Sequence[str], quick: bool = False,
     print(f"backend fallbacks: {fallbacks} installs ran on the "
           f"GraphInterpreter instead of the configured backend",
           file=out)
+    failures = sum(m.compile_failures for m in measurements)
+    print(f"compile failures: {failures} method or OSR entries failed "
+          f"to compile and ran interpreted", file=out)
     if json_path:
         _write_json(json_path, results, wall_clock, jobs, backend, quick,
                     cache, osr, sections)
@@ -186,16 +191,19 @@ def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
             "timing": timing}
 
 
+#: The escape tier of the escape-summary A/B's ``summaries`` arm.
+_ANALYSIS_AB_TIER = "pea+summaries"
+
+
 def _analysis_ab(comparisons: List[Comparison], backend: str, jobs: int,
                  cache: Optional[CompilationCache], osr: bool) -> dict:
     """Per-workload A/B of the interprocedural escape-summary analysis:
-    re-run every workload under ``escape_tier="pea+summaries"`` and
-    record the deltas against the plain-PEA measurement.  Results, locks and
+    re-run every workload under :data:`_ANALYSIS_AB_TIER` and record
+    the deltas against the plain-PEA measurement.  Results, locks and
     deopts must be bit-identical — the analysis may only remove
     allocations (see :mod:`repro.analysis.summaries`)."""
-    config = CompilerConfig.partial_escape(
-        execution_backend=backend, osr=osr,
-        escape_tier="pea+summaries")
+    config = CompilerConfig(execution_backend=backend, osr=osr,
+                            escape_tier=_ANALYSIS_AB_TIER)
     measured = run_suite([c.workload for c in comparisons],
                          {"summaries": config}, jobs=jobs, cache=cache)
     section = {}
@@ -275,10 +283,10 @@ def _ablation_ab(comparisons: List[Comparison], backend: str, jobs: int,
 
 #: The escape tiers the GC A/B compares, by arm.  The ``none`` arm is
 #: Table 1's no-EA measurement (the same configuration), so only the
-#: other two run.  The PEA arm stacks the connection graph on top
-#: (``+cgstack``) so allocations PEA leaves behind but the cheaper
-#: analysis can prove non-escaping still leave the heap — that is what
-#: keeps the arms totally ordered.
+#: other two run.  The PEA arm runs full connection-graph stack
+#: allocation after PEA, so allocations PEA leaves behind but the
+#: cheaper analysis can prove non-escaping still leave the heap — that
+#: is what keeps the arms totally ordered.
 _GC_AB_TIERS = {"none": "none",
                 "conngraph": "conngraph",
                 "pea": "pea+summaries+cgstack"}
@@ -456,7 +464,8 @@ _SUITE_FIELDS = ("cycles_per_iteration", "kb_per_iteration",
 
 #: The Measurement counters ``timing.suites`` sums per suite.
 _SUITE_COUNTERS = ("warmup_iterations_elided", "cache_hits",
-                   "osr_compilations", "osr_entries", "backend_fallbacks")
+                   "osr_compilations", "osr_entries", "backend_fallbacks",
+                   "compile_failures")
 
 
 def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,

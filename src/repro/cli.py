@@ -2,8 +2,9 @@
 
 Subcommands::
 
-    python -m repro run FILE --entry Main.run --args 100 [--config pea]
-    python -m repro compile FILE --method Main.run [--dump-ir] [--dot F]
+    python -m repro run FILE --entry Main.run --args 100 [--config TIER]
+    python -m repro compile FILE --method Main.run [--config TIER]
+                                 [--dump-ir] [--dot F]
     python -m repro disasm FILE
     python -m repro analyze PATH... [--json]   (lint + escape report)
     python -m repro lint PATH... [--json]      (lint passes only)
@@ -12,6 +13,10 @@ Subcommands::
     python -m repro table1 [...]        (delegates to benchsuite.table1)
     python -m repro comparison [...]    (delegates to .comparison)
     python -m repro jitdiff [...]       (delegates to .jitdiff)
+
+``--config`` names an escape tier, a key of
+:data:`repro.jit.options.ESCAPE_TIERS` (default ``pea``); ``run`` also
+takes ``interp``, the bytecode interpreter alone.
 
 ``analyze`` and ``lint`` accept source files, ``.jasm`` assembly files,
 or directories (searched recursively for both) and share one exit-code
@@ -34,21 +39,7 @@ from .api import CompilationCache, CompilerConfig, compile_source, \
     default_cache_dir
 from .bytecode import Interpreter, disassemble_program
 from .ir import dump_graph, to_dot
-from .jit import Compiler
-
-def _pea_with_summaries(**kwargs):
-    kwargs.setdefault("escape_tier", "pea+summaries")
-    return CompilerConfig(**kwargs)
-
-
-CONFIGS = {
-    "interp": None,
-    "no-ea": CompilerConfig.no_ea,
-    "equi": CompilerConfig.equi_escape,
-    "conngraph": CompilerConfig.conngraph,
-    "pea": CompilerConfig.partial_escape,
-    "summaries": _pea_with_summaries,
-}
+from .jit import ESCAPE_TIERS, Compiler
 
 
 def _load(path: str):
@@ -64,7 +55,7 @@ def _add_cache_dir_flag(parser) -> None:
 
 def _make_cache(args):
     """A CompilationCache per the --cache-dir flag (and fuzz's
-    --cache/--no-cache), or None when caching is off."""
+    --no-cache), or None when caching is off."""
     if args.cache_dir:
         return CompilationCache(args.cache_dir)
     if getattr(args, "cache", False):
@@ -85,12 +76,9 @@ def cmd_run(args) -> int:
         cycles = ""
     else:
         cache = _make_cache(args)
-        config_kwargs = {}
-        if getattr(args, "deoptless", False):
-            config_kwargs["deoptless"] = True
-        prog = api.compile(program,
-                           config=CONFIGS[args.config](**config_kwargs),
-                           cache=cache)
+        config = CompilerConfig(escape_tier=args.config,
+                                deoptless=args.deoptless)
+        prog = api.compile(program, config=config, cache=cache)
         prog.warm_up(args.entry, *call_args, calls=args.warmup)
         vm = prog.vm
         heap_before = prog.heap_stats()
@@ -131,11 +119,7 @@ def cmd_run(args) -> int:
 def cmd_compile(args) -> int:
     program = _load(args.file)
     method = program.method(args.method)
-    config = CONFIGS.get(args.config, CompilerConfig.partial_escape)
-    if config is None:
-        print("cannot compile with --config interp", file=sys.stderr)
-        return 2
-    compiler = Compiler(program, config())
+    compiler = Compiler(program, CompilerConfig(escape_tier=args.config))
     result = compiler.compile(method)
     print(f"{args.method}: {result.node_count} IR nodes")
     if args.timings:
@@ -291,8 +275,8 @@ def cmd_cache(args) -> int:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse.REMAINDER refuses to swallow leading option-style tokens
-    # (bpo-17050), so `repro table1 --suite ...` never reaches the
-    # delegate; hand the benchsuite subcommands their argv directly.
+    # (bpo-17050), so the benchsuite subcommands get their argv here,
+    # before argparse runs.
     if argv and argv[0] in ("table1", "comparison", "jitdiff"):
         import importlib
         module = importlib.import_module(f"repro.benchsuite.{argv[0]}")
@@ -308,7 +292,7 @@ def main(argv=None) -> int:
     run_parser.add_argument("file")
     run_parser.add_argument("--entry", default="Main.main")
     run_parser.add_argument("--args", nargs="*", default=[])
-    run_parser.add_argument("--config", choices=sorted(CONFIGS),
+    run_parser.add_argument("--config", choices=["interp", *ESCAPE_TIERS],
                             default="pea")
     run_parser.add_argument("--warmup", type=int, default=30)
     run_parser.add_argument("--deoptless", action="store_true",
@@ -330,8 +314,7 @@ def main(argv=None) -> int:
         "compile", help="compile one method and report/dump the IR")
     compile_parser.add_argument("file")
     compile_parser.add_argument("--method", required=True)
-    compile_parser.add_argument("--config", choices=["no-ea", "equi",
-                                                     "pea"],
+    compile_parser.add_argument("--config", choices=list(ESCAPE_TIERS),
                                 default="pea")
     compile_parser.add_argument("--dump-ir", action="store_true")
     compile_parser.add_argument("--timings", action="store_true",
@@ -377,13 +360,10 @@ def main(argv=None) -> int:
                                   "(.jasm + .json) here")
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="skip delta-debugging of failures")
-    fuzz_parser.add_argument("--cache", dest="cache", action="store_true",
-                             default=True,
-                             help="share compiled graphs across the "
-                                  "engines (default)")
     fuzz_parser.add_argument("--no-cache", dest="cache",
-                             action="store_false",
-                             help="disable the compilation cache")
+                             action="store_false", default=True,
+                             help="do not share compiled graphs across "
+                                  "the engines")
     _add_cache_dir_flag(fuzz_parser)
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
@@ -396,21 +376,10 @@ def main(argv=None) -> int:
                                    "~/.cache/repro-pea)")
     cache_parser.set_defaults(func=cmd_cache)
 
-    for name, module in (("table1", "table1"),
-                         ("comparison", "comparison"),
-                         ("jitdiff", "jitdiff")):
-        bench_parser = subparsers.add_parser(
-            name, help=f"run the benchsuite {name} report",
-            add_help=False)
-        bench_parser.add_argument("rest", nargs=argparse.REMAINDER)
-
-        def delegate(args, _module=module):
-            import importlib
-            mod = importlib.import_module(
-                f"repro.benchsuite.{_module}")
-            return int(mod.main(args.rest) or 0)
-
-        bench_parser.set_defaults(func=delegate)
+    # Listed for --help only: main() hands these their argv above.
+    for name in ("table1", "comparison", "jitdiff"):
+        subparsers.add_parser(name,
+                              help=f"run the benchsuite {name} report")
 
     args = parser.parse_args(argv)
     return args.func(args)

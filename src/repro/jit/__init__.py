@@ -3,9 +3,9 @@
 from .cache import CacheStats, CompilationCache, default_cache_dir
 from .compiler import CompilationResult, Compiler
 from .listeners import VMListener
-from .options import CompilerConfig, TierSpec
+from .options import ESCAPE_TIERS, CompilerConfig
 from .vm import VM
 
 __all__ = ["CacheStats", "CompilationCache", "CompilationResult",
-           "Compiler", "CompilerConfig", "TierSpec", "VM", "VMListener",
+           "Compiler", "CompilerConfig", "ESCAPE_TIERS", "VM", "VMListener",
            "default_cache_dir"]

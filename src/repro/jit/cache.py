@@ -15,7 +15,7 @@ Compilation in this VM is a pure function of three things:
 
 The cache is keyed by (1) + (2) plus whether a profile was present
 and the entry point; the compiler derives that key once per
-compilation (``Compiler.resolve``) and hands it to :meth:`lookup` and
+compilation (``Compiler.key``) and hands it to :meth:`lookup` and
 :meth:`store`.  Each entry carries its recorded facts (3) as a
 *speculation fingerprint*.  A lookup hits only when every recorded
 fact still holds against the requesting VM's live profile — the
@@ -129,9 +129,8 @@ _PIPELINE_FIELDS = (
 
 def pipeline_fingerprint(config: CompilerConfig) -> str:
     """Hash of every configuration knob that can change the optimized
-    graph a compilation produces, the canonical escape-tier token
-    first."""
-    description = [("escape_tier", config.tier_spec().token())]
+    graph a compilation produces, the escape-tier token first."""
+    description = [("escape_tier", config.escape_tier)]
     description.extend((name, getattr(config, name))
                        for name in _PIPELINE_FIELDS)
     # The inliner's budgets are constants, hashed so that editing them

@@ -1,12 +1,14 @@
 """The compilation pipeline: bytecode -> optimized graph.
 
 Mirrors Graal's structure: graph building, inlining, canonicalization and
-global value numbering, then (optionally) one of the escape analyses,
-then cleanup.
+global value numbering, then what the configuration's escape tier runs
+(its row of :data:`~repro.jit.options.ESCAPE_TIERS`: an escape
+analysis, the summaries that feed it, stack allocation after it), then
+cleanup.
 
 When given a :class:`~repro.jit.cache.CompilationCache`, the compiler
 becomes memoizing: it derives each compilation's content-addressed key
-once (:meth:`Compiler.resolve`), records every profile fact the
+once (:meth:`Compiler.key`), records every profile fact the
 pipeline consumes (through a :class:`~repro.jit.cache.RecordingProfile`)
 and stores the optimized graph under that key; later compilations of
 the same method under the same configuration — from this compiler or
@@ -38,7 +40,7 @@ from ..runtime.codegen import CodegenError, CodegenPlan
 from ..runtime.plan import ExecutionPlan, PlanError
 from .cache import CacheEntry, CompilationCache, RecordingProfile
 from .deoptless import is_continuation_entry
-from .options import CompilerConfig, TierSpec
+from .options import ESCAPE_TIERS, CompilerConfig
 
 
 #: The configured backend's lowering of a graph.
@@ -114,17 +116,15 @@ class Compiler:
         finally:
             self.phase_seconds[name] += time.perf_counter() - started
 
-    def resolve(self, method: JMethod,
-                osr_bci=None) -> Tuple[TierSpec, Optional[str]]:
-        """The escape tier ``(method, osr_bci)`` compiles at and, with a
-        cache attached, the key its artifact is cached under.  Each
-        compile derives them once."""
-        tier = self.config.tier_spec()
+    def key(self, method: JMethod, entry=None) -> Optional[str]:
+        """With a cache attached, the key the compilation of
+        ``(method, entry)`` is cached under.  Each compile derives it
+        once."""
         if self.cache is None:
-            return tier, None
-        return tier, CompilationCache.compilation_key(
+            return None
+        return CompilationCache.compilation_key(
             self.program, method, self.config, self.profile is not None,
-            osr_bci)
+            entry)
 
     def compile(self, method: JMethod,
                 osr_bci=None) -> CompilationResult:
@@ -148,7 +148,7 @@ class Compiler:
                  osr_bci=None) -> CompilationResult:
         config = self.config
         with self._span("key"):
-            tier, key = self.resolve(method, osr_bci)
+            key = self.key(method, osr_bci)
         if key is not None:
             with self._span("cache-lookup"):
                 hit = self.cache.lookup(key, self.program, self.profile)
@@ -191,6 +191,7 @@ class Compiler:
         plan.append(ConditionalEliminationPhase())
         plan.append(DeadCodeEliminationPhase())
 
+        tier = ESCAPE_TIERS[config.escape_tier]
         summary_view = None
         if tier.summaries:
             from ..analysis.summaries import SummaryView, summaries_for
@@ -198,15 +199,15 @@ class Compiler:
                 summary_view = SummaryView(summaries_for(self.program))
 
         ea_phase = None
-        if tier.base == "pea":
+        if tier.analysis == "pea":
             ea_phase = PartialEscapePhase(
                 self.program, config.pea_iterations,
                 virtualize_arrays=config.pea_virtualize_arrays,
                 fold_virtual_checks=config.pea_fold_checks,
                 summaries=summary_view)
-        elif tier.base == "equi":
+        elif tier.analysis == "equi":
             ea_phase = EquiEscapePhase(self.program)
-        elif tier.base == "conngraph":
+        elif tier.analysis == "conngraph":
             # The cheap tier: no PEA — straight-line lock elision now,
             # connection-graph stack allocation below.
             from ..analysis.conngraph import ConnGraphLockElisionPhase
@@ -221,16 +222,16 @@ class Compiler:
             from ..opt.read_elimination import ReadEliminationPhase
             plan.append(ReadEliminationPhase())
             plan.append(DeadCodeEliminationPhase())
-        if tier.stack or summary_view is not None:
-            # Without ``+cgstack``, summary-marginal stack allocation:
-            # what the summaries uniquely prove non-escaping (and PEA
-            # still materialized) moves off the heap, so the
-            # escape-summaries A/B in Table 1 attributes every
-            # allocation delta to the interprocedural analysis alone.
+        if tier.stack is not None:
+            # Marginal stack allocation moves off the heap only what
+            # the summaries uniquely prove non-escaping (and PEA still
+            # materialized), so the escape-summaries A/B in Table 1
+            # attributes every allocation delta to the interprocedural
+            # analysis alone.
             from ..opt.stack_allocation import StackAllocationPhase
             plan.append(StackAllocationPhase(
                 self.program, summaries=summary_view,
-                marginal_only=not tier.stack))
+                marginal_only=tier.stack == "marginal"))
 
         plan.run(graph)
         self.last_timings = plan.timings

@@ -1,13 +1,12 @@
 """Compiler/VM configuration — the evaluation's configurations map to
-these flags (no EA / equi-escape EA / connection-graph tier / Partial
-Escape Analysis).
+these fields.
 
 The escape-related knobs sit behind one field,
-``CompilerConfig.escape_tier``, a *token* string naming the tier every
-method compiles under:
+``CompilerConfig.escape_tier``: a token naming the tier every method
+compiles under, one of the six rows of :data:`ESCAPE_TIERS`:
 
 ``"none"``
-    no escape analysis at all;
+    no escape analysis at all (Table 1's baseline);
 ``"equi"``
     the equi-escape-sets baseline (Section 6.2 comparator): the
     connection graph's symmetric mode feeding whole-method scalar
@@ -18,15 +17,24 @@ method compiles under:
     allocation and straight-line lock elision, with interprocedural
     summaries at call sites — no PEA;
 ``"pea"``
-    the paper's Partial Escape Analysis (optionally
-    ``"pea+summaries"``, ``"pea+cgstack"``,
-    ``"pea+summaries+cgstack"``).
+    the paper's Partial Escape Analysis;
+``"pea+summaries"``
+    PEA fed by interprocedural escape summaries, plus stack allocation
+    of what only the summaries prove non-escaping (Table 1's
+    escape-summary A/B);
+``"pea+summaries+cgstack"``
+    the same with full connection-graph stack allocation after PEA
+    (the GC A/B's PEA arm).
+
+Each tier is an arm of ``table1``, ``comparison`` or a fuzz engine;
+``tests/jit/test_escape_tier.py`` keeps the table and those arms equal.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from typing import Dict, Optional
 
 from ..runtime.costmodel import CostModel
 
@@ -38,67 +46,41 @@ def _default_verify_ir() -> bool:
     return os.environ.get("REPRO_VERIFY_IR", "") == "1"
 
 
-#: Escape-tier bases, cheapest first.
-TIER_BASES = ("none", "equi", "conngraph", "pea")
-
-
 @dataclass(frozen=True)
-class TierSpec:
-    """The parsed form of an escape-tier token.
+class EscapeTier:
+    """What one escape tier runs."""
 
-    ``base`` selects the analysis machinery; ``summaries`` enables the
-    interprocedural escape summaries at call sites; ``stack`` (spelled
-    ``+cgstack``) runs :class:`repro.opt.stack_allocation.StackAllocationPhase`
-    on the directed connection graph.  The ``conngraph`` base always
-    implies summaries and stack allocation — that *is* the tier.
-    """
+    #: :meth:`CompilerConfig.label`.
+    label: str
+    #: The escape analysis: ``None``, ``"equi"``, ``"conngraph"`` or
+    #: ``"pea"``.
+    analysis: Optional[str]
+    #: Interprocedural escape summaries feed the analysis.
+    summaries: bool
+    #: :class:`repro.opt.stack_allocation.StackAllocationPhase` after
+    #: the analysis: ``None``, ``"marginal"`` (only what the summaries
+    #: uniquely prove non-escaping) or ``"full"``.
+    stack: Optional[str]
 
-    base: str = "pea"
-    summaries: bool = False
-    stack: bool = False
 
-    def __post_init__(self):
-        if self.base not in TIER_BASES:
-            raise ValueError(f"unknown escape tier base {self.base!r}")
-        if self.base == "conngraph":
-            object.__setattr__(self, "summaries", True)
-            object.__setattr__(self, "stack", True)
-
-    def token(self) -> str:
-        """Canonical string form, parseable by :meth:`parse`."""
-        if self.base == "conngraph":
-            return "conngraph"
-        parts = [self.base]
-        if self.summaries:
-            parts.append("summaries")
-        if self.stack:
-            parts.append("cgstack")
-        return "+".join(parts)
-
-    @classmethod
-    def parse(cls, token: str) -> "TierSpec":
-        parts = token.split("+")
-        base = parts[0]
-        if base not in TIER_BASES:
-            raise ValueError(
-                f"unknown escape tier {token!r} "
-                f"(bases: {', '.join(TIER_BASES)})")
-        flags = {"summaries": False, "cgstack": False}
-        for flag in parts[1:]:
-            if flag not in flags:
-                raise ValueError(
-                    f"unknown escape tier flag {flag!r} in {token!r}")
-            flags[flag] = True
-        return cls(base, flags["summaries"], flags["cgstack"])
+#: The escape tiers by token.  The tokens are hashed into
+#: :func:`repro.jit.cache.pipeline_fingerprint`.
+ESCAPE_TIERS: Dict[str, EscapeTier] = {
+    "none": EscapeTier("without EA", None, False, None),
+    "equi": EscapeTier("equi-escape EA", "equi", False, None),
+    "conngraph": EscapeTier("conn-graph EA", "conngraph", True, "full"),
+    "pea": EscapeTier("with PEA", "pea", False, None),
+    "pea+summaries": EscapeTier("with PEA", "pea", True, "marginal"),
+    "pea+summaries+cgstack": EscapeTier("with PEA", "pea", True, "full"),
+}
 
 
 @dataclass
 class CompilerConfig:
     """One VM configuration."""
 
-    #: The escape tier as a token string (``"none"``, ``"equi"``,
-    #: ``"conngraph"``, ``"pea"``, ``"pea+summaries"``, ...).  See the
-    #: module docstring.
+    #: The escape tier: a key of :data:`ESCAPE_TIERS`.  See the module
+    #: docstring.
     escape_tier: str = "pea"
     inline: bool = True
     #: Invocations before a method is compiled.
@@ -162,10 +144,11 @@ class CompilerConfig:
     collect_node_histogram: bool = False
     cost_model: CostModel = field(default_factory=CostModel)
 
-    def tier_spec(self) -> TierSpec:
-        """The escape tier every method of this configuration compiles
-        under."""
-        return TierSpec.parse(self.escape_tier)
+    def __post_init__(self):
+        if self.escape_tier not in ESCAPE_TIERS:
+            raise ValueError(
+                f"unknown escape tier {self.escape_tier!r} "
+                f"(tiers: {', '.join(ESCAPE_TIERS)})")
 
     # -- canned configurations ----------------------------------------------
 
@@ -190,9 +173,4 @@ class CompilerConfig:
         return cls(**kwargs)
 
     def label(self) -> str:
-        return {
-            "none": "without EA",
-            "equi": "equi-escape EA",
-            "conngraph": "conn-graph EA",
-            "pea": "with PEA",
-        }[self.tier_spec().base]
+        return ESCAPE_TIERS[self.escape_tier].label

@@ -13,13 +13,14 @@ counted separately (``HeapStats.stack_allocations``), never enter the
 simulated GC nursery (:mod:`repro.runtime.gcsim`), and are charged the
 much cheaper non-GC allocation cost.
 
-Who runs this phase is owned by the escape tier
-(``CompilerConfig.escape_tier``): the ``conngraph`` tier runs it as its
-*primary* optimization, ``+cgstack`` runs it after PEA, a PEA tier with
-escape summaries runs it in summary-marginal mode, and the
-``none``/``equi`` tiers do not run it — so Table 1's heap numbers stay
-comparable with the paper's configurations.  Approvals always come from
-the directed connection graph (:mod:`repro.analysis.conngraph`).
+Who runs this phase, and in which mode, is the ``stack`` column of the
+escape tier's row (:data:`repro.jit.options.ESCAPE_TIERS`): the
+``conngraph`` tier runs it in full as its *primary* optimization,
+``pea+summaries+cgstack`` runs it in full after PEA, ``pea+summaries``
+runs it in summary-marginal mode, and ``none``, ``equi`` and ``pea`` do
+not run it — so Table 1's heap numbers stay comparable with the paper's
+configurations.  Approvals always come from the directed connection
+graph (:mod:`repro.analysis.conngraph`).
 """
 
 from __future__ import annotations

@@ -1,12 +1,17 @@
-"""The escape-tier API: token parsing, static resolution, and cache-key
-isolation."""
+"""The escape tiers: the table and the arms that run it, static keys,
+and cache-key isolation."""
+
+import inspect
 
 import pytest
 
+from repro.benchsuite import comparison, table1
 from repro.bytecode.interpreter import Profile
-from repro.jit import CompilationCache, Compiler, CompilerConfig, TierSpec
+from repro.jit import ESCAPE_TIERS, CompilationCache, Compiler, \
+    CompilerConfig
 from repro.jit.cache import pipeline_fingerprint
 from repro.lang import compile_source
+from repro.verify.fuzz import ENGINES, run_engine_vm
 
 FIB = """
     class C {
@@ -18,31 +23,41 @@ FIB = """
 """
 
 
-# -- TierSpec ---------------------------------------------------------------
+# -- the table ----------------------------------------------------------------
 
 
-def test_token_round_trip():
-    for token in ("none", "equi", "pea", "pea+summaries",
-                  "pea+cgstack", "pea+summaries+cgstack", "conngraph"):
-        assert TierSpec.parse(token).token() == token
+def test_every_tier_is_an_arm_and_every_arm_a_tier():
+    """The table holds exactly the tiers the evaluation runs: Table 1,
+    its escape-summary and GC A/Bs, the Section 6.2 comparison and the
+    fuzz engines."""
+    engine_default = inspect.signature(run_engine_vm) \
+        .parameters["escape_tier"].default
+    run = {config.escape_tier for config in table1.arms().values()}
+    run |= {config.escape_tier for config in comparison.arms().values()}
+    run |= set(table1._GC_AB_TIERS.values())
+    run.add(table1._ANALYSIS_AB_TIER)
+    run |= {engine.options.get("escape_tier", engine_default)
+            for engine in ENGINES.values()
+            if engine.options is not None}
+    assert run == set(ESCAPE_TIERS)
 
 
 def test_conngraph_base_implies_summaries_and_cgstack():
-    spec = TierSpec.parse("conngraph")
-    assert spec.summaries is True
-    assert spec.stack is True
-    assert spec.token() == "conngraph"
-    # Explicit construction normalizes identically.
-    assert TierSpec("conngraph") == spec
+    row = ESCAPE_TIERS["conngraph"]
+    assert row.analysis == "conngraph"
+    assert row.summaries is True
+    assert row.stack == "full"
 
 
 def test_unknown_tokens_rejected():
-    with pytest.raises(ValueError):
-        TierSpec.parse("hotspot")
-    with pytest.raises(ValueError):
-        TierSpec.parse("pea+hotstack")
-    with pytest.raises(ValueError):
-        TierSpec(base="bogus")
+    # Other combinations of an analysis, summaries and stack allocation
+    # are not tiers, in any order.
+    for token in ("hotspot", "pea+hotstack", "pea+cgstack",
+                  "none+summaries", "pea+cgstack+summaries"):
+        with pytest.raises(ValueError) as raised:
+            CompilerConfig(escape_tier=token)
+        assert repr(token) in str(raised.value)
+        assert ", ".join(ESCAPE_TIERS) in str(raised.value)
 
 
 # -- static tiers -------------------------------------------------------------
@@ -50,16 +65,14 @@ def test_unknown_tokens_rejected():
 
 def test_static_tier_resolves_uniformly():
     config = CompilerConfig.conngraph()
-    assert config.tier_spec().token() == "conngraph"
     program = compile_source(FIB)
     compiler = Compiler(program, config, Profile(), CompilationCache())
     method = program.method("C.fib")
-    cold_tier, cold_key = compiler.resolve(method)
+    cold_key = compiler.key(method)
     for _ in range(100):
         compiler.profile.record_invocation(method)
-    # Hotness does not move a method to another tier or key.
-    assert compiler.resolve(method) == (cold_tier, cold_key)
-    assert cold_tier.token() == "conngraph"
+    # Hotness does not move a method to another key.
+    assert compiler.key(method) == cold_key
 
 
 # -- fingerprints and cache isolation ---------------------------------------

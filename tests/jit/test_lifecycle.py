@@ -318,3 +318,4 @@ def test_harness_replays_a_failed_osr_entry(monkeypatch, tmp_path):
                         cache=CompilationCache(str(tmp_path)))
     assert warm == cold and warm.warmup_iterations_elided == 5
     assert len(refused) == 2 and refused[1] == refused[0]
+    assert cold.compile_failures == warm.compile_failures == 1

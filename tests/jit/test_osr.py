@@ -155,10 +155,10 @@ def test_osr_and_entry_variants_do_not_collide(tmp_path):
     # Populate the cache with the OSR variant only ...
     vm.call("Main.run", 2_000)
     [(_, osr_bci)] = list(osr_variants(vm))
-    __, osr_key = vm.compiler.resolve(method, osr_bci)
+    osr_key = vm.compiler.key(method, osr_bci)
     assert cache.lookup(osr_key, program, vm.profile) is not None
     # ... and the normal-entry lookup must still miss.
-    __, entry_key = vm.compiler.resolve(method)
+    entry_key = vm.compiler.key(method)
     assert cache.lookup(entry_key, program, vm.profile) is None
 
 

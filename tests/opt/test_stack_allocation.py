@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.jit import VM, CompilerConfig
+from repro.jit import ESCAPE_TIERS, VM, CompilerConfig
 from repro.lang import compile_source
 
 #: A phi-merged allocation: PEA must materialize (a phi needs runtime
@@ -38,7 +38,7 @@ def run_vm(escape_tier):
 
 def test_phi_merged_allocations_move_to_the_stack():
     result_off, stats_off, __ = run_vm("pea")
-    result_on, stats_on, __ = run_vm("pea+cgstack")
+    result_on, stats_on, __ = run_vm("pea+summaries+cgstack")
     assert result_on == result_off
     # PEA alone cannot remove the phi-merged Box...
     assert stats_off.allocations == 100
@@ -52,7 +52,7 @@ def test_phi_merged_allocations_move_to_the_stack():
 
 def test_stack_allocation_is_cheaper():
     __, __, vm_off = run_vm("pea")
-    __, __, vm_on = run_vm("pea+cgstack")
+    __, __, vm_on = run_vm("pea+summaries+cgstack")
     # Fresh cycle measurement on identical final calls:
     def cycles(vm):
         before = vm.cycles_snapshot()
@@ -76,7 +76,7 @@ def test_escaping_objects_stay_on_heap():
     """
     program = compile_source(source)
     vm = VM(program, CompilerConfig.partial_escape(
-        escape_tier="pea+cgstack"))
+        escape_tier="pea+summaries+cgstack"))
     for _ in range(30):
         vm.call("C.m", 5)
     before = vm.heap_snapshot()
@@ -89,12 +89,11 @@ def test_escaping_objects_stay_on_heap():
 
 def test_off_by_default():
     config = CompilerConfig.partial_escape()
-    assert config.tier_spec().stack is False
+    assert ESCAPE_TIERS[config.escape_tier].stack is None
 
 
 def test_equi_stack_token_is_rejected():
     # Stack allocation has one analysis, the directed connection graph,
-    # spelled ``+cgstack``; ``+stack`` is not a tier flag.
-    config = CompilerConfig.partial_escape(escape_tier="pea+stack")
-    with pytest.raises(ValueError, match="'stack'"):
-        config.tier_spec()
+    # spelled ``+cgstack``; ``pea+stack`` is not a tier.
+    with pytest.raises(ValueError, match=r"'pea\+stack'"):
+        CompilerConfig.partial_escape(escape_tier="pea+stack")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.jit import ESCAPE_TIERS
 
 SOURCE = """
 class Pair {
@@ -48,12 +49,25 @@ def test_run_with_pea(program_file, capsys):
 
 def test_run_configs_agree(program_file, capsys):
     results = set()
-    for config in ("interp", "no-ea", "equi", "pea"):
-        main(["run", program_file, "--entry", "Main.main",
-              "--args", "25", "--config", config])
+    for config in ("interp", *ESCAPE_TIERS):
+        assert main(["run", program_file, "--entry", "Main.main",
+                     "--args", "25", "--config", config]) == 0
         out = capsys.readouterr().out
         results.add(out.splitlines()[0])
-    assert len(results) == 1
+    assert results == {"result: 900"}
+
+
+def test_compile_every_tier(program_file, capsys):
+    virtualized = {}
+    for tier in ESCAPE_TIERS:
+        assert main(["compile", program_file, "--method", "Main.main",
+                     "--config", tier]) == 0
+        out = capsys.readouterr().out
+        assert "IR nodes" in out
+        virtualized[tier] = "virtualized=1" in out
+    # Scalar replacement is what the equi-escape and PEA tiers run.
+    assert virtualized == {tier: row.analysis in ("equi", "pea")
+                           for tier, row in ESCAPE_TIERS.items()}
 
 
 def test_compile_reports_ea_stats(program_file, capsys):
