@@ -418,6 +418,41 @@ def run_workload(workload: Workload, config: CompilerConfig,
     )
 
 
+#: The evaluation's configurations: each arm's :class:`CompilerConfig`
+#: overrides, by arm name.  Every command adds its backend and
+#: profiling on top.
+ARMS: Dict[str, Dict[str, object]] = {
+    # Table 1 (baseline first) and, with the equi arm, Section 6.2.
+    "no_ea": {"escape_tier": "none"},
+    "equi": {"escape_tier": "equi"},
+    "pea": {"escape_tier": "pea"},
+    # The escape-summary A/B.
+    "summaries": {"escape_tier": "pea+summaries"},
+    # The GC A/B.  Its PEA arm runs full connection-graph stack
+    # allocation after PEA, so allocations PEA leaves behind but the
+    # cheaper analysis can prove non-escaping still leave the heap —
+    # that is what keeps the arms totally ordered.
+    "conngraph": {"escape_tier": "conngraph"},
+    "pea+summaries+cgstack": {"escape_tier": "pea+summaries+cgstack"},
+    # The PEA ablations: the pea tier with one ingredient switched off.
+    "single_pass": {"escape_tier": "pea", "pea_iterations": 1},
+    # No virtual arrays (Section 5.2).
+    "no_arrays": {"escape_tier": "pea", "pea_virtualize_arrays": False},
+    # No folding of reference equality, null and type checks on virtual
+    # objects.
+    "no_check_folds": {"escape_tier": "pea", "pea_fold_checks": False},
+    # No load/store forwarding after escape analysis.
+    "no_read_elim": {"escape_tier": "pea", "read_elimination": False},
+    # PEA "is particularly effective if it can interact with other
+    # parts of the compiler, such as inlining".
+    "no_inlining": {"escape_tier": "pea", "inline": False},
+    # No profile-driven pruning of never-taken branches: rare escaping
+    # branches rejoin and force materialization.
+    "no_branch_speculation": {"escape_tier": "pea",
+                              "speculate_branches": False},
+}
+
+
 def run_arms(workload: Workload, arms: Mapping[str, CompilerConfig],
              histogram: Optional[Dict[str, int]] = None,
              cache: Optional[CompilationCache] = None
@@ -512,8 +547,9 @@ class Comparison:
     @classmethod
     def of(cls, workload: Workload,
            arms: Mapping[str, Measurement]) -> "Comparison":
-        """The row of a :func:`run_arms` result over the arms ``no_ea``
-        and ``pea``; raises on a checksum mismatch."""
+        """The row of a :func:`run_arms` result over arms that include
+        ``no_ea`` and ``pea``; raises on a checksum mismatch among
+        them."""
         verify_checksums(workload, arms)
         return cls(workload, arms["no_ea"], arms["pea"])
 
@@ -548,8 +584,9 @@ def compare_workload(workload: Workload,
                      histogram: Optional[Dict[str, int]] = None,
                      cache: Optional[CompilationCache] = None
                      ) -> Comparison:
-    """Run one workload under the paper's two configurations."""
-    arms = {"no_ea": baseline or CompilerConfig.no_ea(),
-            "pea": optimized or CompilerConfig.partial_escape()}
+    """Run one workload under the paper's two configurations, Table 1's
+    arms of :data:`ARMS` unless given."""
+    arms = {"no_ea": baseline or CompilerConfig(**ARMS["no_ea"]),
+            "pea": optimized or CompilerConfig(**ARMS["pea"])}
     return Comparison.of(workload,
                          run_arms(workload, arms, histogram, cache))

@@ -44,7 +44,7 @@ IDENTITY_FIELDS = ("checksum", "kb_per_iteration",
                    "monitor_ops_per_iteration", "deopts")
 
 
-def run_jitdiff(workloads: Sequence[Workload], osr: bool = True,
+def run_jitdiff(workloads: Sequence[Workload],
                 cache: Optional[CompilationCache] = None,
                 out=sys.stdout) -> dict:
     """Diff the corpus; returns the full report (also printed).  Each
@@ -61,7 +61,7 @@ def run_jitdiff(workloads: Sequence[Workload], osr: bool = True,
         measured, seconds = {}, {}
         for backend in ("plan", "codegen"):
             config = CompilerConfig.partial_escape(
-                execution_backend=backend, osr=osr)
+                execution_backend=backend)
             started = time.perf_counter()
             measured[backend] = run_workload(workload, config,
                                              program=program, cache=cache)
@@ -169,16 +169,13 @@ def main(argv=None) -> int:
                         help="also write the full report as JSON")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persist the compilation cache here")
-    parser.add_argument("--no-osr", dest="osr", action="store_false",
-                        default=True,
-                        help="disable on-stack replacement")
     args = parser.parse_args(argv)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     workloads = [w for name in suites for w in SUITES[name]]
     if args.quick:
         workloads = [quick_copy(w) for w in workloads]
     cache = CompilationCache(args.cache_dir) if args.cache_dir else None
-    report = run_jitdiff(workloads, osr=args.osr, cache=cache)
+    report = run_jitdiff(workloads, cache=cache)
     if args.json:
         with open(args.json, "w") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

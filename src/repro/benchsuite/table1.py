@@ -1,10 +1,11 @@
-"""Regenerates the paper's Table 1: size and number of allocations, and
-performance, on the (Scala)DaCapo and SPECjbb2005 analogs.
+"""Regenerates the paper's Table 1 (size and number of allocations, and
+performance) and its Section 6.2 comparison, on the (Scala)DaCapo and
+SPECjbb2005 analogs.
 
 Usage::
 
-    python -m repro.benchsuite.table1 [--suite dacapo|scaladacapo|specjbb]
-                                      [--locks] [--quick]
+    python -m repro.benchsuite.table1 [--suite S] [--locks] [--quick]
+                                      [--json PATH]
 
 The table mirrors the paper's layout: per benchmark, KB / iteration
 (the paper reports MB — our simulated iterations are smaller), thousands
@@ -12,6 +13,18 @@ of allocations / iteration (the paper reports millions), and iterations
 per minute on the simulated clock, each without and with Partial Escape
 Analysis plus the relative change.  Suite averages include the DaCapo
 benchmarks without significant changes, as in the paper's footnote.
+
+After each suite's table comes Section 6.2: the speedup over no escape
+analysis of the flow-insensitive equi-escape EA and of PEA.  The paper
+reports that the HotSpot server compiler gains less from its
+(flow-insensitive) Escape Analysis than Graal does from PEA: 0.9% vs
+2.2% on DaCapo, 7.4% vs 10.4% on ScalaDaCapo, 5.4% vs 8.7% on
+SPECjbb2005.
+
+Each suite is one :func:`~.harness.run_suite` pass over the arms of
+:data:`PAPER_ARMS`; with ``--json`` every arm of
+:data:`~.harness.ARMS` joins that pass, and the A/B sections are
+computed from its measurements.
 """
 
 from __future__ import annotations
@@ -22,10 +35,11 @@ import io
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..jit import CompilationCache, CompilerConfig
-from .harness import Comparison, mismatched, run_suite, run_workload
+from .harness import (ARMS, Comparison, Measurement, delta_pct,
+                      mismatched, run_suite, run_workload)
 from .jitdiff import run_jitdiff
 from .profiling import print_profile, profiled
 from .reporting import num, pct, render_table
@@ -73,32 +87,129 @@ HEADERS = ["benchmark", "KB/it", "KB/it+", "dKB",
            "kAll/it", "kAll/it+", "dAllocs",
            "it/min", "it/min+", "speedup"]
 
+#: The arms every ``table1`` run measures: Table 1's two, baseline
+#: first, and Section 6.2's equi-escape comparator.
+PAPER_ARMS = ("no_ea", "equi", "pea")
 
-def arms(backend: str = "plan", collect_node_histogram: bool = False,
-         osr: bool = True) -> Dict[str, CompilerConfig]:
-    """Table 1's two configurations, baseline first."""
-    options = dict(execution_backend=backend,
-                   collect_node_histogram=collect_node_histogram, osr=osr)
-    return {"no_ea": CompilerConfig.no_ea(**options),
-            "pea": CompilerConfig.partial_escape(**options)}
+#: The paper's Section 6.2 numbers: suite -> (server EA %, Graal PEA %).
+PAPER_62 = {
+    "dacapo": (0.9, 2.2),
+    "scaladacapo": (7.4, 10.4),
+    "specjbb": (5.4, 8.7),
+}
+
+
+def arms(names: Iterable[str] = PAPER_ARMS, backend: str = "plan",
+         collect_node_histogram: bool = False
+         ) -> Dict[str, CompilerConfig]:
+    """The configurations of the named arms of :data:`ARMS`, in order,
+    under one backend."""
+    return {name: CompilerConfig(**ARMS[name], execution_backend=backend,
+                                 collect_node_histogram=
+                                 collect_node_histogram)
+            for name in names}
+
+
+def speedup_pct(measured: Mapping[str, Measurement], arm: str) -> float:
+    """*arm*'s speedup over the no-EA arm, in percent."""
+    return delta_pct(measured["no_ea"].iterations_per_minute,
+                     measured[arm].iterations_per_minute)
+
+
+def _ordered(measured: Mapping[str, Measurement], arms: Sequence[str],
+             name: str) -> bool:
+    """Whether the *name* metric never decreases along *arms*."""
+    values = [getattr(measured[arm], name) for arm in arms]
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+#: Section 6.2's arms, most precise analysis first.
+_PRECISION = ("pea", "equi", "no_ea")
+
+#: The two speedups each row of Section 6.2 holds.
+_SPEEDUPS = ("equi_speedup_pct", "pea_speedup_pct")
+
+
+def _section62(suite_name: str,
+               measured: Mapping[str, Mapping[str, Measurement]]
+               ) -> dict:
+    """Section 6.2 for one suite from each workload's measurements (by
+    workload name): the equi and PEA arms' speedups over no EA and
+    whether allocations and monitor operations are ordered
+    ``pea <= equi <= no_ea``, the suite's average speedups, and for a
+    paper suite the paper's."""
+    rows = {name: {
+        "equi_speedup_pct": speedup_pct(arms, "equi"),
+        "pea_speedup_pct": speedup_pct(arms, "pea"),
+        "allocations_ordered":
+            _ordered(arms, _PRECISION, "allocations_per_iteration"),
+        "monitor_ops_ordered":
+            _ordered(arms, _PRECISION, "monitor_ops_per_iteration"),
+    } for name, arms in measured.items()}
+    section = {"workloads": rows,
+               "average": {key: _average([row[key]
+                                          for row in rows.values()])
+                           for key in _SPEEDUPS}}
+    if suite_name in PAPER_62:
+        section["paper"] = dict(zip(_SPEEDUPS, PAPER_62[suite_name]))
+    return section
+
+
+def _print_section62(suite_name: str, section: dict, out) -> None:
+    labelled = {**section["workloads"], "average": section["average"]}
+    if "paper" in section:
+        labelled["(paper)"] = section["paper"]
+    rows = [[label, *(pct(row[key]) for key in _SPEEDUPS)]
+            for label, row in labelled.items()]
+    print(f"\n== {suite_name}: speedup over no-EA ==", file=out)
+    print(render_table(["benchmark", "equi-escape EA", "PEA"], rows),
+          file=out)
+
+
+def _print_table1(suite_name: str, comparisons: List[Comparison],
+                  locks: bool, out) -> None:
+    shown = ([w.name for w in DACAPO_SHOWN]
+             if suite_name == "dacapo" else None)
+    rows = table_rows(comparisons, shown)
+    rows.append(average_row(comparisons, "average"))
+    print(f"\n== {suite_name} "
+          f"(without PEA vs with PEA) ==", file=out)
+    print(render_table(HEADERS, rows), file=out)
+    if locks:
+        print(f"\n-- {suite_name}: monitor operations/iteration --",
+              file=out)
+        lock_rows = [[
+            c.workload.name,
+            num(c.without.monitor_ops_per_iteration),
+            num(c.with_pea.monitor_ops_per_iteration),
+            pct(c.monitor_delta_pct)]
+            for c in comparisons
+            if c.without.monitor_ops_per_iteration > 0]
+        print(render_table(["benchmark", "without", "with", "change"],
+                           lock_rows), file=out)
 
 
 def generate(suites: Sequence[str], quick: bool = False,
              locks: bool = False, out=sys.stdout, jobs: int = 1,
              backend: str = "plan", json_path: Optional[str] = None,
              profile: bool = False,
-             cache: Optional[CompilationCache] = None,
-             osr: bool = True) -> dict:
-    """Run the selected suites and print Table 1; returns the raw
-    comparisons keyed by suite for programmatic use.  With *json_path*
-    the A/B sections run too, all before the cache summary is printed,
-    so that line covers every run the command made."""
+             cache: Optional[CompilationCache] = None) -> dict:
+    """Measure each selected suite in one :func:`run_suite` pass and
+    print its Table 1 and Section 6.2; returns Table 1's comparisons
+    keyed by suite for programmatic use.  With *json_path* every arm of
+    :data:`ARMS` joins the pass and the A/B sections are computed from
+    it, all before the cache summary is printed, so that line covers
+    every run the command made."""
     if profile:
         jobs = 1  # cProfile + histogram need everything in-process
-    configs = arms(backend, collect_node_histogram=profile, osr=osr)
+    configs = arms(ARMS if json_path else PAPER_ARMS, backend,
+                   collect_node_histogram=profile)
     histogram = {} if profile else None
     profiler = cProfile.Profile() if profile else None
     results = {}
+    #: workload name -> arm -> Measurement, over every suite.
+    measured: Dict[str, Dict[str, Measurement]] = {}
+    sections62 = {}
     wall_clock = {}
     for suite_name in suites:
         workloads = SUITES[suite_name]
@@ -106,113 +217,90 @@ def generate(suites: Sequence[str], quick: bool = False,
             workloads = [quick_copy(w) for w in workloads]
         started = time.perf_counter()
         with profiled(profiler):
-            measured = run_suite(workloads, configs, jobs=jobs,
-                                 histogram=histogram, cache=cache)
+            suite = dict(zip([w.name for w in workloads],
+                             run_suite(workloads, configs, jobs=jobs,
+                                       histogram=histogram,
+                                       cache=cache)))
         wall_clock[suite_name] = time.perf_counter() - started
-        comparisons = [Comparison.of(w, m)
-                       for w, m in zip(workloads, measured)]
-        results[suite_name] = comparisons
-        shown = ([w.name for w in DACAPO_SHOWN]
-                 if suite_name == "dacapo" else None)
-        rows = table_rows(comparisons, shown)
-        rows.append(average_row(comparisons, "average"))
-        print(f"\n== {suite_name} "
-              f"(without PEA vs with PEA) ==", file=out)
-        print(render_table(HEADERS, rows), file=out)
-        if locks:
-            print(f"\n-- {suite_name}: monitor operations/iteration --",
-                  file=out)
-            lock_rows = [[
-                c.workload.name,
-                num(c.without.monitor_ops_per_iteration),
-                num(c.with_pea.monitor_ops_per_iteration),
-                pct(c.monitor_delta_pct)]
-                for c in comparisons
-                if c.without.monitor_ops_per_iteration > 0]
-            print(render_table(["benchmark", "without", "with", "change"],
-                               lock_rows), file=out)
-    measurements = [m for cs in results.values() for c in cs
-                    for m in c.arms.values()]
+        results[suite_name] = [
+            Comparison.of(w, {arm: suite[w.name][arm]
+                              for arm in PAPER_ARMS})
+            for w in workloads]
+        measured.update(suite)
+        sections62[suite_name] = _section62(suite_name, suite)
+        _print_table1(suite_name, results[suite_name], locks, out)
+        _print_section62(suite_name, sections62[suite_name], out)
+    table1_measured = [m for cs in results.values() for c in cs
+                       for m in c.arms.values()]
+    all_measured = [m for arms in measured.values() for m in arms.values()]
     if profile:
         print_profile(profiler, histogram, out=out)
-        _print_compile_seconds(measurements, out)
+        _print_compile_seconds(all_measured, out)
     sections = None
     if json_path:
-        sections = _ab_sections(results, backend, quick, jobs, cache, osr)
+        workloads = [c.workload for cs in results.values() for c in cs]
+        sections = {**_ab_sections(measured, workloads, quick),
+                    "section62": sections62}
     print(file=out)
     if cache is not None:
         stats = cache.stats
-        elided = sum(m.warmup_iterations_elided for m in measurements)
+        elided = sum(m.warmup_iterations_elided for m in all_measured)
         print(f"cache: {stats.hits} hits, {stats.misses} misses, "
               f"{stats.disk_hits} from disk, {stats.evictions} evicted, "
               f"{stats.dropped} dropped, "
               f"{elided} warm-up iterations elided", file=out)
-    fallbacks = sum(m.backend_fallbacks for m in measurements)
+    fallbacks = sum(m.backend_fallbacks for m in table1_measured)
     print(f"backend fallbacks: {fallbacks} installs ran on the "
           f"GraphInterpreter instead of the configured backend",
           file=out)
-    failures = sum(m.compile_failures for m in measurements)
+    failures = sum(m.compile_failures for m in table1_measured)
     print(f"compile failures: {failures} method or OSR entries failed "
           f"to compile and ran interpreted", file=out)
     if json_path:
         _write_json(json_path, results, wall_clock, jobs, backend, quick,
-                    cache, osr, sections)
+                    cache, sections)
     return results
 
 
-def _ab_sections(results: dict, backend: str, quick: bool, jobs: int,
-                 cache: Optional[CompilationCache], osr: bool) -> dict:
+def _ab_sections(measured: Mapping[str, Mapping[str, Measurement]],
+                 workloads: Sequence[Workload], quick: bool) -> dict:
     """Every A/B the ``--json`` payload records: ``analysis_ab`` and
-    ``ablation_ab`` at the top level, the rest under ``timing``."""
-    comparisons = [c for cs in results.values() for c in cs]
-    analysis_ab = _analysis_ab(comparisons, backend=backend, jobs=jobs,
-                               cache=cache, osr=osr)
-    ablation_ab = _ablation_ab(comparisons, backend=backend, jobs=jobs,
-                               cache=cache, osr=osr)
+    ``ablation_ab`` at the top level, the rest under ``timing``.  The
+    first three read *measured* (workload name -> arm -> Measurement);
+    the codegen, OSR and deoptless A/Bs make their own runs."""
+    h2 = by_name("h2")
     timing = {
-        "codegen_ab": _codegen_ab(comparisons, osr=osr),
+        "codegen_ab": _codegen_ab(workloads),
         # Escape-tier x generational-collector A/B.  The metrics inside
         # are simulated and deterministic; the section lives under
         # ``timing`` because its headline claim — pause cycles saved
         # per tier — is a performance claim.
-        "gc_ab": _gc_ab(comparisons, backend=backend, jobs=jobs,
-                        cache=cache, osr=osr),
-    }
-    if osr:
+        "gc_ab": _gc_ab(measured),
         # OSR's gain is real wall-clock, not a simulated metric: one
         # loop-heavy workload warmed with and without OSR.
-        h2 = by_name("h2")
-        timing["osr_warmup_ab"] = _osr_warmup_ab(
-            quick_copy(h2) if quick else h2)
-    # Deoptless phase-shift A/B: post-flip tail latency and interpreter
-    # bridging, deoptless off vs on (simulated, deterministic).
-    timing["deoptless_ab"] = _deoptless_ab()
-    return {"analysis_ab": analysis_ab, "ablation_ab": ablation_ab,
-            "timing": timing}
+        "osr_warmup_ab": _osr_warmup_ab(quick_copy(h2) if quick else h2),
+        # Deoptless phase-shift A/B: post-flip tail latency and
+        # interpreter bridging, deoptless off vs on (simulated,
+        # deterministic).
+        "deoptless_ab": _deoptless_ab(),
+    }
+    return {"analysis_ab": _analysis_ab(measured),
+            "ablation_ab": _ablation_ab(measured), "timing": timing}
 
 
-#: The escape tier of the escape-summary A/B's ``summaries`` arm.
-_ANALYSIS_AB_TIER = "pea+summaries"
-
-
-def _analysis_ab(comparisons: List[Comparison], backend: str, jobs: int,
-                 cache: Optional[CompilationCache], osr: bool) -> dict:
+def _analysis_ab(measured: Mapping[str, Mapping[str, Measurement]]
+                 ) -> dict:
     """Per-workload A/B of the interprocedural escape-summary analysis:
-    re-run every workload under :data:`_ANALYSIS_AB_TIER` and record
-    the deltas against the plain-PEA measurement.  Results, locks and
-    deopts must be bit-identical — the analysis may only remove
-    allocations (see :mod:`repro.analysis.summaries`)."""
-    config = CompilerConfig(execution_backend=backend, osr=osr,
-                            escape_tier=_ANALYSIS_AB_TIER)
-    measured = run_suite([c.workload for c in comparisons],
-                         {"summaries": config}, jobs=jobs, cache=cache)
+    the ``summaries`` arm's deltas against the plain-PEA arm.  Results,
+    locks and deopts must be bit-identical — the analysis may only
+    remove allocations (see :mod:`repro.analysis.summaries`)."""
     section = {}
-    for c, arms in zip(comparisons, measured):
-        pea, summ = c.with_pea, arms["summaries"]
+    for name, arms in measured.items():
+        pea, summ = arms["pea"], arms["summaries"]
         differ = mismatched({"pea": pea, "summaries": summ},
                             ("checksum", "monitor_ops_per_iteration",
                              "deopts"))
-        section[c.workload.name] = {
+        section[name] = {
             "allocations_per_iteration_pea":
                 pea.allocations_per_iteration,
             "allocations_per_iteration_summaries":
@@ -230,66 +318,42 @@ def _analysis_ab(comparisons: List[Comparison], backend: str, jobs: int,
     return section
 
 
-#: The PEA ablations, by arm: each switches one ingredient of the full
-#: pipeline off.  The ``full`` arm is Table 1's PEA measurement (the
-#: same configuration), so only these run.
-_ABLATIONS = {
-    "single_pass": {"pea_iterations": 1},
-    # No virtual arrays (Section 5.2).
-    "no_arrays": {"pea_virtualize_arrays": False},
-    # No folding of reference equality, null and type checks on virtual
-    # objects.
-    "no_check_folds": {"pea_fold_checks": False},
-    # No load/store forwarding after escape analysis.
-    "no_read_elim": {"read_elimination": False},
-    # PEA "is particularly effective if it can interact with other
-    # parts of the compiler, such as inlining".
-    "no_inlining": {"inline": False},
-    # No profile-driven pruning of never-taken branches: rare escaping
-    # branches rejoin and force materialization.
-    "no_branch_speculation": {"speculate_branches": False},
-}
+#: The PEA ablations: the arms of :data:`ARMS` that run the ``pea`` tier
+#: with one ingredient switched off.  Their ``full`` arm is ``pea``.
+_ABLATIONS = tuple(arm for arm, overrides in ARMS.items()
+                   if overrides["escape_tier"] == "pea" and arm != "pea")
 
 #: The Measurement fields each ablation arm records.
 _ABLATION_FIELDS = ("checksum", "allocations_per_iteration",
                     "kb_per_iteration", "cycles_per_iteration")
 
 
-def _ablation_ab(comparisons: List[Comparison], backend: str, jobs: int,
-                 cache: Optional[CompilationCache], osr: bool) -> dict:
-    """Per-workload A/B of the PEA ablations: every workload under each
-    arm of :data:`_ABLATIONS` beside the full pipeline (Table 1's PEA
-    arm).  Checksums must be identical — an ablation changes what the
-    compiler removes, never what the program computes — and no arm may
-    allocate less than ``full``."""
-    rerun = {arm: CompilerConfig.partial_escape(
-                 execution_backend=backend, osr=osr, **knobs)
-             for arm, knobs in _ABLATIONS.items()}
-    measured = run_suite([c.workload for c in comparisons], rerun,
-                         jobs=jobs, cache=cache)
+def _ablation_ab(measured: Mapping[str, Mapping[str, Measurement]]
+                 ) -> dict:
+    """Per-workload A/B of the PEA ablations: each arm of
+    :data:`_ABLATIONS` beside the full pipeline (the ``pea`` arm).
+    Checksums must be identical — an ablation changes what the compiler
+    removes, never what the program computes — and no arm may allocate
+    less than ``full``."""
     section = {}
-    for c, reran in zip(comparisons, measured):
-        arms = {"full": c.with_pea, **reran}
-        full = c.with_pea.allocations_per_iteration
-        section[c.workload.name] = {
-            **{arm: {name: getattr(m, name) for name in _ABLATION_FIELDS}
+    for name, measurements in measured.items():
+        arms = {"full": measurements["pea"],
+                **{arm: measurements[arm] for arm in _ABLATIONS}}
+        full = arms["full"].allocations_per_iteration
+        section[name] = {
+            **{arm: {field: getattr(m, field)
+                     for field in _ABLATION_FIELDS}
                for arm, m in arms.items()},
             "checksums_identical": not mismatched(arms, ("checksum",)),
             "never_below_full": all(m.allocations_per_iteration >= full
-                                    for m in reran.values()),
+                                    for m in arms.values()),
         }
     return section
 
 
-#: The escape tiers the GC A/B compares, by arm.  The ``none`` arm is
-#: Table 1's no-EA measurement (the same configuration), so only the
-#: other two run.  The PEA arm runs full connection-graph stack
-#: allocation after PEA, so allocations PEA leaves behind but the
-#: cheaper analysis can prove non-escaping still leave the heap — that
-#: is what keeps the arms totally ordered.
-_GC_AB_TIERS = {"none": "none",
-                "conngraph": "conngraph",
-                "pea": "pea+summaries+cgstack"}
+#: The GC A/B's rows, by the arm of :data:`ARMS` each reads.
+_GC_AB_ROWS = {"none": "no_ea", "conngraph": "conngraph",
+               "pea": "pea+summaries+cgstack"}
 
 #: The Measurement fields each GC A/B arm records.
 _GC_AB_FIELDS = ("checksum", "allocations_per_iteration",
@@ -298,36 +362,30 @@ _GC_AB_FIELDS = ("checksum", "allocations_per_iteration",
                  "cycles_per_iteration")
 
 
-def _gc_ab(comparisons: List[Comparison], backend: str, jobs: int,
-           cache: Optional[CompilationCache], osr: bool) -> dict:
+def _gc_ab(measured: Mapping[str, Mapping[str, Measurement]]) -> dict:
     """Three-way escape-tier A/B through the simulated generational
-    collector: every workload under no escape analysis (Table 1's
-    no-EA arm), the connection-graph fast tier, and full PEA, and the
-    section records how allocation behavior translates into collector
-    behavior (minor collections, pause cycles, promotion).  Checksums
-    must be identical — tiers change *where* objects live, never what
-    the program computes — and per-iteration allocations must be
-    totally ordered ``pea <= conngraph <= none`` (PEA subsumes the
-    connection graph's decisions; see :mod:`repro.analysis.conngraph`)."""
-    rerun = {arm: CompilerConfig(escape_tier=tier,
-                                 execution_backend=backend, osr=osr)
-             for arm, tier in _GC_AB_TIERS.items() if arm != "none"}
-    measured = run_suite([c.workload for c in comparisons], rerun,
-                         jobs=jobs, cache=cache)
+    collector: every workload under no escape analysis, the
+    connection-graph fast tier, and full PEA, and the section records
+    how allocation behavior translates into collector behavior (minor
+    collections, pause cycles, promotion).  Checksums must be
+    identical — tiers change *where* objects live, never what the
+    program computes — and per-iteration allocations must be totally
+    ordered ``pea <= conngraph <= none`` (PEA subsumes the connection
+    graph's decisions; see :mod:`repro.analysis.conngraph`)."""
     section = {}
-    for c, reran in zip(comparisons, measured):
-        arms = {"none": c.without, **reran}
-        rows = {arm: {"tier": _GC_AB_TIERS[arm],
-                      **{name: getattr(m, name) for name in _GC_AB_FIELDS}}
-                for arm, m in arms.items()}
+    for name, measurements in measured.items():
+        arms = {row: measurements[arm] for row, arm in _GC_AB_ROWS.items()}
+        rows = {row: {"tier": ARMS[_GC_AB_ROWS[row]]["escape_tier"],
+                      **{field: getattr(m, field)
+                         for field in _GC_AB_FIELDS}}
+                for row, m in arms.items()}
         none_, cg, pea = rows["none"], rows["conngraph"], rows["pea"]
-        section[c.workload.name] = {
+        section[name] = {
             **rows,
             "checksums_identical": not mismatched(arms, ("checksum",)),
-            "allocations_ordered":
-                pea["allocations_per_iteration"]
-                <= cg["allocations_per_iteration"]
-                <= none_["allocations_per_iteration"],
+            "allocations_ordered": _ordered(
+                arms, ("pea", "conngraph", "none"),
+                "allocations_per_iteration"),
             "pause_cycles_saved_conngraph": round(
                 none_["gc_pause_cycles"] - cg["gc_pause_cycles"], 6),
             "pause_cycles_saved_pea": round(
@@ -336,14 +394,13 @@ def _gc_ab(comparisons: List[Comparison], backend: str, jobs: int,
     return section
 
 
-def _codegen_ab(comparisons: List[Comparison], osr: bool) -> dict:
+def _codegen_ab(workloads: Sequence[Workload]) -> dict:
     """Wall-clock A/B of the codegen backend against the threaded-code
     plan backend over every workload the run covered: ``repro jitdiff``
     run uncached (so neither side hides behind warm-up elision), keeping
     its per-workload timings and its verdict that the deterministic
     metrics are bit-identical."""
-    report = run_jitdiff([c.workload for c in comparisons], osr=osr,
-                         out=io.StringIO())
+    report = run_jitdiff(workloads, out=io.StringIO())
     keys = ("plan_seconds", "codegen_seconds", "speedup")
     return {
         **{key: report["totals"][key] for key in keys},
@@ -470,23 +527,24 @@ _SUITE_COUNTERS = ("warmup_iterations_elided", "cache_hits",
 
 def _write_json(path: str, results: dict, wall_clock: dict, jobs: int,
                 backend: str, quick: bool,
-                cache: Optional[CompilationCache], osr: bool,
+                cache: Optional[CompilationCache],
                 sections: dict) -> None:
     """Benchmark metrics for CI tracking (BENCH_table1.json): Table 1's
-    measurements, the A/B *sections* of :func:`_ab_sections` and the
-    cache counters, serialized.
+    measurements, Section 6.2, the A/B *sections* of
+    :func:`_ab_sections` and the cache counters, serialized.
 
     ``suites`` holds only deterministic, simulated metrics — identical
     across machines, cache modes and cold/warm runs, so CI can diff it
     byte-for-byte.  Wall-clock and compile-time measurements live in the
-    separate ``timing`` section."""
+    separate ``timing`` section: each suite's harness wall-clock covers
+    every arm of its pass, and its counters sum Table 1's two arms."""
     payload = {
         "backend": backend,
         "jobs": jobs,
-        "osr": osr,
         "quick": quick,
         "analysis_ab": sections["analysis_ab"],
         "ablation_ab": sections["ablation_ab"],
+        "section62": sections["section62"],
         "suites": {},
         "timing": {"suites": {}, **sections["timing"]},
     }
@@ -539,23 +597,20 @@ def main(argv=None):
                         default="plan",
                         help="compiled-code execution backend")
     parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write per-workload metrics as JSON")
+                        help="also run every A/B arm and write the "
+                             "metrics as JSON")
     parser.add_argument("--profile", action="store_true",
                         help="cProfile top-20 + per-node-kind execution "
                              "histogram (forces --jobs 1)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="persist the compilation cache here so "
                              "later runs start warm")
-    parser.add_argument("--no-osr", dest="osr", action="store_false",
-                        default=True,
-                        help="disable on-stack replacement (hot loops "
-                             "wait for the invocation threshold)")
     args = parser.parse_args(argv)
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     cache = CompilationCache(args.cache_dir) if args.cache_dir else None
     generate(suites, quick=args.quick, locks=args.locks, jobs=args.jobs,
              backend=args.backend, json_path=args.json,
-             profile=args.profile, cache=cache, osr=args.osr)
+             profile=args.profile, cache=cache)
 
 
 if __name__ == "__main__":

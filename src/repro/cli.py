@@ -10,8 +10,8 @@ Subcommands::
     python -m repro lint PATH... [--json]      (lint passes only)
     python -m repro fuzz --programs 200 --seed 1234 [--corpus-dir D]
     python -m repro cache stats|clear [--cache-dir D]
-    python -m repro table1 [...]        (delegates to benchsuite.table1)
-    python -m repro comparison [...]    (delegates to .comparison)
+    python -m repro table1 [...]        (delegates to benchsuite.table1:
+                                         Table 1 and Section 6.2)
     python -m repro jitdiff [...]       (delegates to .jitdiff)
 
 ``--config`` names an escape tier, a key of
@@ -26,7 +26,7 @@ failure).
 ``fuzz`` shares one in-memory compilation cache across its engines
 (``--no-cache`` turns it off); ``run`` and ``fuzz`` accept
 ``--cache-dir DIR`` (persist the cache on disk so later runs start
-warm).
+warm), which ``fuzz`` refuses beside ``--no-cache``.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ def _load(path: str):
 
 
 def _add_cache_dir_flag(parser) -> None:
+    """Add ``--cache-dir`` to *parser* (or to an argument group)."""
     parser.add_argument("--cache-dir",
                         help="persist the compilation cache under this "
                              "directory so later runs start warm")
@@ -277,7 +278,7 @@ def main(argv=None) -> int:
     # argparse.REMAINDER refuses to swallow leading option-style tokens
     # (bpo-17050), so the benchsuite subcommands get their argv here,
     # before argparse runs.
-    if argv and argv[0] in ("table1", "comparison", "jitdiff"):
+    if argv and argv[0] in ("table1", "jitdiff"):
         import importlib
         module = importlib.import_module(f"repro.benchsuite.{argv[0]}")
         result = module.main(argv[1:])
@@ -360,11 +361,12 @@ def main(argv=None) -> int:
                                   "(.jasm + .json) here")
     fuzz_parser.add_argument("--no-shrink", action="store_true",
                              help="skip delta-debugging of failures")
-    fuzz_parser.add_argument("--no-cache", dest="cache",
-                             action="store_false", default=True,
-                             help="do not share compiled graphs across "
-                                  "the engines")
-    _add_cache_dir_flag(fuzz_parser)
+    fuzz_cache = fuzz_parser.add_mutually_exclusive_group()
+    fuzz_cache.add_argument("--no-cache", dest="cache",
+                            action="store_false", default=True,
+                            help="do not share compiled graphs across "
+                                 "the engines")
+    _add_cache_dir_flag(fuzz_cache)
     fuzz_parser.set_defaults(func=cmd_fuzz)
 
     cache_parser = subparsers.add_parser(
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     cache_parser.set_defaults(func=cmd_cache)
 
     # Listed for --help only: main() hands these their argv above.
-    for name in ("table1", "comparison", "jitdiff"):
+    for name in ("table1", "jitdiff"):
         subparsers.add_parser(name,
                               help=f"run the benchsuite {name} report")
 

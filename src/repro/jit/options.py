@@ -26,8 +26,10 @@ compiles under, one of the six rows of :data:`ESCAPE_TIERS`:
     the same with full connection-graph stack allocation after PEA
     (the GC A/B's PEA arm).
 
-Each tier is an arm of ``table1``, ``comparison`` or a fuzz engine;
-``tests/jit/test_escape_tier.py`` keeps the table and those arms equal.
+Each tier is the escape tier of an arm of
+:data:`repro.benchsuite.harness.ARMS` (the evaluation's configurations)
+or of a fuzz engine; ``tests/jit/test_escape_tier.py`` keeps the table
+and those arms equal.
 """
 
 from __future__ import annotations

@@ -41,12 +41,12 @@ class PhasePlan:
     """An ordered list of phases applied to a graph, with verification
     after every phase (compiler bugs surface immediately).
 
-    ``verify_between`` runs the cheap structural check
-    (:meth:`Graph.verify`) after each phase; ``verify_ir`` additionally
-    runs the full :class:`repro.verify.GraphVerifier` invariant suite
-    (SSA dominance, CFG shape, frame-state completeness, PEA
-    invariants) on the input graph and after every phase, attributing
-    any violation to the phase that introduced it.
+    The cheap structural check (:meth:`Graph.verify`) runs after each
+    phase; ``verify_ir`` replaces it with the full
+    :class:`repro.verify.GraphVerifier` invariant suite (SSA dominance,
+    CFG shape, frame-state completeness, PEA invariants, and the
+    structural check), run on the input graph too, attributing any
+    violation to the phase that introduced it.
 
     Every distinct graph state is checked once: after a check passes,
     :meth:`run` records :attr:`Graph.edit_count` and the level, and the
@@ -57,9 +57,8 @@ class PhasePlan:
     timings."""
 
     def __init__(self, phases: Optional[List[Phase]] = None,
-                 verify_between: bool = True, verify_ir: bool = False):
+                 verify_ir: bool = False):
         self.phases: List[Phase] = list(phases) if phases else []
-        self.verify_between = verify_between
         self.verify_ir = verify_ir
         self.timings: List[PhaseTiming] = []
         self.verify_seconds = 0.0
@@ -70,14 +69,12 @@ class PhasePlan:
 
     def _verify(self, graph: Graph, phase_name: str,
                 checked: Optional[Tuple[int, int]]
-                ) -> Optional[Tuple[int, int]]:
+                ) -> Tuple[int, int]:
         """Verify *graph* unless it passed at least this level at its
         current edit count (*checked*); returns the new record."""
-        level = _FULL if self.verify_ir else \
-            _STRUCTURAL if self.verify_between else None
-        if level is None or (checked is not None
-                             and checked[0] == graph.edit_count
-                             and checked[1] >= level):
+        level = _FULL if self.verify_ir else _STRUCTURAL
+        if checked is not None and checked[0] == graph.edit_count \
+                and checked[1] >= level:
             return checked
         started = time.perf_counter()
         if level == _FULL:

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from repro.benchsuite import comparison, table1
+from repro.benchsuite.harness import ARMS
 from repro.bytecode.interpreter import Profile
 from repro.jit import ESCAPE_TIERS, CompilationCache, Compiler, \
     CompilerConfig
@@ -27,15 +27,13 @@ FIB = """
 
 
 def test_every_tier_is_an_arm_and_every_arm_a_tier():
-    """The table holds exactly the tiers the evaluation runs: Table 1,
-    its escape-summary and GC A/Bs, the Section 6.2 comparison and the
+    """The table holds exactly the tiers the evaluation runs: those of
+    the arms of ``ARMS`` (Table 1, Section 6.2 and the A/Bs) and of the
     fuzz engines."""
     engine_default = inspect.signature(run_engine_vm) \
         .parameters["escape_tier"].default
-    run = {config.escape_tier for config in table1.arms().values()}
-    run |= {config.escape_tier for config in comparison.arms().values()}
-    run |= set(table1._GC_AB_TIERS.values())
-    run.add(table1._ANALYSIS_AB_TIER)
+    run = {CompilerConfig(**overrides).escape_tier
+           for overrides in ARMS.values()}
     run |= {engine.options.get("escape_tier", engine_default)
             for engine in ENGINES.values()
             if engine.options is not None}

@@ -115,6 +115,16 @@ def test_fuzz_smoke(capsys, tmp_path):
     assert "0 failure(s)" in out
 
 
+def test_fuzz_refuses_no_cache_with_a_cache_dir(capsys, tmp_path):
+    cache_dir = tmp_path / "cache"
+    with pytest.raises(SystemExit) as exited:
+        main(["fuzz", "--programs", "1", "--no-cache",
+              "--cache-dir", str(cache_dir)])
+    assert exited.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not cache_dir.exists()
+
+
 # -- analyze / lint (exit contract: 0 clean, 1 findings, 2 error) -------------
 
 DEAD_STORE_JASM = """
